@@ -21,6 +21,7 @@ __all__ = [
     "radicand",
     "discriminant_of",
     "is_prime_discriminant",
+    "prime_of",
     "factor_discriminant",
     "is_sum_of_two_squares",
     "two_square_decomposition",
@@ -191,6 +192,11 @@ def is_prime_discriminant(d: int) -> bool:
         return False
     # the sign must make d = p for p = 1 mod 4 and d = -p for p = 3 mod 4
     return d == (p if p % 4 == 1 else -p)
+
+
+def prime_of(d: int) -> int:
+    """The rational prime dividing the prime discriminant d."""
+    return 2 if d % 2 == 0 else abs(d)
 
 
 def factor_discriminant(

@@ -26,8 +26,10 @@ from .arith import (
     factor_discriminant,
     is_sum_of_two_squares,
     kronecker,
+    prime_of,
     squarefree_kernel,
 )
+from .conic import h8_symbols
 from .qform import class_group, two_class_number, two_sylow
 from .units import delta_invariant, fundamental_unit, kubota_index, multiquadratic_h2
 
@@ -69,11 +71,12 @@ class RowPatternsUnavailableError(LookupError):
 
 
 class RowComputationError(RuntimeError):
-    """A sub-computation needed for a row column failed."""
+    """A sub-computation needed for a row column of d failed."""
 
-    def __init__(self, column: str, cause: Exception):
+    def __init__(self, d: int, column: str, cause: Exception):
+        self.d = d
         self.column = column
-        super().__init__(f"column {column}: {cause}")
+        super().__init__(f"d = {d}, column {column}: {cause}")
 
 
 def load_tables() -> dict:
@@ -84,11 +87,6 @@ def load_tables() -> dict:
 _TABLES = load_tables()
 
 _NU_PAIRS = ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
-
-
-def prime_of(d: int) -> int:
-    """The rational prime dividing the prime discriminant d."""
-    return 2 if d % 2 == 0 else abs(d)
 
 
 class Verdict(str, Enum):
@@ -236,14 +234,7 @@ def h8_predicate(assignment: Sequence[int] | CaseRecord) -> bool:
     """Whether the four quaternion-embedding symbols all equal +1."""
     if isinstance(assignment, CaseRecord):
         assignment = assignment.assignment
-    d1, d2, d3, d4 = assignment
-    checks = (
-        (d1 * d2, prime_of(d3)),
-        (d1 * d2, prime_of(d4)),
-        (d2 * d3 * d4, prime_of(d1)),
-        (d3 * d4 * d1, prime_of(d2)),
-    )
-    return all(kronecker(top, p) == 1 for top, p in checks)
+    return all(kronecker(top, p) == 1 for top, p in h8_symbols(*assignment))
 
 
 def tower_verdict(
@@ -367,11 +358,11 @@ class InvariantRowReport:
         return [e for e in self.entries if not e.matched]
 
 
-def _compute(column: str, fn):
+def _compute(d: int, column: str, fn):
     try:
         return fn()
-    except Exception as e:  # surfaced with the blocked column attached
-        raise RowComputationError(column, e) from e
+    except Exception as e:  # surfaced with the field and blocked column attached
+        raise RowComputationError(d, column, e) from e
 
 
 def verify_invariant_row(d: int, max_steps: int = 10**6) -> InvariantRowReport:
@@ -404,7 +395,7 @@ def verify_invariant_row(d: int, max_steps: int = 10**6) -> InvariantRowReport:
         RowEntry("nu", str(expected_nu), str(list(rec.symbol_matrix)), nu_ok)
     )
 
-    eps12 = _compute("n_eps12", lambda: fundamental_unit(d1 * d2, max_steps))
+    eps12 = _compute(d, "n_eps12", lambda: fundamental_unit(d1 * d2, max_steps))
     eps_sign = eps12.norm
     allowed = patterns["n_eps12"]
     entries.append(
@@ -423,7 +414,7 @@ def verify_invariant_row(d: int, max_steps: int = 10**6) -> InvariantRowReport:
     }
     for column, disc in deltas.items():
         value = _compute(
-            column,
+            d, column,
             lambda disc=disc: delta_invariant(fundamental_unit(disc, max_steps)).delta,
         )
         pattern = _resolve(patterns[column], nu34, eps_sign)
@@ -438,7 +429,7 @@ def verify_invariant_row(d: int, max_steps: int = 10**6) -> InvariantRowReport:
     h2_quartic = []
     for i, discs in enumerate(subfield_discs, start=1):
         q_i = _compute(
-            f"q{i}",
+            d, f"q{i}",
             lambda discs=discs: kubota_index(
                 squarefree_kernel(discs[0]), squarefree_kernel(discs[2]), max_steps=max_steps
             ),
@@ -448,7 +439,7 @@ def verify_invariant_row(d: int, max_steps: int = 10**6) -> InvariantRowReport:
             RowEntry(f"q{i}", pattern, str(q_i), q_i == _pattern_value(pattern, a))
         )
         h2_i = _compute(
-            f"h2_{i}",
+            d, f"h2_{i}",
             lambda discs=discs, q_i=q_i: multiquadratic_h2(
                 [two_class_number(x) for x in discs], q_i, 4
             ),
@@ -468,7 +459,7 @@ def verify_invariant_row(d: int, max_steps: int = 10**6) -> InvariantRowReport:
         ]
         return 4 * multiquadratic_h2(h2s, q, 8)
 
-    order = _compute("order", octic_order)
+    order = _compute(d, "order", octic_order)
     pattern = _resolve(patterns["order"], nu34, eps_sign)
     entries.append(
         RowEntry("order", pattern, str(order), order == _pattern_value(pattern, a))

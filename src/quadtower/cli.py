@@ -19,7 +19,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import arith, qform, units
+from . import arith, qform
 from .arith import factor_discriminant
 from .classify import (
     CaseRecord,
@@ -32,14 +32,8 @@ from .classify import (
     tower_verdict,
     verify_invariant_row,
 )
-from .conic import (
-    NoSolutionWithinBoundError,
-    ProvablyInsolubleError,
-    SignRuleError,
-    solve_conic,
-)
+from .conic import ProvablyInsolubleError, solve_conic
 from .group2 import (
-    InvalidTableError,
     TableGroup,
     abelian_invariants,
     build_64_150,
@@ -59,13 +53,6 @@ EXIT_PRECONDITION = 2
 EXIT_NO_ROW = 3
 EXIT_INTERNAL = 4
 EXIT_BOUND = 5
-
-_BOUND_ERRORS = (
-    arith.BoundExceededError,
-    qform.BoundExceededError,
-    units.BoundExceededError,
-    NoSolutionWithinBoundError,
-)
 
 DEFAULT_SCAN_BOUND = 10**7
 
@@ -237,11 +224,18 @@ def _load_checkpoint(path: Path, signature: dict) -> int | None:
     """Returns the last processed d, validating the scan signature."""
     if not path.exists():
         return None
-    state = json.loads(path.read_text(encoding="utf-8"))
-    if state.get("signature") != signature:
+    try:
+        state = json.loads(path.read_text(encoding="utf-8"))
+    except ValueError:  # empty or torn file
+        state = None
+    if not isinstance(state, dict) or not {"signature", "last"} <= state.keys():
+        raise PreconditionError(
+            f"checkpoint {path} is not a JSON object with 'signature' and 'last'"
+        )
+    if state["signature"] != signature:
         raise PreconditionError(
             f"checkpoint {path} belongs to a different scan "
-            f"(saved {state.get('signature')}, requested {signature})"
+            f"(saved {state['signature']}, requested {signature})"
         )
     return state["last"]
 
@@ -371,11 +365,10 @@ def cmd_conic(args: argparse.Namespace) -> int:
 
 
 def _integer_unit_form(u) -> str | None:
-    if u.d % 4 == 0:
-        return f"{u.x // 2} + {u.y}*sqrt({u.d // 4})"
-    if u.x % 2 == 0 and u.y % 2 == 0:
-        return f"{u.x // 2} + {u.y // 2}*sqrt({u.d})"
-    return None
+    x, ym = u.coords_over_radicand()
+    if x % 2 or ym % 2:
+        return None
+    return f"{x // 2} + {ym // 2}*sqrt({u.m})"
 
 
 def cmd_unit(args: argparse.Namespace) -> int:
@@ -575,28 +568,19 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except PreconditionError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
     except NoRowMatchError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_NO_ROW
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except RowPatternsUnavailableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except RowComputationError as exc:
+    except (RowComputationError, arith.BoundExceededError) as exc:
+        # NoSolutionWithinBoundError is a BoundExceededError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
-    except _BOUND_ERRORS as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_BOUND
-    except (SignRuleError, InvalidTableError, arith.NotFundamentalError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except ValueError as exc:
+    except (RowPatternsUnavailableError, ValueError) as exc:
+        # PreconditionError, SignRuleError, InvalidTableError and
+        # NotFundamentalError are all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:

@@ -26,6 +26,7 @@ from .arith import (
     is_prime_discriminant,
     is_square,
     kronecker,
+    prime_of,
     radicand,
 )
 from .units import QuadUnit, fundamental_unit
@@ -41,6 +42,7 @@ __all__ = [
     "solve_conic",
     "build_alpha",
     "solve_h8",
+    "h8_symbols",
     "DEFAULT_CONIC_BOUND",
 ]
 
@@ -265,6 +267,16 @@ def _unit_cube(u: QuadUnit) -> QuadUnit:
     return QuadUnit(d, num_x // 4, num_y // 4, u.norm)
 
 
+def h8_symbols(d1: int, d2: int, d3: int, d4: int) -> list[tuple[int, int]]:
+    """(top, p) for the four quaternion-embedding symbols (top / p)."""
+    return [
+        (d1 * d2, prime_of(d3)),
+        (d1 * d2, prime_of(d4)),
+        (d2 * d3 * d4, prime_of(d1)),
+        (d3 * d4 * d1, prime_of(d2)),
+    ]
+
+
 def solve_h8(
     d1: int, d2: int, d3d4: int, bound: int = DEFAULT_CONIC_BOUND
 ) -> MuElement:
@@ -285,18 +297,7 @@ def solve_h8(
     negative = factor_discriminant(d3d4)
     if len(negative) != 2 or any(d > 0 for d in negative):
         raise ValueError(f"{d3d4} is not a product of two negative prime discriminants")
-    d3, d4 = negative
-
-    def prime_of(d: int) -> int:
-        return 2 if d % 2 == 0 else abs(d)
-
-    symbols = [
-        (d1 * d2, prime_of(d3)),
-        (d1 * d2, prime_of(d4)),
-        (d2 * d3d4, prime_of(d1)),
-        (d3d4 * d1, prime_of(d2)),
-    ]
-    for top, p in symbols:
+    for top, p in h8_symbols(d1, d2, *negative):
         if kronecker(top, p) != 1:
             raise H8HypothesisError(
                 f"embedding symbol ({top} / {p}) = {kronecker(top, p)} != 1"

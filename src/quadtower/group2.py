@@ -17,6 +17,8 @@ from itertools import combinations, product
 from pathlib import Path
 from typing import Iterable
 
+from .qform import abelian_structure
+
 __all__ = [
     "TableGroup",
     "Class2Extension",
@@ -404,8 +406,8 @@ def quotient(G: TableGroup, N: Subgroup) -> tuple[TableGroup, dict[int, int]]:
 def abelian_invariants(G: TableGroup, members: Iterable[int] | None = None) -> tuple[int, ...]:
     """Invariant factors (ascending) of an abelian (sub)group.
 
-    Peels a cyclic direct factor of maximal order, which always splits off
-    in a finite abelian group, and recurses on the quotient.
+    The divisor chain comes from the relation-lattice routine that also
+    gives form class group structure, qform.abelian_structure.
     """
     G = _as_table(G)
     sub = set(members) if members is not None else set(range(G.order))
@@ -413,20 +415,7 @@ def abelian_invariants(G: TableGroup, members: Iterable[int] | None = None) -> t
         for b in sub:
             if G.mul(a, b) != G.mul(b, a):
                 raise ValueError("abelian_invariants needs an abelian group")
-    # work inside the subgroup via a standalone table
-    elems = sorted(sub, key=lambda g: (g != 0, g))
-    index = {g: i for i, g in enumerate(elems)}
-    table = TableGroup(
-        tuple(tuple(index[G.mul(a, b)] for b in elems) for a in elems)
-    )
-    invariants: list[int] = []
-    while table.order > 1:
-        g = max(range(table.order), key=table.element_order)
-        m = table.element_order(g)
-        invariants.append(m)
-        cyc = closure(table, [g])
-        table, _ = quotient(table, cyc)
-    return tuple(sorted(invariants))
+    return tuple(abelian_structure(sub, G.mul, 0))
 
 
 # -- checkers -----------------------------------------------------------------

@@ -19,6 +19,7 @@ from .arith import (
     factorize,
     is_fundamental_discriminant,
     kronecker,
+    prime_of,
 )
 
 __all__ = [
@@ -35,6 +36,7 @@ __all__ = [
     "genus_character_matrix",
     "genus_positivity",
     "c4_splittings",
+    "abelian_structure",
     "smith_normal_form",
 ]
 
@@ -303,9 +305,8 @@ def class_group(d: int, narrow: bool = True,
 
     if d > 0 and not narrow:
         # quotient by the class of the totally negative principal form
-        s = math.isqrt(d)
-        b0 = s if (s - d) % 2 == 0 else s - 1
-        neg = canon(BQForm(-1, b0, (d - b0 * b0) // 4))
+        one = principal_form(d)
+        neg = canon(BQForm(-one.a, one.b, -one.c))
         if neg == ident:
             pass  # norm -1 unit: narrow and ordinary agree
         else:
@@ -319,13 +320,18 @@ def class_group(d: int, narrow: bool = True,
             ident = orbit[ident]
 
     h = len(reps)
-    divisors = _abelian_structure(reps, mul, ident)
+    divisors = abelian_structure(reps, mul, ident)
     return FormClassGroup(d, narrow if d > 0 else False, h, divisors, reps,
                           _mul=mul, _identity=ident)
 
 
-def _abelian_structure(elements, mul, ident) -> list[int]:
-    """Divisor chain of a finite abelian group given by a multiplication map."""
+def abelian_structure(elements, mul, ident) -> list[int]:
+    """Divisor chain of a finite abelian group given by a multiplication map.
+
+    Builds discrete logs over a greedy generating set, collects the relation
+    lattice, and reads the chain d_1 | d_2 | ... (trivial group: []) off its
+    Smith normal form.
+    """
     h = len(elements)
     if h == 1:
         return []
@@ -437,28 +443,20 @@ def smith_normal_form(rows: list[list[int]], width: int) -> list[int]:
     return diag
 
 
+def _two_part(n: int) -> int:
+    """Largest power of 2 dividing the positive integer n."""
+    return n & -n
+
+
 def two_sylow(cg: FormClassGroup) -> list[int]:
     """2-part of each elementary divisor, smallest first (trivial: [])."""
-    out = []
-    for m in cg.elementary_divisors:
-        t = 1
-        while m % 2 == 0:
-            t *= 2
-            m //= 2
-        if t > 1:
-            out.append(t)
-    return sorted(out)
+    return sorted(t for t in map(_two_part, cg.elementary_divisors) if t > 1)
 
 
 def two_class_number(d: int, narrow: bool = False,
                      bound: int = DEFAULT_CLASS_BOUND) -> int:
     """Order of the 2-Sylow subgroup of the class group of discriminant d."""
-    h = class_group(d, narrow=narrow, bound=bound).h
-    t = 1
-    while h % 2 == 0:
-        t *= 2
-        h //= 2
-    return t
+    return _two_part(class_group(d, narrow=narrow, bound=bound).h)
 
 
 @dataclass(frozen=True)
@@ -482,10 +480,6 @@ def genus_characters(d: int) -> list[GenusCharacter]:
     return [GenusCharacter(q, d) for q in factor_discriminant(d)]
 
 
-def _factor_prime(q: int) -> int:
-    return 2 if q % 2 == 0 else abs(q)
-
-
 def genus_character_matrix(d: int) -> list[list[int]]:
     """Matrix chi_i(p_j) over the prime discriminant factors of d.
 
@@ -502,10 +496,10 @@ def genus_character_matrix(d: int) -> list[list[int]]:
                 v = 1
                 for l in range(n):
                     if l != i:
-                        v *= kronecker(qs[l], _factor_prime(qs[i]))
+                        v *= kronecker(qs[l], prime_of(qs[i]))
                 mat[i][j] = v
             else:
-                mat[i][j] = kronecker(qs[i], _factor_prime(qs[j]))
+                mat[i][j] = kronecker(qs[i], prime_of(qs[j]))
     return mat
 
 
@@ -521,7 +515,7 @@ def genus_positivity(d: int, delta: int) -> bool:
     rest = abs(delta)
     support = []
     for j, q in enumerate(qs):
-        p = _factor_prime(q)
+        p = prime_of(q)
         if rest % p == 0:
             support.append(j)
             rest //= p
@@ -563,8 +557,8 @@ def c4_splittings(d: int) -> list[C4Splitting]:
             (part1 if (mask >> (i - 1)) & 1 == 0 else part2).append(qs[i])
         d1 = math.prod(part1)
         d2 = math.prod(part2)
-        ok = all(kronecker(d1, _factor_prime(q)) == 1 for q in part2) and all(
-            kronecker(d2, _factor_prime(q)) == 1 for q in part1
+        ok = all(kronecker(d1, prime_of(q)) == 1 for q in part2) and all(
+            kronecker(d2, prime_of(q)) == 1 for q in part1
         )
         if ok:
             out.append(C4Splitting(d1, d2))

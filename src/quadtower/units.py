@@ -32,7 +32,6 @@ __all__ = [
     "SqrtUnitDecomposition",
     "NormMinusOneError",
     "DecompositionError",
-    "PrecisionEscalationError",
     "fundamental_unit",
     "unit_of_radicand",
     "delta_invariant",
@@ -54,10 +53,6 @@ class NormMinusOneError(ValueError):
 
 class DecompositionError(ValueError):
     """delta fails to split the discriminant the way a square root needs."""
-
-
-class PrecisionEscalationError(RuntimeError):
-    """Numeric membership filter stayed ambiguous at maximal precision."""
 
 
 @dataclass(frozen=True)
@@ -424,14 +419,9 @@ def _sqrt_member(field: _MultiQuadField, eta):
     return None
 
 
-def _subfield_units(gens: Sequence[int], max_steps: int
-                    ) -> list[tuple[frozenset, QuadUnit]]:
-    field = _MultiQuadField(gens)
-    out = []
-    for s in field.subsets:
-        if s:
-            out.append((s, unit_of_radicand(field.rad[s], max_steps)))
-    return out
+def _subfield_units(field: _MultiQuadField, max_steps: int) -> list[QuadUnit]:
+    """Fundamental units of the quadratic subfields, in subset order."""
+    return [unit_of_radicand(field.rad[s], max_steps) for s in field.subsets if s]
 
 
 def kubota_index(m1: int, m2: int, m3: int | None = None,
@@ -448,8 +438,7 @@ def kubota_index(m1: int, m2: int, m3: int | None = None,
     if any(m <= 1 for m in gens):
         raise ValueError(f"radicands {gens} do not span a totally real field")
     field = _MultiQuadField(gens)
-    units = _subfield_units(gens, max_steps)
-    basis = [field.embed_unit(u) for _, u in units]
+    basis = [field.embed_unit(u) for u in _subfield_units(field, max_steps)]
     q = 1
     improved = True
     while improved:

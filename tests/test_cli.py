@@ -4,7 +4,18 @@ import json
 
 import pytest
 
+from quadtower import classify as classify_mod
+from quadtower import cli
+from quadtower.arith import BoundExceededError, NotFundamentalError
+from quadtower.classify import (
+    InternalConsistencyError,
+    NoRowMatchError,
+    RowComputationError,
+    RowPatternsUnavailableError,
+)
 from quadtower.cli import ScanRecord, main
+from quadtower.conic import NoSolutionWithinBoundError, SignRuleError
+from quadtower.group2 import InvalidTableError
 
 
 def run(capsys, *argv):
@@ -50,6 +61,41 @@ def test_classify_exit_codes(capsys):
     code, _, err = run(capsys, "classify", "1596")
     assert code == 2
     assert "[2, 4]" in err
+
+
+@pytest.mark.parametrize(
+    "exc, code",
+    [
+        (NoRowMatchError("no row"), 3),
+        (InternalConsistencyError("two rows"), 4),
+        (RowComputationError(19176, "q1", BoundExceededError("cf")), 5),
+        (NoSolutionWithinBoundError("x^2 = 5 y^2", 7), 5),
+        (RowPatternsUnavailableError("no patterns"), 2),
+        (SignRuleError("no sign"), 2),
+        (InvalidTableError("bad table"), 2),
+        (NotFundamentalError("not fundamental"), 2),
+    ],
+    ids=lambda v: type(v).__name__ if isinstance(v, Exception) else str(v),
+)
+def test_main_exit_code_per_error_family(capsys, monkeypatch, exc, code):
+    def fail(d):
+        raise exc
+
+    monkeypatch.setattr(cli, "classify", fail)
+    got, out, err = run(capsys, "classify", "19176")
+    assert got == code
+    assert out == ""
+    assert err == f"error: {exc}\n"
+
+
+def test_main_exit_code_for_os_error(capsys, monkeypatch):
+    def fail(d):
+        raise OSError(13, "Permission denied", "some/file")
+
+    monkeypatch.setattr(cli, "classify", fail)
+    code, _, err = run(capsys, "classify", "19176")
+    assert code == 1
+    assert err == "error: some/file: Permission denied\n"
 
 
 def test_classify_bad_expression_rejected(capsys):
@@ -140,6 +186,39 @@ def test_scan_checkpoint_signature_mismatch(tmp_path, capsys):
     )
     assert code == 2
     assert "different scan" in err
+
+
+@pytest.mark.parametrize(
+    "content",
+    [
+        "",
+        "[]",
+        json.dumps({"signature": {"min": 5, "max": 3000, "case": [],
+                                  "verdict": [], "verify": False}}),
+    ],
+    ids=["torn", "not-an-object", "no-last"],
+)
+def test_scan_checkpoint_malformed(tmp_path, capsys, content):
+    ckpt = tmp_path / "scan.ckpt"
+    ckpt.write_text(content)
+    code, _, err = run(capsys, "scan", "5", "3000", "--checkpoint", str(ckpt))
+    assert code == 2
+    assert err == (
+        f"error: checkpoint {ckpt} is not a JSON object with "
+        "'signature' and 'last'\n"
+    )
+
+
+def test_scan_verify_rows_bound_failure_names_d(capsys, monkeypatch):
+    def exhausted(*args, **kwargs):
+        raise BoundExceededError("continued fraction exceeded 5 steps")
+
+    monkeypatch.setattr(classify_mod, "kubota_index", exhausted)
+    code, _, err = run(capsys, "scan", "19170", "19180", "--verify-rows")
+    assert code == 5
+    assert err == (
+        "error: d = 19176, column q1: continued fraction exceeded 5 steps\n"
+    )
 
 
 def test_scan_checkpoint_dir_env(tmp_path, capsys, monkeypatch):

@@ -1,6 +1,10 @@
 """Group engine tests: tables, class-2 extensions, and the three checkers."""
 
+import math
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtower.group2 import (
     Class2Extension,
@@ -175,6 +179,26 @@ def test_quotient_and_invariants():
         abelian_invariants(quaternion())
     with pytest.raises(ValueError, match="normal"):
         quotient(dihedral(12), closure(dihedral(12), [6]))
+
+
+@st.composite
+def divisor_chains(draw, max_order=64):
+    """Invariant factor chains d1 | d2 | ... with d1 > 1 and product <= max_order."""
+    chain: list[int] = []
+    while draw(st.booleans()):
+        # the next factor is a multiple of the last one and keeps the order small
+        step = chain[-1] if chain else 1
+        low, top = (1 if chain else 2), max_order // math.prod(chain) // step
+        if top < low:
+            break
+        chain.append(step * draw(st.integers(low, top)))
+    return tuple(chain)
+
+
+@settings(max_examples=60, deadline=None)
+@given(divisor_chains())
+def test_abelian_invariants_recovers_construction(chain):
+    assert abelian_invariants(abelian(*chain)) == chain
 
 
 def test_derived_collapse_on_64_150():
