@@ -307,15 +307,18 @@ def _atoms_value(atoms: str, assignment: Sequence[int]) -> int:
     return value
 
 
-def _pattern_value(pattern: str, assignment: Sequence[int]) -> int:
-    """Evaluate a class-number pattern like '4', '2h2(d1d2)' or 'h2(p1p2)'."""
+def _pattern_value(pattern: str, assignment: Sequence[int], h2) -> int:
+    """Evaluate a class-number pattern like '4', '2h2(d1d2)' or 'h2(p1p2)'.
+
+    h2 maps a discriminant to its 2-class number.
+    """
     m = _PATTERN_RE.fullmatch(pattern)
     if m is None:
         raise ValueError(f"bad pattern {pattern!r}")
     value = int(m.group(1)) if m.group(1) else 1
     if m.group(2):
         rad = squarefree_kernel(_atoms_value(m.group(2), assignment))
-        value *= two_class_number(discriminant_of(rad))
+        value *= h2(discriminant_of(rad))
     return value
 
 
@@ -365,17 +368,21 @@ def _compute(d: int, column: str, fn):
         raise RowComputationError(d, column, e) from e
 
 
-def verify_invariant_row(d: int, max_steps: int = 10**6) -> InvariantRowReport:
+def verify_invariant_row(
+    d: int | CaseRecord, max_steps: int = 10**6
+) -> InvariantRowReport:
     """Recompute the invariant-row quantities for d and diff them.
 
     Every value (delta of the three relevant units, the norm of eps over
     sqrt(d1 d2), the three quartic unit indices and 2-class numbers, and
     the order 4*h2 of the degree-8 step) is computed from scratch via the
     unit and form modules, then matched against the encoded row patterns,
-    resolving the nu34 and norm branches by computation.  Mismatches are
-    report entries, not errors.
+    resolving the nu34 and norm branches by computation.  Each subfield
+    2-class number is computed once per call.  Mismatches are report
+    entries, not errors.  A CaseRecord of d skips classifying it again.
     """
-    rec = classify(d)
+    rec = d if isinstance(d, CaseRecord) else classify(d)
+    d = rec.d
     patterns = _TABLES["invariant_rows"].get(rec.label)
     if patterns is None:
         raise RowPatternsUnavailableError(
@@ -421,12 +428,24 @@ def verify_invariant_row(d: int, max_steps: int = 10**6) -> InvariantRowReport:
         want = _atoms_value(pattern, a)
         entries.append(RowEntry(column, pattern, str(value), value == want))
 
+    h2_of: dict[int, int] = {}
+
+    def h2(disc: int) -> int:
+        if disc not in h2_of:
+            h2_of[disc] = two_class_number(disc)
+        return h2_of[disc]
+
+    def check(column: str, spec, value: int) -> None:
+        pattern = _resolve(spec, nu34, eps_sign)
+        entries.append(RowEntry(
+            column, pattern, str(value), value == _pattern_value(pattern, a, h2)
+        ))
+
     subfield_discs = (
         (d1, d, d2 * d3 * d4),
         (d2, d, d1 * d3 * d4),
         (d1 * d2, d, d3 * d4),
     )
-    h2_quartic = []
     for i, discs in enumerate(subfield_discs, start=1):
         q_i = _compute(
             d, f"q{i}",
@@ -434,36 +453,22 @@ def verify_invariant_row(d: int, max_steps: int = 10**6) -> InvariantRowReport:
                 squarefree_kernel(discs[0]), squarefree_kernel(discs[2]), max_steps=max_steps
             ),
         )
-        pattern = _resolve(patterns["q"][i - 1], nu34, eps_sign)
-        entries.append(
-            RowEntry(f"q{i}", pattern, str(q_i), q_i == _pattern_value(pattern, a))
-        )
+        check(f"q{i}", patterns["q"][i - 1], q_i)
         h2_i = _compute(
             d, f"h2_{i}",
             lambda discs=discs, q_i=q_i: multiquadratic_h2(
-                [two_class_number(x) for x in discs], q_i, 4
+                [h2(x) for x in discs], q_i, 4
             ),
         )
-        pattern = _resolve(patterns["h2"][i - 1], nu34, eps_sign)
-        entries.append(
-            RowEntry(f"h2_{i}", pattern, str(h2_i), h2_i == _pattern_value(pattern, a))
-        )
-        h2_quartic.append(h2_i)
+        check(f"h2_{i}", patterns["h2"][i - 1], h2_i)
 
     def octic_order() -> int:
         gens = (squarefree_kernel(d1), squarefree_kernel(d2), squarefree_kernel(d3 * d4))
         q = kubota_index(*gens, max_steps=max_steps)
-        h2s = [
-            two_class_number(x)
-            for x in (d1, d2, d3 * d4, d1 * d2, d1 * d3 * d4, d2 * d3 * d4, d)
-        ]
-        return 4 * multiquadratic_h2(h2s, q, 8)
+        discs = (d1, d2, d3 * d4, d1 * d2, d1 * d3 * d4, d2 * d3 * d4, d)
+        return 4 * multiquadratic_h2([h2(x) for x in discs], q, 8)
 
-    order = _compute(d, "order", octic_order)
-    pattern = _resolve(patterns["order"], nu34, eps_sign)
-    entries.append(
-        RowEntry("order", pattern, str(order), order == _pattern_value(pattern, a))
-    )
+    check("order", patterns["order"], _compute(d, "order", octic_order))
 
     return InvariantRowReport(d, rec.label, a, nu34, eps_sign, tuple(entries))
 

@@ -208,7 +208,7 @@ def _scan_one(payload: tuple[int, bool, bool]):
     verification = "skipped"
     if verify:
         try:
-            report = verify_invariant_row(d)
+            report = verify_invariant_row(rec)
             if report.matched:
                 verification = "matched"
             else:

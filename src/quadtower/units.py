@@ -6,8 +6,10 @@ sqrt(eps) = (1 + eps)/sqrt(N(1 + eps)), so eps has a square root of the shape
 (a sqrt(m1) + b sqrt(m2))/2 with m1 the squarefree kernel delta of N(1+eps);
 the associated sign (a^2 m1 - b^2 m2)/4 = +-1 reproduces the classical
 Legendre-symbol identities.  Unit indices q(K/Q) of real multiquadratic
-fields are computed by testing which products of subfield fundamental units
-acquire square roots in K.
+fields are exact: K is saturated at 2 by testing which products of subfield
+fundamental units are squares in K, and each square root is found in rational
+arithmetic by descending through relative norms to Q, as in Wada's unit-group
+algorithm for multiquadratic fields.
 """
 
 from __future__ import annotations
@@ -306,122 +308,83 @@ def conjugate_sign_table(words: Iterable[Word],
 # multiquadratic fields: exact arithmetic on Q(sqrt(m1), ..., sqrt(mr))
 
 class _MultiQuadField:
-    """Q(sqrt(m) : m in gens) for multiplicatively independent radicands > 1.
+    """Q(sqrt(m_1), ..., sqrt(m_r)) for multiplicatively independent m_i > 1.
 
-    Elements are dicts mapping a frozenset S of generator indices to the
-    rational coefficient of sqrt(m_S), m_S = squarefree kernel of the
-    product over S.
+    An element is a list of 2^r rational coefficients over the product
+    basis sqrt(m_S) = prod(sqrt(m_i) : i in S), indexed by the bit mask S.
+    Its first half lies in the subfield F on the first r - 1 generators and
+    its second half is the coefficient of sqrt(m_r), so u = a + b*sqrt(m_r)
+    with a, b in F; the same methods serve every subfield.
     """
 
     def __init__(self, gens: Sequence[int]):
-        self.gens = tuple(gens)
-        self.r = len(gens)
-        self.subsets = []
-        self.rad = {}
-        for mask in range(2**self.r):
-            s = frozenset(i for i in range(self.r) if mask >> i & 1)
-            prod = 1
-            for i in s:
-                prod *= gens[i]
-            self.subsets.append(s)
-            self.rad[s] = squarefree_kernel(prod)
-        if len(set(self.rad.values())) != 2**self.r:
+        # w[S] = prod(m_i : i in S): sqrt(m_S) sqrt(m_T) = w[S & T] sqrt(m_{S ^ T})
+        self.w = [math.prod(m for i, m in enumerate(gens) if mask >> i & 1)
+                  for mask in range(2 ** len(gens))]
+        if len({squarefree_kernel(x) for x in self.w}) != len(self.w):
             raise ValueError(f"radicands {gens} are not independent")
 
-    def one(self):
-        return {frozenset(): Fraction(1)}
-
     def mul(self, u, v):
-        out = {}
-        for s, cu in u.items():
-            for t, cv in v.items():
-                st = s ^ t
-                # sqrt(m_s) sqrt(m_t) = g sqrt(m_st) with g^2 the square part
-                g = math.isqrt(self.rad[s] * self.rad[t] // self.rad[st])
-                c = cu * cv * g
-                if c:
-                    out[st] = out.get(st, Fraction(0)) + c
-        return {s: c for s, c in out.items() if c}
+        w = self.w
+        out = [0] * len(u)
+        for s, cu in enumerate(u):
+            if cu:
+                for t, cv in enumerate(v):
+                    if cv:
+                        out[s ^ t] += cu * cv * w[s & t]
+        return out
 
-    def embed_unit(self, u: QuadUnit):
-        """A quadratic unit as a field element; its radicand must occur."""
-        x, ym = u.coords_over_radicand()
-        for s, m in self.rad.items():
-            if m == u.m:
-                return {frozenset(): Fraction(x, 2), s: Fraction(ym, 2)}
-        raise ValueError(f"radicand {u.m} not a subfield radicand")
+    def _split(self, u):
+        """(a, b, m, a^2 - m b^2) for u = a + b*sqrt(m) over the subfield."""
+        half = len(u) // 2
+        a, b, m = u[:half], u[half:], self.w[half]
+        norm = [x - m * y for x, y in zip(self.mul(a, a), self.mul(b, b))]
+        return a, b, m, norm
 
-    def conjugates_fixed(self, elem, bits: int) -> list[int]:
-        """Fixed-point (value << bits) of elem under all 2^r embeddings."""
-        roots = {s: math.isqrt(m << (2 * bits)) for s, m in self.rad.items()}
-        vals = []
-        for tau in range(2**self.r):
-            acc = 0
-            for s, c in elem.items():
-                sign = 1
-                for i in s:
-                    if tau >> i & 1:
-                        sign = -sign
-                acc += sign * (c.numerator * roots[s]) // c.denominator
-            vals.append(acc)
-        return vals
+    def sqrt(self, eta):
+        """A square root of eta in the field, or None if eta is no square.
 
-    def square_equals(self, elem, target) -> bool:
-        return self.mul(elem, elem) == target
+        If eta = (x + y sqrt(m))^2 with x, y in F, then n = x^2 - m y^2 is a
+        square root of the relative norm a^2 - m b^2, x^2 = (a + n)/2 and
+        m y^2 = (a - n)/2.  Recursing on the norm and on both signs of n
+        reaches every root; each is checked exactly against b = 2xy.
+        """
+        if len(eta) == 1:
+            c = Fraction(eta[0])
+            if c < 0:
+                return None
+            num, den = math.isqrt(c.numerator), math.isqrt(c.denominator)
+            if num * num != c.numerator or den * den != c.denominator:
+                return None
+            return [Fraction(num, den)]
+        a, b, m, norm = self._split(eta)
+        n = self.sqrt(norm)
+        if n is None:
+            return None
+        for n in (n, [-c for c in n]):
+            x = self.sqrt([Fraction(c + d, 2) for c, d in zip(a, n)])
+            if x is None:
+                continue
+            y = self.sqrt([Fraction(c - d, 2 * m) for c, d in zip(a, n)])
+            if y is None:
+                continue
+            xy2 = [2 * c for c in self.mul(x, y)]
+            if xy2 == b:
+                return x + y
+            if xy2 == [-c for c in b]:
+                return x + [-c for c in y]
+        return None
 
-
-def _sqrt_member(field: _MultiQuadField, eta):
-    """The positive square root of eta if it lies in the field, else None.
-
-    Guesses the conjugate-sign pattern of the root, reconstructs each trace
-    coordinate from fixed-point conjugates, and accepts only after an exact
-    verification, so numeric error can cause a miss but never a false root.
-    """
-    r = field.r
-    n_emb = 2**r
-    size = max(
-        abs(c.numerator).bit_length() + c.denominator.bit_length()
-        for c in eta.values()
-    )
-    bits = 2 * size + 256
-    conj = field.conjugates_fixed(eta, bits)
-    margin = 1 << max(bits - 8, 1)
-    if any(v < -margin for v in conj):
-        return None  # a negative conjugate: no square root in a real field
-    roots = [math.isqrt(max(v, 0) << bits) for v in conj]  # sqrt * 2^bits
-    rad_fixed = {s: math.isqrt(m << (2 * bits)) for s, m in field.rad.items()}
-    chi = [
-        [(-1) ** bin(tau & smask).count("1") for tau in range(n_emb)]
-        for smask in range(n_emb)
-    ]
-    for pattern in range(2 ** (n_emb - 1)):
-        signs = [1] + [(-1) ** (pattern >> i & 1) for i in range(n_emb - 1)]
-        coords = {}
-        ok = True
-        for smask in range(n_emb):
-            s = field.subsets[smask]
-            acc = 0
-            for tau in range(n_emb):
-                acc += chi[smask][tau] * signs[tau] * roots[tau]
-            # n = Tr(xi * sqrt(m_s)) must be a rational integer
-            n_fixed = acc * rad_fixed[s] >> bits
-            n_round = (n_fixed + (1 << (bits - 1))) >> bits
-            err = abs(n_fixed - (n_round << bits))
-            if err > (1 << bits) // 3:
-                ok = False
-                break
-            coords[s] = Fraction(n_round, n_emb * field.rad[s])
-        if not ok:
-            continue
-        xi = {s: c for s, c in coords.items() if c}
-        if xi and field.square_equals(xi, eta):
-            return xi
-    return None
-
-
-def _subfield_units(field: _MultiQuadField, max_steps: int) -> list[QuadUnit]:
-    """Fundamental units of the quadratic subfields, in subset order."""
-    return [unit_of_radicand(field.rad[s], max_steps) for s in field.subsets if s]
+    def sign(self, u) -> int:
+        """Sign of u in the real embedding where every sqrt(m_i) is positive."""
+        if len(u) == 1:
+            return (u[0] > 0) - (u[0] < 0)
+        a, b, _, norm = self._split(u)
+        sa, sb = self.sign(a), self.sign(b)
+        if sa * sb >= 0:
+            return sa or sb
+        # a and b sqrt(m) differ in sign: the larger in absolute value wins
+        return sa if self.sign(norm) > 0 else sb
 
 
 def kubota_index(m1: int, m2: int, m3: int | None = None,
@@ -430,33 +393,44 @@ def kubota_index(m1: int, m2: int, m3: int | None = None,
 
     K = Q(sqrt(m1), sqrt(m2)[, sqrt(m3)]) must be totally real.  Saturates
     the lattice spanned by the subfield fundamental units at 2: whenever a
-    product of current basis elements has a square root in K, that root
-    replaces a basis element and doubles the index.  Iterating catches units
-    that are fourth roots of unit products, which occur from degree 8 on.
+    product eta of basis elements has a square root in K (found exactly by
+    _MultiQuadField.sqrt), the root replaces a basis element and doubles
+    the index.  Every basis element is kept positive in one embedding, so
+    -eta, negative there, never needs testing.  Iterating until no product
+    is a square catches units that are fourth roots of unit products, which
+    occur from degree 8 on.  E_K modulo the lattice is a 2-group, so the
+    lattice that no square root extends is E_K itself and q is exact.
     """
     gens = [squarefree_kernel(m) for m in (m1, m2, m3) if m is not None]
     if any(m <= 1 for m in gens):
         raise ValueError(f"radicands {gens} do not span a totally real field")
     field = _MultiQuadField(gens)
-    basis = [field.embed_unit(u) for u in _subfield_units(field, max_steps)]
+    basis = []
+    for mask, w in enumerate(field.w[1:], start=1):
+        # (x + y' sqrt(m))/2 with sqrt(m) = sqrt(m_mask)/g, g^2 = w/m
+        u = unit_of_radicand(squarefree_kernel(w), max_steps)
+        x, ym = u.coords_over_radicand()
+        elem = [0] * len(field.w)
+        elem[0] = Fraction(x, 2)
+        elem[mask] = Fraction(ym, 2 * math.isqrt(w // u.m))
+        basis.append(elem)
     q = 1
-    improved = True
-    while improved:
-        improved = False
+    while True:
+        prods = [None]  # prods[mask] = product of basis[i] for the bits i of mask
         for mask in range(1, 2 ** len(basis)):
-            eta = field.one()
-            for i in range(len(basis)):
-                if mask >> i & 1:
-                    eta = field.mul(eta, basis[i])
-            xi = _sqrt_member(field, eta)
+            top = mask.bit_length() - 1
+            rest = mask ^ (1 << top)
+            eta = field.mul(prods[rest], basis[top]) if rest else basis[top]
+            prods.append(eta)
+            xi = field.sqrt(eta)
             if xi is not None:
-                # eta is no square of a lattice element (exponents are 0/1),
-                # so swapping the root in genuinely doubles the lattice
-                basis[mask.bit_length() - 1] = xi
-                q *= 2
-                improved = True
                 break
-    return q
+        else:
+            return q
+        # eta is no square of a lattice element (exponents are 0/1), so
+        # swapping the root in genuinely doubles the lattice
+        basis[top] = xi if field.sign(xi) > 0 else [-c for c in xi]
+        q *= 2
 
 
 def multiquadratic_h2(subfield_h2: Sequence[int], q: int, degree: int) -> int:

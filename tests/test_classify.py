@@ -1,13 +1,17 @@
 """Case classification, tower verdicts, and invariant-row verification."""
 
 import time
+from collections import Counter
 
 import pytest
 
+from quadtower import classify as classify_mod
+from quadtower.arith import BoundExceededError
 from quadtower.classify import (
     InternalConsistencyError,
     NoRowMatchError,
     PreconditionError,
+    RowComputationError,
     RowPatternsUnavailableError,
     Verdict,
     classify,
@@ -219,6 +223,31 @@ def test_invariant_row_values():
     assert report.nu34 == 1
     assert values["order"] == "16"
     assert values["delta"] == "10"  # branch 2p2, not 2p1p3
+
+
+def test_invariant_row_computes_each_two_class_number_once(monkeypatch):
+    original = classify_mod.two_class_number
+    calls = Counter()
+
+    def counting(disc):
+        calls[disc] += 1
+        return original(disc)
+
+    monkeypatch.setattr(classify_mod, "two_class_number", counting)
+    by_d = verify_invariant_row(19176)
+    assert len(calls) == 7 and set(calls.values()) == {1}
+    # the lookup lives for one call only, and a record skips classifying
+    assert verify_invariant_row(classify(19176)) == by_d
+    assert set(calls.values()) == {2}
+
+
+def test_invariant_row_two_class_number_failure_names_column(monkeypatch):
+    def exhausted(disc):
+        raise BoundExceededError(f"form bound exceeded at {disc}")
+
+    monkeypatch.setattr(classify_mod, "two_class_number", exhausted)
+    with pytest.raises(RowComputationError, match=r"^d = 19176, column h2_1: "):
+        verify_invariant_row(19176)
 
 
 def test_invariant_row_unavailable():

@@ -1,6 +1,7 @@
 """CLI tests: subcommands, exit codes, scan persistence, determinism."""
 
 import json
+from collections import Counter
 
 import pytest
 
@@ -219,6 +220,22 @@ def test_scan_verify_rows_bound_failure_names_d(capsys, monkeypatch):
     assert err == (
         "error: d = 19176, column q1: continued fraction exceeded 5 steps\n"
     )
+
+
+def test_scan_verify_rows_classifies_each_field_once(capsys, monkeypatch):
+    code, out, _ = run(capsys, "scan", "19170", "19180", "--verify-rows")
+    assert code == 0 and len(out.splitlines()) == 3  # 19173, 19176, 19180
+    original = classify_mod.classify
+    calls = Counter()
+
+    def counting(d):
+        calls[d] += 1
+        return original(d)
+
+    monkeypatch.setattr(cli, "classify", counting)
+    monkeypatch.setattr(classify_mod, "classify", counting)
+    assert run(capsys, "scan", "19170", "19180", "--verify-rows")[:2] == (code, out)
+    assert calls == Counter(d for d in range(19170, 19181) if d % 4 in (0, 1))
 
 
 def test_scan_checkpoint_dir_env(tmp_path, capsys, monkeypatch):

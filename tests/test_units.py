@@ -1,6 +1,11 @@
 """Tests for fundamental units, square-root decompositions and sign tables."""
 
+import math
+from fractions import Fraction
+
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from quadtower.arith import (
     BoundExceededError,
@@ -8,10 +13,12 @@ from quadtower.arith import (
     is_fundamental_discriminant,
     is_prime,
     kronecker,
+    squarefree_kernel,
 )
 from quadtower.qform import genus_positivity, two_class_number
 from quadtower.units import (
     NormMinusOneError,
+    _MultiQuadField,
     QuadUnit,
     conjugate_sign_table,
     delta_invariant,
@@ -267,6 +274,7 @@ def test_kubota_index_quartic():
     assert kubota_index(2, 5) == 2
     # quartic subfield k(sqrt(8)) of the genus field of d = 19176
     assert kubota_index(8, 19176) == 2
+    assert kubota_index(145, 7) == 1
     with pytest.raises(ValueError):
         kubota_index(-3, 5)
     with pytest.raises(ValueError):
@@ -285,10 +293,48 @@ def test_kubota_index_octic_genus_field_27993():
     # sqrt(93), sqrt(1333)); all unit products acquire square roots
     q = kubota_index(217, 93, 1333)
     assert q == 2**7
+    # indices below the maximum, pinned from the fixed-point search that the
+    # exact square root replaced
+    assert kubota_index(5, 29, 7) == 16
+    assert kubota_index(13, 29, 7) == 32
     rads = (21, 93, 129, 217, 301, 1333, 27993)
     h2s = [two_class_number(discriminant_of(m)) for m in rads]
     assert h2s[-1] == 4
     assert multiquadratic_h2(h2s, q, 8) == 1
+
+
+RADICANDS = [m for m in range(2, 60) if squarefree_kernel(m) == m]
+
+
+@st.composite
+def field_elements(draw):
+    """An independent set of 1-3 radicands and a nonzero element of its field."""
+    gens = draw(st.lists(st.sampled_from(RADICANDS), min_size=1, max_size=3))
+    try:
+        field = _MultiQuadField(gens)
+    except ValueError:
+        assume(False)
+    coeffs = draw(st.lists(st.integers(-6, 6), min_size=2 ** len(gens),
+                           max_size=2 ** len(gens)))
+    assume(any(coeffs))
+    return gens, field, [Fraction(c, 2) for c in coeffs]
+
+
+@settings(deadline=None)
+@given(field_elements())
+def test_exact_sqrt_and_sign(case):
+    gens, field, u = case
+    square = field.mul(u, u)
+    assert field.sqrt(square) in (u, [-c for c in u])
+    p = next(p for p in range(2, 100) if is_prime(p) and all(m % p for m in gens))
+    assert field.sqrt([p * c for c in square]) is None
+    assert field.sign(square) == 1
+    assert field.sign([-c for c in square]) == -1
+    # floating-point oracle for the sign of u itself, away from zero
+    value = sum(c * math.prod(math.sqrt(m) for i, m in enumerate(gens) if s >> i & 1)
+                for s, c in enumerate(u))
+    if abs(value) > 1e-6:
+        assert field.sign(u) == (1 if value > 0 else -1)
 
 
 def test_multiquadratic_h2_validation():
