@@ -48,6 +48,7 @@ __all__ = [
     "h8_predicate",
     "tower_verdict",
     "verify_invariant_row",
+    "family_member",
     "iter_family",
     "prime_of",
     "load_tables",
@@ -76,7 +77,11 @@ class RowComputationError(RuntimeError):
     def __init__(self, d: int, column: str, cause: Exception):
         self.d = d
         self.column = column
+        self.cause = cause
         super().__init__(f"d = {d}, column {column}: {cause}")
+
+    def __reduce__(self):  # a scan worker process sends it back pickled
+        return type(self), (self.d, self.column, self.cause)
 
 
 def load_tables() -> dict:
@@ -473,12 +478,16 @@ def verify_invariant_row(
     return InvariantRowReport(d, rec.label, a, nu34, eps_sign, tuple(entries))
 
 
+def family_member(d: int) -> CaseRecord | None:
+    """The case record of d, or None when d is not in the family."""
+    if d % 4 not in (0, 1):
+        return None
+    try:
+        return classify(d)
+    except (PreconditionError, NoRowMatchError):
+        return None
+
+
 def iter_family(lo: int, hi: int) -> Iterator[CaseRecord]:
     """Classify every qualifying discriminant in [lo, hi), ascending."""
-    for d in range(max(lo, 5), hi):
-        if d % 4 not in (0, 1):
-            continue
-        try:
-            yield classify(d)
-        except (PreconditionError, NoRowMatchError):
-            continue
+    return filter(None, map(family_member, range(lo, hi)))

@@ -29,6 +29,7 @@ from .classify import (
     RowComputationError,
     RowPatternsUnavailableError,
     classify,
+    family_member,
     tower_verdict,
     verify_invariant_row,
 )
@@ -154,14 +155,23 @@ def _load_config(path: str | None) -> dict:
     if path is None:
         return {}
     with open(path, encoding="utf-8") as fh:
-        return json.load(fh)
+        config = json.load(fh)
+    if not isinstance(config, dict) or not isinstance(config.get("scan", {}), dict):
+        raise PreconditionError(
+            f"config {path} is not a JSON object with an optional 'scan' object"
+        )
+    return config
 
 
-def _setting(args_value, config: dict, section: str, key: str, default):
-    """Flag beats config beats default; flags use None as the unset marker."""
-    if args_value is not None:
-        return args_value
-    return config.get(section, {}).get(key, default)
+def _scan_setting(args_value, config: dict, path: str | None, key: str, default):
+    """A positive int: flag (None when unset) beats config beats default."""
+    value, source = args_value, f"--{key}"
+    if value is None:
+        value = config.get("scan", {}).get(key, default)
+        source = f"scan.{key} in config {path}"
+    if type(value) is not int or value < 1:  # rejects bool too
+        raise PreconditionError(f"{source} must be a positive integer, got {value!r}")
+    return value
 
 
 def _checkpoint_path(raw: str) -> Path:
@@ -197,53 +207,67 @@ def cmd_classify(args: argparse.Namespace) -> int:
 # -- scan ----------------------------------------------------------------------
 
 
-def _scan_one(payload: tuple[int, bool, bool]):
-    d, verify, timing = payload
-    start = time.perf_counter()
+SCAN_BLOCK = 1000  # most integers per checkpoint step and per --jobs task
+
+
+def _scan_block(
+    payload: tuple[int, int, bool, bool],
+) -> tuple[list[ScanRecord], Exception | None]:
+    """The records of the family members in [lo, hi), ascending, and the
+    error that cut the block short after those records, if one did."""
+    lo, hi, verify, timing = payload
+    records = []
     try:
-        rec = classify(d)
-    except (PreconditionError, NoRowMatchError):
-        return (d, None)
-    verdict = tower_verdict(rec)
-    verification = "skipped"
-    if verify:
-        try:
-            report = verify_invariant_row(rec)
-            if report.matched:
-                verification = "matched"
-            else:
-                bad = ",".join(e.column for e in report.mismatches())
-                verification = f"mismatch:{bad}"
-        except RowPatternsUnavailableError:
-            verification = "unavailable"
-    ms = round((time.perf_counter() - start) * 1000.0, 3) if timing else None
-    return (d, _record_for(rec, verdict.verdict.value, verification, ms))
+        for d in range(lo, hi):
+            start = time.perf_counter()
+            rec = family_member(d)
+            if rec is None:
+                continue
+            verdict = tower_verdict(rec)
+            verification = "skipped"
+            if verify:
+                try:
+                    report = verify_invariant_row(rec)
+                    if report.matched:
+                        verification = "matched"
+                    else:
+                        bad = ",".join(e.column for e in report.mismatches())
+                        verification = f"mismatch:{bad}"
+                except RowPatternsUnavailableError:
+                    verification = "unavailable"
+            ms = round((time.perf_counter() - start) * 1000.0, 3) if timing else None
+            records.append(_record_for(rec, verdict.verdict.value, verification, ms))
+    except Exception as exc:  # the caller writes the records, then raises it
+        return records, exc
+    return records, None
 
 
-def _load_checkpoint(path: Path, signature: dict) -> int | None:
-    """Returns the last processed d, validating the scan signature."""
+def _load_checkpoint(path: Path, signature: dict) -> dict | None:
+    """The saved state (signature, last d done, output offset), validated."""
     if not path.exists():
         return None
     try:
         state = json.loads(path.read_text(encoding="utf-8"))
     except ValueError:  # empty or torn file
         state = None
-    if not isinstance(state, dict) or not {"signature", "last"} <= state.keys():
+    if not (isinstance(state, dict) and "signature" in state
+            and all(type(state.get(key)) is int for key in ("last", "offset"))):
         raise PreconditionError(
-            f"checkpoint {path} is not a JSON object with 'signature' and 'last'"
+            f"checkpoint {path} is not a JSON object with "
+            "'signature', 'last' and 'offset'"
         )
     if state["signature"] != signature:
         raise PreconditionError(
             f"checkpoint {path} belongs to a different scan "
             f"(saved {state['signature']}, requested {signature})"
         )
-    return state["last"]
+    return state
 
 
 def cmd_scan(args: argparse.Namespace) -> int:
     config = _load_config(args.config)
-    bound = _setting(args.bound, config, "scan", "bound", DEFAULT_SCAN_BOUND)
-    jobs = _setting(args.jobs, config, "scan", "jobs", 1)
+    bound = _scan_setting(args.bound, config, args.config, "bound", DEFAULT_SCAN_BOUND)
+    jobs = _scan_setting(args.jobs, config, args.config, "jobs", 1)
     lo, hi = args.min, args.max
     if lo >= hi:
         raise PreconditionError(f"need min < max, got [{lo}, {hi}]")
@@ -258,69 +282,68 @@ def cmd_scan(args: argparse.Namespace) -> int:
         "case": sorted(case_filter),
         "verdict": sorted(verdict_filter),
         "verify": bool(args.verify_rows),
+        "format": args.format,
     }
 
     checkpoint = _checkpoint_path(args.checkpoint) if args.checkpoint else None
-    start = lo
-    resume = False
-    if checkpoint is not None:
-        last = _load_checkpoint(checkpoint, signature)
-        if last is not None:
-            start = last + 1
-            resume = True
-
-    candidates = [d for d in range(start, hi + 1) if d % 4 in (0, 1)]
-    payloads = [(d, bool(args.verify_rows), bool(args.timing)) for d in candidates]
+    state = _load_checkpoint(checkpoint, signature) if checkpoint else None
+    start, offset = (state["last"] + 1, state["offset"]) if state else (lo, 0)
+    if state and args.output:
+        # drop what a killed run wrote after its last checkpoint
+        if os.path.getsize(args.output) < offset:
+            raise PreconditionError(
+                f"output {args.output} is shorter than the {offset} bytes "
+                f"recorded in checkpoint {checkpoint}"
+            )
+        os.truncate(args.output, offset)
 
     if args.output:
-        sink = open(args.output, "a" if resume else "w", encoding="utf-8")
+        sink = open(args.output, "a" if state else "w", encoding="utf-8")
     else:
         sink = sys.stdout
     histogram: Counter[str] = Counter()
-    emitted = 0
     wall = time.perf_counter()
+    # a --jobs run gives each worker several blocks, however narrow the range
+    span = SCAN_BLOCK if jobs == 1 else max(1, (hi + 1 - start) // (jobs * 8))
+    span = min(span, SCAN_BLOCK)
+    blocks = [
+        (b, min(b + span, hi + 1), args.verify_rows, args.timing)
+        for b in range(start, hi + 1, span)
+    ]
+    text = ScanRecord.CSV_HEADER + "\n" if args.format == "csv" and not state else ""
+    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
     try:
-        if args.format == "csv" and not resume:
-            print(ScanRecord.CSV_HEADER, file=sink)
-        if jobs > 1:
-            executor = ProcessPoolExecutor(max_workers=jobs)
-            chunk = max(1, len(payloads) // (jobs * 8) or 1)
-            results = executor.map(_scan_one, payloads, chunksize=chunk)
-        else:
-            executor = None
-            results = map(_scan_one, payloads)
-        try:
-            for d, record in results:
-                if record is not None:
-                    keep = (not case_filter or record.label in case_filter) and (
-                        not verdict_filter or record.verdict in verdict_filter
-                    )
-                    if keep:
-                        line = (
-                            record.to_csv()
-                            if args.format == "csv"
-                            else record.to_json()
-                        )
-                        print(line, file=sink)
-                        sink.flush()
-                        histogram[record.label] += 1
-                        emitted += 1
-                if checkpoint is not None:
-                    checkpoint.write_text(
-                        json.dumps({"signature": signature, "last": d}),
-                        encoding="utf-8",
-                    )
-        finally:
-            if executor is not None:
-                executor.shutdown()
+        results = (pool.map if pool else map)(_scan_block, blocks)
+        for (_, end, _, _), (records, error) in zip(blocks, results):
+            for record in records:
+                if (not case_filter or record.label in case_filter) and (
+                    not verdict_filter or record.verdict in verdict_filter
+                ):
+                    line = record.to_csv() if args.format == "csv" else record.to_json()
+                    text += line + "\n"
+                    histogram[record.label] += 1
+            sink.write(text)
+            sink.flush()
+            if error is not None:
+                raise error
+            offset, text = offset + len(text.encode("utf-8")), ""
+            if checkpoint is not None:
+                # the records are flushed first and os.replace swaps whole
+                # files, so a kill leaves the old state or the new one
+                tmp = checkpoint.with_name(checkpoint.name + ".tmp")
+                saved = {"signature": signature, "last": end - 1, "offset": offset}
+                tmp.write_text(json.dumps(saved), encoding="utf-8")
+                os.replace(tmp, checkpoint)
     finally:
+        if pool is not None:
+            pool.shutdown(cancel_futures=True)
         if sink is not sys.stdout:
             sink.close()
     elapsed = time.perf_counter() - wall
     for label in sorted(histogram):
         print(f"{label} {histogram[label]}", file=sys.stderr)
     print(
-        f"scanned [{start}, {hi}], {emitted} records, {elapsed:.2f}s",
+        f"scanned [{start}, {hi}], {histogram.total()} records, {elapsed:.2f}s",
         file=sys.stderr,
     )
     return EXIT_OK

@@ -1,7 +1,13 @@
 """CLI tests: subcommands, exit codes, scan persistence, determinism."""
 
 import json
+import os
+import signal
+import subprocess
+import sys
+import time
 from collections import Counter
+from pathlib import Path
 
 import pytest
 
@@ -13,6 +19,7 @@ from quadtower.classify import (
     NoRowMatchError,
     RowComputationError,
     RowPatternsUnavailableError,
+    iter_family,
 )
 from quadtower.cli import ScanRecord, main
 from quadtower.conic import NoSolutionWithinBoundError, SignRuleError
@@ -145,9 +152,16 @@ def test_scan_rejects_bad_range(capsys):
 
 
 def test_scan_parallel_matches_serial(capsys):
-    _, serial, _ = run(capsys, "scan", "5", "4000")
-    _, parallel, _ = run(capsys, "scan", "5", "4000", "--jobs", "2")
-    assert serial == parallel
+    # [1020, 4060] starts off a multiple of the block size, spans four
+    # blocks and has family members at both ends
+    for lo, hi in [(5, 4000), (1020, 4060)]:
+        _, serial, _ = run(capsys, "scan", str(lo), str(hi))
+        _, parallel, _ = run(capsys, "scan", str(lo), str(hi), "--jobs", "2")
+        assert serial == parallel
+        # scan MIN MAX is inclusive, iter_family(lo, hi) half-open
+        ds = [json.loads(ln)["d"] for ln in serial.splitlines()]
+        assert ds == [rec.d for rec in iter_family(lo, hi + 1)]
+    assert ds[0] == lo and ds[-1] == hi
 
 
 def test_scan_checkpoint_resume(tmp_path, capsys):
@@ -162,12 +176,15 @@ def test_scan_checkpoint_resume(tmp_path, capsys):
     state = json.loads(ckpt.read_text())
     assert state["last"] == 9000
 
-    # rewind the checkpoint to mid-range and truncate the output to match
+    # rewind the checkpoint to mid-range, past which the output holds the
+    # torn tail a killed run leaves behind
     lines = full.splitlines(keepends=True)
     cut = len(lines) // 2
     last_kept = json.loads(lines[cut - 1])["d"]
-    out_file.write_text("".join(lines[:cut]))
-    ckpt.write_text(json.dumps({"signature": state["signature"], "last": last_kept}))
+    kept = "".join(lines[:cut])
+    out_file.write_text(kept + '{"torn')
+    ckpt.write_text(json.dumps({"signature": state["signature"], "last": last_kept,
+                                "offset": len(kept.encode())}))
     code, _, _ = run(
         capsys, "scan", "5", "9000",
         "--output", str(out_file), "--checkpoint", str(ckpt),
@@ -181,45 +198,115 @@ def test_scan_checkpoint_signature_mismatch(tmp_path, capsys):
     out_file = tmp_path / "records.jsonl"
     run(capsys, "scan", "5", "3000", "--output", str(out_file),
         "--checkpoint", str(ckpt))
-    code, _, err = run(
-        capsys, "scan", "5", "4000",
-        "--output", str(out_file), "--checkpoint", str(ckpt),
-    )
-    assert code == 2
-    assert "different scan" in err
+    records = out_file.read_text()
+    for resumed in (["5", "4000"], ["5", "3000", "--format", "csv"]):
+        code, _, err = run(
+            capsys, "scan", *resumed,
+            "--output", str(out_file), "--checkpoint", str(ckpt),
+        )
+        assert code == 2
+        assert "different scan" in err
+        assert out_file.read_text() == records
+
+
+SIGNATURE = {"min": 5, "max": 3000, "case": [], "verdict": [], "verify": False,
+             "format": "jsonl"}
+NOT_A_CHECKPOINT = (
+    "error: checkpoint {ckpt} is not a JSON object with "
+    "'signature', 'last' and 'offset'\n"
+)
 
 
 @pytest.mark.parametrize(
-    "content",
+    "content, output, code, error",
     [
-        "",
-        "[]",
-        json.dumps({"signature": {"min": 5, "max": 3000, "case": [],
-                                  "verdict": [], "verify": False}}),
+        ("", None, 2, NOT_A_CHECKPOINT),
+        ("[]", None, 2, NOT_A_CHECKPOINT),
+        ({"signature": SIGNATURE}, None, 2, NOT_A_CHECKPOINT),
+        ({"signature": SIGNATURE, "last": 1000}, "x\n", 2, NOT_A_CHECKPOINT),
+        ({"signature": SIGNATURE, "last": 1000, "offset": "2"}, "x\n", 2,
+         NOT_A_CHECKPOINT),
+        (
+            {"signature": SIGNATURE, "last": 1000, "offset": 60}, "x" * 59, 2,
+            "error: output {out} is shorter than the 60 bytes recorded in "
+            "checkpoint {ckpt}\n",
+        ),
+        (
+            {"signature": SIGNATURE, "last": 1000, "offset": 0}, None, 1,
+            "error: {out}: No such file or directory\n",
+        ),
     ],
-    ids=["torn", "not-an-object", "no-last"],
+    ids=["torn", "not-an-object", "no-last", "no-offset", "offset-not-int",
+         "short-output", "missing-output"],
 )
-def test_scan_checkpoint_malformed(tmp_path, capsys, content):
+def test_scan_checkpoint_malformed(tmp_path, capsys, content, output, code, error):
     ckpt = tmp_path / "scan.ckpt"
-    ckpt.write_text(content)
-    code, _, err = run(capsys, "scan", "5", "3000", "--checkpoint", str(ckpt))
-    assert code == 2
-    assert err == (
-        f"error: checkpoint {ckpt} is not a JSON object with "
-        "'signature' and 'last'\n"
-    )
+    out_file = tmp_path / "records.jsonl"
+    ckpt.write_text(content if isinstance(content, str) else json.dumps(content))
+    if output is not None:
+        out_file.write_text(output)
+    assert run(
+        capsys, "scan", "5", "3000",
+        "--output", str(out_file), "--checkpoint", str(ckpt),
+    )[::2] == (code, error.format(ckpt=ckpt, out=out_file))
+    # the output is neither truncated, padded nor created
+    assert (out_file.read_text() if out_file.exists() else None) == output
+
+
+def test_scan_survives_kills(tmp_path, capsys):
+    """SIGKILL a checkpointed scan wherever it happens to be, resume it until
+    it exits 0, and get the uninterrupted run's output byte for byte."""
+    argv = ["scan", "5", "12000", "--format", "csv"]
+    full = tmp_path / "full.csv"
+    assert run(capsys, *argv, "--output", str(full))[0] == 0
+    out_file, ckpt = tmp_path / "records.csv", tmp_path / "scan.ckpt"
+    cmd = [sys.executable, "-m", "quadtower.cli", *argv,
+           "--output", str(out_file), "--checkpoint", str(ckpt)]
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = {**os.environ, "PYTHONPATH": src}
+    stderr = tmp_path / "stderr.txt"
+
+    def saved():
+        return ckpt.read_bytes() if ckpt.exists() else None
+
+    # None kills at a fixed time after the start, before or during the first
+    # block; a number kills that many seconds after the checkpoint changed
+    for delay in [None, 0.0, 0.002, 0.006, 0.015, 0.03, 0.0, 0.01, 0.02]:
+        seen = saved()
+        with open(stderr, "w") as log:
+            proc = subprocess.Popen(cmd, env=env, stderr=log)
+        try:
+            if delay is None:
+                time.sleep(0.15)
+            else:
+                while proc.poll() is None and saved() == seen:
+                    time.sleep(0.001)
+                time.sleep(delay)
+            proc.kill()
+            code = proc.wait(timeout=60)
+        finally:
+            proc.kill()
+        assert code in (0, -signal.SIGKILL), stderr.read_text()
+    done = subprocess.run(cmd, env=env, capture_output=True, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
+    assert out_file.read_bytes() == full.read_bytes()
 
 
 def test_scan_verify_rows_bound_failure_names_d(capsys, monkeypatch):
     def exhausted(*args, **kwargs):
         raise BoundExceededError("continued fraction exceeded 5 steps")
 
+    argv = ["scan", "19170", "19180", "--verify-rows"]
+    before_failure = run(capsys, *argv)[1].splitlines(keepends=True)[0]  # 19173
     monkeypatch.setattr(classify_mod, "kubota_index", exhausted)
-    code, _, err = run(capsys, "scan", "19170", "19180", "--verify-rows")
-    assert code == 5
-    assert err == (
-        "error: d = 19176, column q1: continued fraction exceeded 5 steps\n"
-    )
+    # the records before the failing d are written, in a worker process too
+    # (the pool forks, so its workers see the patched kubota_index)
+    for jobs in ("1", "2"):
+        assert run(capsys, *argv, "--jobs", jobs) == (
+            5,
+            before_failure,
+            "error: d = 19176, column q1: continued fraction exceeded 5 steps\n",
+        )
 
 
 def test_scan_verify_rows_classifies_each_field_once(capsys, monkeypatch):
@@ -254,6 +341,34 @@ def test_scan_csv_export(capsys):
     lines = out.splitlines()
     assert lines[0] == ScanRecord.CSV_HEADER
     assert any(ln.startswith("6072,") and ",c3," in ln for ln in lines[1:])
+
+
+@pytest.mark.parametrize(
+    "config, flags, error",
+    [
+        ({"scan": {"jobs": "2"}}, [],
+         "scan.jobs in config {cfg} must be a positive integer, got '2'"),
+        ({"scan": {"bound": "100000"}}, [],
+         "scan.bound in config {cfg} must be a positive integer, got '100000'"),
+        ({"scan": {"jobs": True}}, [],
+         "scan.jobs in config {cfg} must be a positive integer, got True"),
+        ([1], [], "config {cfg} is not a JSON object with an optional 'scan' object"),
+        ({"scan": 4}, [],
+         "config {cfg} is not a JSON object with an optional 'scan' object"),
+        (None, ["--jobs", "0"], "--jobs must be a positive integer, got 0"),
+        (None, ["--jobs", "-3"], "--jobs must be a positive integer, got -3"),
+        (None, ["--bound", "0"], "--bound must be a positive integer, got 0"),
+    ],
+    ids=["jobs-str", "bound-str", "jobs-bool", "not-an-object", "scan-not-an-object",
+         "jobs-0", "jobs-negative", "bound-0"],
+)
+def test_scan_rejects_bad_settings(tmp_path, capsys, config, flags, error):
+    cfg = tmp_path / "quadtower.json"
+    argv = ["scan", "5", "100", *flags]
+    if config is not None:
+        cfg.write_text(json.dumps(config))
+        argv = ["--config", str(cfg), *argv]
+    assert run(capsys, *argv) == (2, "", f"error: {error.format(cfg=cfg)}\n")
 
 
 def test_scan_config_bound(tmp_path, capsys):
