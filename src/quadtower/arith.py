@@ -208,25 +208,19 @@ def factor_discriminant(
     factors are returned sorted by increasing |d_i|.  Raises
     NotFundamentalError when d is not a quadratic field discriminant.
     """
-    if not is_fundamental_discriminant(d, bound):
+    # d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree; the
+    # one factorization decides the odd part and yields the factors
+    shaped = d not in (0, 1) and (d % 4 == 1 or d % 4 == 0 and d // 4 % 4 in (2, 3))
+    odd = factorize(d, bound) if shaped else {}
+    odd.pop(2, None)
+    if not shaped or any(e > 1 for e in odd.values()):
         raise NotFundamentalError(f"{d} is not a fundamental discriminant")
-    parts = []
-    for p in factorize(d, bound):
-        if p == 2:
-            continue
-        parts.append(p if p % 4 == 1 else -p)
-    rest = d
-    for q in parts:
-        rest //= q
-    if rest != 1:
-        if rest not in (-4, 8, -8):
-            raise NotFundamentalError(f"{d} has invalid even part {rest}")
+    parts = [p if p % 4 == 1 else -p for p in odd]
+    rest = d // math.prod(parts)
+    if rest != 1:  # the even prime discriminant
+        assert rest in (-4, 8, -8), f"invalid even part {rest} of {d}"
         parts.append(rest)
     parts.sort(key=abs)
-    prod = 1
-    for q in parts:
-        prod *= q
-    assert prod == d, f"prime discriminant product mismatch for {d}"
     return tuple(parts)
 
 

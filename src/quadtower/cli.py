@@ -55,7 +55,7 @@ EXIT_NO_ROW = 3
 EXIT_INTERNAL = 4
 EXIT_BOUND = 5
 
-DEFAULT_SCAN_BOUND = 10**7
+DEFAULT_SCAN_BOUND = arith.DEFAULT_FACTOR_BOUND ** 2  # what trial division proves
 
 
 @dataclass(frozen=True)
@@ -342,10 +342,11 @@ def cmd_scan(args: argparse.Namespace) -> int:
     elapsed = time.perf_counter() - wall
     for label in sorted(histogram):
         print(f"{label} {histogram[label]}", file=sys.stderr)
-    print(
-        f"scanned [{start}, {hi}], {histogram.total()} records, {elapsed:.2f}s",
-        file=sys.stderr,
-    )
+    if start > hi:  # resumed from the checkpoint of a finished scan
+        summary = f"nothing left to scan in [{lo}, {hi}]"
+    else:
+        summary = f"scanned [{start}, {hi}], {histogram.total()} records"
+    print(f"{summary}, {elapsed:.2f}s", file=sys.stderr)
     return EXIT_OK
 
 

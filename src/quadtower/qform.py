@@ -11,6 +11,7 @@ Smith normal form.
 from __future__ import annotations
 
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass
 
 from .arith import (
@@ -34,6 +35,7 @@ __all__ = [
     "two_sylow",
     "genus_characters",
     "genus_character_matrix",
+    "narrow_four_rank",
     "genus_positivity",
     "c4_splittings",
     "abelian_structure",
@@ -487,20 +489,44 @@ def genus_character_matrix(d: int) -> list[list[int]]:
     factors; the diagonal entry chi_i(p_i) is evaluated through the
     complementary factor d/d_i, as usual for p_i dividing d_i.
     """
-    qs = factor_discriminant(d)
+    return _character_matrix(factor_discriminant(d))
+
+
+def _character_matrix(qs: Sequence[int]) -> list[list[int]]:
+    # the diagonal chi_i(p_i) = prod_{l != i} (d_l / p_i) is the product of
+    # column i off the diagonal
     n = len(qs)
-    mat = [[0] * n for _ in range(n)]
+    mat = [
+        [1 if i == j else kronecker(qs[i], prime_of(qs[j])) for j in range(n)]
+        for i in range(n)
+    ]
     for i in range(n):
-        for j in range(n):
-            if i == j:
-                v = 1
-                for l in range(n):
-                    if l != i:
-                        v *= kronecker(qs[l], prime_of(qs[i]))
-                mat[i][j] = v
-            else:
-                mat[i][j] = kronecker(qs[i], prime_of(qs[j]))
+        for l in range(n):
+            if l != i:
+                mat[i][i] *= mat[l][i]
     return mat
+
+
+def narrow_four_rank(factors: Sequence[int]) -> int:
+    """4-rank of the narrow class group, from the prime discriminant factors.
+
+    Redei: it is t - 1 - rank over F_2 of the t x t Redei matrix
+    R[i][j] = [(d_j / p_i) = -1] (j != i), whose diagonal makes each row
+    sum to 0.  R is the additive transpose of the genus character matrix,
+    so both share one rank.
+    """
+    rows = [
+        sum(1 << j for j, v in enumerate(row) if v == -1)
+        for row in _character_matrix(factors)
+    ]
+    rank = 0
+    while rows:
+        pivot = rows.pop()
+        if pivot:
+            rank += 1
+            low = pivot & -pivot
+            rows = [r ^ pivot if r & low else r for r in rows]
+    return len(factors) - 1 - rank
 
 
 def genus_positivity(d: int, delta: int) -> bool:

@@ -3,6 +3,8 @@
 import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtower.arith import (
     BoundExceededError,
@@ -163,6 +165,37 @@ def test_factor_discriminant_roundtrip():
                 assert math.gcd(parts[i], parts[j]) in (1, 2)
                 # only one even factor may occur
                 assert abs(parts[i]) % 2 == 1 or abs(parts[j]) % 2 == 1
+
+
+def _factor_discriminant_two_step(d):
+    # the earlier path: a fundamentality test, then a second factorization
+    if not is_fundamental_discriminant(d):
+        raise NotFundamentalError(f"{d} is not a fundamental discriminant")
+    parts = [p if p % 4 == 1 else -p for p in factorize(d) if p != 2]
+    rest = d // math.prod(parts)
+    if rest != 1:
+        parts.append(rest)
+    return tuple(sorted(parts, key=abs))
+
+
+def _outcome(fn, d):
+    try:
+        return fn(d)
+    except NotFundamentalError as e:
+        return str(e)
+
+
+def test_factor_discriminant_matches_two_step_path():
+    for d in range(-20000, 20001):
+        assert _outcome(factor_discriminant, d) == _outcome(
+            _factor_discriminant_two_step, d
+        ), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(-(10**9), 10**9))
+def test_factor_discriminant_matches_two_step_path_large(d):
+    assert _outcome(factor_discriminant, d) == _outcome(_factor_discriminant_two_step, d)
 
 
 def test_factor_discriminant_worked_examples():

@@ -131,7 +131,7 @@ def test_preconditions():
         classify(40)  # 8 * 5, two factors only
     with pytest.raises(PreconditionError, match="sum of two squares"):
         classify(5 * 13 * 17 * 29)
-    with pytest.raises(PreconditionError, match=r"\[2, 4\]"):
+    with pytest.raises(PreconditionError, match=r"not \(2, 2\): its narrow 4-rank is 1,"):
         classify(1596)  # 2-class group C2 x C4
 
 

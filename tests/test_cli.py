@@ -68,7 +68,7 @@ def test_classify_exit_codes(capsys):
     assert "fundamental" in err
     code, _, err = run(capsys, "classify", "1596")
     assert code == 2
-    assert "[2, 4]" in err
+    assert "1596 is not (2, 2): its narrow 4-rank is 1, need 0" in err
 
 
 @pytest.mark.parametrize(
@@ -145,6 +145,17 @@ def test_scan_empty_range(tmp_path, capsys):
     assert out_file.read_text() == ""
 
 
+def test_classify_and_scan_above_old_class_group_cap(capsys):
+    # the precondition no longer enumerates forms, so d > 10^7 is fine
+    code, out, _ = run(capsys, "classify", "10000041")
+    assert code == 0
+    assert "case: " in out and "verdict: " in out
+    code, out, _ = run(capsys, "scan", "10000001", "10000300")
+    assert code == 0
+    ds = [json.loads(ln)["d"] for ln in out.splitlines()]
+    assert ds and ds == [rec.d for rec in iter_family(10000001, 10000301)]
+
+
 def test_scan_rejects_bad_range(capsys):
     code, _, err = run(capsys, "scan", "50", "50")
     assert code == 2
@@ -190,6 +201,16 @@ def test_scan_checkpoint_resume(tmp_path, capsys):
         "--output", str(out_file), "--checkpoint", str(ckpt),
     )
     assert code == 0
+    assert out_file.read_text() == full
+
+    # the checkpoint now marks the whole range done: a rerun leaves the
+    # output alone and says so, naming [min, max]
+    code, out, err = run(
+        capsys, "scan", "5", "9000",
+        "--output", str(out_file), "--checkpoint", str(ckpt),
+    )
+    assert (code, out) == (0, "")
+    assert err.startswith("nothing left to scan in [5, 9000], ")
     assert out_file.read_text() == full
 
 

@@ -1,8 +1,18 @@
 import math
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from quadtower.arith import factor_discriminant, is_fundamental_discriminant, kronecker
+from quadtower.arith import (
+    NotFundamentalError,
+    factor_discriminant,
+    is_fundamental_discriminant,
+    is_prime_discriminant,
+    is_sum_of_two_squares,
+    kronecker,
+    prime_of,
+)
 from quadtower.qform import (
     BQForm,
     C4Splitting,
@@ -14,6 +24,7 @@ from quadtower.qform import (
     genus_characters,
     genus_positivity,
     is_reduced,
+    narrow_four_rank,
     principal_form,
     reduce_form,
     two_sylow,
@@ -196,3 +207,73 @@ def test_genus_positivity_input_validation():
     assert genus_positivity(19176, 1)
     with pytest.raises(ValueError):
         genus_positivity(19176, 5)
+
+
+# -- narrow 4-rank (Redei) against form enumeration ---------------------------
+
+
+def _cl2_candidates(lo, hi):
+    """Four-factor fundamental d in [lo, hi) that are not sums of two squares."""
+    for d in range(lo, hi):
+        try:
+            factors = factor_discriminant(d)
+        except NotFundamentalError:
+            continue
+        if len(factors) == 4 and not is_sum_of_two_squares(d):
+            yield d, factors
+
+
+def _cl2_is_22(d, bound=10**7):
+    return two_sylow(class_group(d, narrow=False, bound=bound)) == [2, 2]
+
+
+def test_narrow_four_rank_pins():
+    assert narrow_four_rank(factor_discriminant(1596)) == 1  # Cl2 = (2, 4)
+    assert narrow_four_rank(factor_discriminant(19176)) == 0  # Cl2 = (2, 2)
+
+
+@pytest.mark.parametrize(
+    "lo, hi, bound, count, rejects",
+    [(5, 5 * 10**4, 10**7, 1388, 243), (10**7 + 1, 10**7 + 301, 2 * 10**7, 19, 5)],
+)
+def test_narrow_four_rank_matches_class_group(lo, hi, bound, count, rejects):
+    # for these d the narrow 2-rank is 3 and N(eps) = +1, so Cl2 = (2, 2)
+    # exactly when the narrow 4-rank is 0
+    seen = []
+    for d, factors in _cl2_candidates(lo, hi):
+        is_22 = _cl2_is_22(d, bound)
+        assert (narrow_four_rank(factors) == 0) == is_22, d
+        seen.append(is_22)
+    assert (len(seen), seen.count(False)) == (count, rejects)
+
+
+_PRIME_DISCS = [q for q in range(-20000, 20000) if is_prime_discriminant(q)]
+
+
+@st.composite
+def four_factor_discriminants(draw):
+    """Four prime discriminants of distinct primes, the first negative, whose
+    product is positive and below 10^6."""
+    qs = []
+    for pool in ([q for q in _PRIME_DISCS if -60 <= q < 0],) + 2 * (
+        [q for q in _PRIME_DISCS if abs(q) <= 60],
+    ):
+        primes = {prime_of(q) for q in qs}
+        qs.append(draw(st.sampled_from([q for q in pool if prime_of(q) not in primes])))
+    sign = 1 if math.prod(qs) > 0 else -1
+    room = (10**6 - 1) // abs(math.prod(qs))
+    primes = {prime_of(q) for q in qs}
+    last = [q for q in _PRIME_DISCS
+            if q * sign > 0 and abs(q) <= room and prime_of(q) not in primes]
+    assume(last)
+    return qs + [draw(st.sampled_from(last))]
+
+
+@settings(max_examples=100, deadline=None)
+@given(four_factor_discriminants())
+def test_narrow_four_rank_property(qs):
+    d = math.prod(qs)
+    assert 0 < d < 10**6 and not is_sum_of_two_squares(d)
+    assert sorted(qs, key=abs) == list(factor_discriminant(d))
+    # qs is in draw order, not sorted: the rank does not depend on the order
+    assert (narrow_four_rank(qs) == 0) == _cl2_is_22(d)
