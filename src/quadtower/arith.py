@@ -77,21 +77,22 @@ def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
     """
     if n == 0:
         raise ValueError("cannot factor 0")
-    n = abs(n)
+    rest = abs(n)
     out: dict[int, int] = {}
     for p in _trial_primes(bound):
-        if p * p > n:
+        if p * p > rest:
             break
-        while n % p == 0:
+        while rest % p == 0:
             out[p] = out.get(p, 0) + 1
-            n //= p
-    if n > 1:
-        if n <= bound * bound or is_prime(n):
+            rest //= p
+    if rest > 1:
+        if rest <= bound * bound or is_prime(rest):
             # cofactor below bound^2 has no two factors > bound, so prime
-            out[n] = out.get(n, 0) + 1
+            out[rest] = out.get(rest, 0) + 1
         else:
             raise BoundExceededError(
-                f"cofactor {n} is composite with all prime factors > {bound}"
+                f"cannot factor {n}: cofactor {rest} is composite with all "
+                f"prime factors > {bound}"
             )
     return out
 

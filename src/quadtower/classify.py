@@ -24,14 +24,15 @@ from .arith import (
     NotFundamentalError,
     discriminant_of,
     factor_discriminant,
-    is_sum_of_two_squares,
     kronecker,
     prime_of,
     squarefree_kernel,
 )
 from .conic import h8_symbols
-from .qform import narrow_four_rank, two_class_number
-from .qform import class_group  # noqa: F401  not called; bench/spans.py hooks it
+from .qform import character_matrix, narrow_four_rank, two_class_number
+# neither is called here; bench/spans.py hooks both names on this module
+from .arith import is_sum_of_two_squares  # noqa: F401
+from .qform import class_group  # noqa: F401
 from .units import delta_invariant, fundamental_unit, kubota_index, multiquadratic_h2
 
 __all__ = [
@@ -124,51 +125,34 @@ class CaseRecord:
         return tuple(prime_of(q) for q in self.assignment)
 
 
-def _symbol(assignment: Sequence[int], top: str, under: str) -> int:
-    value = assignment[int(top[1]) - 1]
-    p = prime_of(assignment[int(under[1]) - 1])
-    return kronecker(value, p)
+def _symbol(mat, at: Sequence[int], top: str, under: str) -> int:
+    """(d_i / p_j) for top 'di' and under 'pj', where d_k is the factor at
+    position at[k - 1] and mat is the factors' character matrix."""
+    return mat[at[int(top[1]) - 1]][at[int(under[1]) - 1]]
 
 
 def _candidate_assignments(
-    type_name: str, table: dict, factors: Sequence[int]
+    table: dict, factors: Sequence[int]
 ) -> Iterator[tuple[int, ...]]:
-    pos = [q for q in factors if q > 0]
-    neg = [q for q in factors if q < 0]
-    if "d4" in table:
-        if table["d4"] not in factors:
-            return
-        rest = [q for q in neg if q != table["d4"]]
-        if type_name == "II":
-            if len(pos) != 2 or len(rest) != 1:
-                return
-            for a, b in permutations(pos, 2):
-                yield (a, b, rest[0], table["d4"])
-        else:  # IV
-            if pos or len(rest) != 3:
-                return
-            for a, b, c in permutations(rest, 3):
-                yield (a, b, c, table["d4"])
+    """The orderings of the factors, as factor positions, that fit a type:
+    d_i has the sign signs[i], d4 is the table's d4 if it names one, and
+    otherwise -4 is a factor only if allow_minus4."""
+    signs, d4 = table["signs"], table.get("d4")
+    if d4 is None and -4 in factors and not table["allow_minus4"]:
         return
-    if -4 in factors:
+    factor_signs = [1 if q > 0 else -1 for q in factors]
+    if sorted(factor_signs) != sorted(signs):
         return
-    if type_name == "I":
-        if len(pos) != 2 or len(neg) != 2:
-            return
-        for head in permutations(pos, 2):
-            for tail in permutations(neg, 2):
-                yield head + tail
-    else:  # III
-        if pos:
-            return
-        yield from permutations(neg, 4)
+    for at in permutations(range(len(factors))):
+        if [factor_signs[i] for i in at] == signs and d4 in (None, factors[at[3]]):
+            yield at
 
 
-def _matches(table: dict, assignment: Sequence[int]) -> str | None:
+def _matches(table: dict, mat, at: Sequence[int]) -> str | None:
     for top, under, want in table.get("fixed", ()):
-        if _symbol(assignment, top, under) != want:
+        if _symbol(mat, at, top, under) != want:
             return None
-    symbols = [_symbol(assignment, top, under) for top, under in table["columns"]]
+    symbols = [_symbol(mat, at, top, under) for top, under in table["columns"]]
     for label, row in table["rows"].items():
         if row["symbols"] == symbols:
             return label
@@ -192,11 +176,16 @@ def classify(d: int) -> CaseRecord:
         raise PreconditionError(
             f"{d} has {len(factors)} prime discriminant factors, need 4"
         )
-    if is_sum_of_two_squares(d):
+    # d > 0 is a sum of two squares iff no prime p = 3 mod 4 divides it to an
+    # odd power; in a fundamental d such a p is the negative factor -p, and a
+    # -4 or -8 never comes alone, as the negative factors of d > 0 pair up
+    if all(q > 0 for q in factors):
         raise PreconditionError(f"{d} is a sum of two squares")
+    # every symbol below is read off this one matrix, by factor position
+    mat = character_matrix(factors)
     # with 4 factors and N(eps) = +1 the narrow 2-rank is 3, so Cl2 = (2, 2)
     # exactly when the narrow 4-rank is 0 (Redei)
-    four_rank = narrow_four_rank(factors)
+    four_rank = narrow_four_rank(mat)
     if four_rank:
         raise PreconditionError(
             f"2-class group of {d} is not (2, 2): its narrow 4-rank is "
@@ -205,10 +194,10 @@ def classify(d: int) -> CaseRecord:
 
     hits: list[tuple[str, str, tuple[int, ...]]] = []
     for type_name, table in _TABLES["types"].items():
-        for assignment in _candidate_assignments(type_name, table, factors):
-            label = _matches(table, assignment)
+        for at in _candidate_assignments(table, factors):
+            label = _matches(table, mat, at)
             if label is not None:
-                hits.append((type_name, label, tuple(assignment)))
+                hits.append((type_name, label, at))
     if not hits:
         raise NoRowMatchError(
             f"{d} = {'*'.join(map(str, factors))} matches no classification row"
@@ -218,11 +207,11 @@ def classify(d: int) -> CaseRecord:
         raise InternalConsistencyError(
             f"{d} matches several rows: {sorted(labels)}"
         )
-    type_name, label, assignment = min(
-        hits, key=lambda h: tuple(abs(q) for q in h[2])
+    type_name, label, at = min(
+        hits, key=lambda h: tuple(abs(factors[i]) for i in h[2])
     )
     nu = tuple(
-        0 if _symbol(assignment, f"d{i}", f"p{j}") == 1 else 1
+        0 if _symbol(mat, at, f"d{i}", f"p{j}") == 1 else 1
         for i, j in _NU_PAIRS
     )
     row = _TABLES["types"][type_name]["rows"][label]
@@ -231,7 +220,7 @@ def classify(d: int) -> CaseRecord:
         d=d,
         case_type=type_name,
         label=label,
-        assignment=assignment,
+        assignment=tuple(factors[i] for i in at),
         symbol_matrix=nu,
         g_type=frozenset(row["g"]),
         gplus_label=row["gplus"],

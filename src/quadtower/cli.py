@@ -20,7 +20,6 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from . import arith, qform
-from .arith import factor_discriminant
 from .classify import (
     CaseRecord,
     InternalConsistencyError,
@@ -192,7 +191,7 @@ def cmd_classify(args: argparse.Namespace) -> int:
     if args.json:
         print(_record_for(rec, verdict.verdict.value, "skipped").to_json())
         return EXIT_OK
-    factors = " * ".join(str(f) for f in factor_discriminant(rec.d))
+    factors = " * ".join(str(f) for f in sorted(rec.assignment, key=abs))
     print(f"d = {rec.d} = {factors}")
     print(f"case: {rec.label} (type {rec.case_type})")
     names = ", ".join(f"d{i + 1}={v}" for i, v in enumerate(rec.assignment))

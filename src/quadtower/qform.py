@@ -35,6 +35,7 @@ __all__ = [
     "two_sylow",
     "genus_characters",
     "genus_character_matrix",
+    "character_matrix",
     "narrow_four_rank",
     "genus_positivity",
     "c4_splittings",
@@ -489,12 +490,15 @@ def genus_character_matrix(d: int) -> list[list[int]]:
     factors; the diagonal entry chi_i(p_i) is evaluated through the
     complementary factor d/d_i, as usual for p_i dividing d_i.
     """
-    return _character_matrix(factor_discriminant(d))
+    return character_matrix(factor_discriminant(d))
 
 
-def _character_matrix(qs: Sequence[int]) -> list[list[int]]:
-    # the diagonal chi_i(p_i) = prod_{l != i} (d_l / p_i) is the product of
-    # column i off the diagonal
+def character_matrix(qs: Sequence[int]) -> list[list[int]]:
+    """Symbols (q_i / p_j) of the prime discriminants qs, by position.
+
+    One Kronecker evaluation per entry off the diagonal; the diagonal
+    (q_i / p_i) = prod_{l != i} (q_l / p_i) is the product of its column.
+    """
     n = len(qs)
     mat = [
         [1 if i == j else kronecker(qs[i], prime_of(qs[j])) for j in range(n)]
@@ -507,18 +511,16 @@ def _character_matrix(qs: Sequence[int]) -> list[list[int]]:
     return mat
 
 
-def narrow_four_rank(factors: Sequence[int]) -> int:
-    """4-rank of the narrow class group, from the prime discriminant factors.
+def narrow_four_rank(mat: Sequence[Sequence[int]]) -> int:
+    """4-rank of the narrow class group, from the character matrix of the
+    prime discriminant factors.
 
     Redei: it is t - 1 - rank over F_2 of the t x t Redei matrix
     R[i][j] = [(d_j / p_i) = -1] (j != i), whose diagonal makes each row
     sum to 0.  R is the additive transpose of the genus character matrix,
     so both share one rank.
     """
-    rows = [
-        sum(1 << j for j, v in enumerate(row) if v == -1)
-        for row in _character_matrix(factors)
-    ]
+    rows = [sum(1 << j for j, v in enumerate(row) if v == -1) for row in mat]
     rank = 0
     while rows:
         pivot = rows.pop()
@@ -526,7 +528,7 @@ def narrow_four_rank(factors: Sequence[int]) -> int:
             rank += 1
             low = pivot & -pivot
             rows = [r ^ pivot if r & low else r for r in rows]
-    return len(factors) - 1 - rank
+    return len(mat) - 1 - rank
 
 
 def genus_positivity(d: int, delta: int) -> bool:
@@ -537,7 +539,7 @@ def genus_positivity(d: int, delta: int) -> bool:
     prime use the complementary convention.
     """
     qs = factor_discriminant(d)
-    mat = genus_character_matrix(d)
+    mat = character_matrix(qs)
     rest = abs(delta)
     support = []
     for j, q in enumerate(qs):

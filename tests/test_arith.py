@@ -3,7 +3,7 @@
 import math
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from quadtower.arith import (
@@ -94,9 +94,9 @@ def test_factorize_roundtrip_and_bound():
             assert is_prime(p)
             prod *= p**e
         assert prod == n
-    # two primes above the bound cannot be separated
-    with pytest.raises(BoundExceededError):
-        factorize(1000003 * 1000033, bound=1000)
+    # two primes above the bound cannot be separated; the error names n
+    with pytest.raises(BoundExceededError, match=f"^cannot factor {-1000003 * 1000033}: "):
+        factorize(-1000003 * 1000033, bound=1000)
     # a single large prime cofactor is fine
     assert factorize(2 * 1000003, bound=1000) == {2: 1, 1000003: 1}
 
@@ -215,6 +215,24 @@ def test_is_sum_of_two_squares_brute():
     for n in range(0, 2000):
         assert is_sum_of_two_squares(n) == brute(n), n
     assert not is_sum_of_two_squares(-5)
+
+
+def _sum_of_two_squares_by_factors(d):
+    # the rule classify uses: every prime discriminant of d is positive
+    return all(q > 0 for q in factor_discriminant(d))
+
+
+def test_sum_of_two_squares_read_off_factors():
+    for d in range(5, 10**5):
+        if is_fundamental_discriminant(d):
+            assert is_sum_of_two_squares(d) == _sum_of_two_squares_by_factors(d), d
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.integers(5, 10**9 - 1))
+def test_sum_of_two_squares_read_off_factors_large(d):
+    assume(is_fundamental_discriminant(d))
+    assert is_sum_of_two_squares(d) == _sum_of_two_squares_by_factors(d)
 
 
 def test_two_square_decomposition():

@@ -1,13 +1,24 @@
 """Case classification, tower verdicts, and invariant-row verification."""
 
+import math
 import time
 from collections import Counter
+from itertools import combinations, permutations
 
 import pytest
+from hypothesis import given, settings
 
+from quadtower import arith, qform
 from quadtower import classify as classify_mod
-from quadtower.arith import BoundExceededError
+from quadtower.arith import (
+    BoundExceededError,
+    NotFundamentalError,
+    factor_discriminant,
+    is_sum_of_two_squares,
+    kronecker,
+)
 from quadtower.classify import (
+    CaseRecord,
     InternalConsistencyError,
     NoRowMatchError,
     PreconditionError,
@@ -22,6 +33,9 @@ from quadtower.classify import (
     tower_verdict,
     verify_invariant_row,
 )
+from quadtower.qform import character_matrix, narrow_four_rank
+
+from strategies import four_factor_discriminants
 
 # Published example fields. 77736 = 41*8*79*3 is listed as a5 in the source
 # example list, but its symbol row and its computed unit invariants both
@@ -106,8 +120,6 @@ def test_assignment_satisfies_type_constraints():
             assert d1 < 0 and d2 < 0
         if "d4" in table:
             assert d4 == -4
-        from quadtower.arith import kronecker
-
         for top, under, want in table.get("fixed", ()):
             value = rec.assignment[int(top[1]) - 1]
             p = prime_of(rec.assignment[int(under[1]) - 1])
@@ -272,3 +284,161 @@ def test_iter_family_skips_out_of_family():
     assert 1820 in labels  # b9
     assert 1848 in labels  # c1
     assert 1836 not in labels  # 4 | 1836 but 459 = 27*17 not squarefree
+
+
+# -- oracle: the per-type assignments and one Kronecker call per symbol --------
+
+_TABLES = load_tables()
+
+
+def _reference_symbol(assignment, top, under):
+    value = assignment[int(top[1]) - 1]
+    p = prime_of(assignment[int(under[1]) - 1])
+    return kronecker(value, p)
+
+
+def _reference_assignments(type_name, table, factors):
+    pos = [q for q in factors if q > 0]
+    neg = [q for q in factors if q < 0]
+    if "d4" in table:
+        if table["d4"] not in factors:
+            return
+        rest = [q for q in neg if q != table["d4"]]
+        if type_name == "II":
+            if len(pos) != 2 or len(rest) != 1:
+                return
+            for a, b in permutations(pos, 2):
+                yield (a, b, rest[0], table["d4"])
+        else:  # IV
+            if pos or len(rest) != 3:
+                return
+            for a, b, c in permutations(rest, 3):
+                yield (a, b, c, table["d4"])
+        return
+    if -4 in factors:
+        return
+    if type_name == "I":
+        if len(pos) != 2 or len(neg) != 2:
+            return
+        for head in permutations(pos, 2):
+            for tail in permutations(neg, 2):
+                yield head + tail
+    else:  # III
+        if pos:
+            return
+        yield from permutations(neg, 4)
+
+
+def _reference_classify(d):
+    """classify with the two-squares test on d itself, the assignments built
+    per type and every symbol a Kronecker call of its own."""
+    if d <= 0:
+        raise PreconditionError(f"{d} is not positive")
+    try:
+        factors = factor_discriminant(d)
+    except NotFundamentalError as e:
+        raise PreconditionError(str(e)) from None
+    if len(factors) != 4:
+        raise PreconditionError(
+            f"{d} has {len(factors)} prime discriminant factors, need 4"
+        )
+    if is_sum_of_two_squares(d):
+        raise PreconditionError(f"{d} is a sum of two squares")
+    four_rank = narrow_four_rank(character_matrix(factors))
+    if four_rank:
+        raise PreconditionError(
+            f"2-class group of {d} is not (2, 2): its narrow 4-rank is "
+            f"{four_rank}, need 0"
+        )
+    hits = []
+    for type_name, table in _TABLES["types"].items():
+        for assignment in _reference_assignments(type_name, table, factors):
+            if any(_reference_symbol(assignment, top, under) != want
+                   for top, under, want in table.get("fixed", ())):
+                continue
+            symbols = [_reference_symbol(assignment, top, under)
+                       for top, under in table["columns"]]
+            for label, row in table["rows"].items():
+                if row["symbols"] == symbols:
+                    hits.append((type_name, label, tuple(assignment)))
+    if not hits:
+        raise NoRowMatchError(
+            f"{d} = {'*'.join(map(str, factors))} matches no classification row"
+        )
+    labels = {label for _, label, _ in hits}
+    if len(labels) > 1:
+        raise InternalConsistencyError(f"{d} matches several rows: {sorted(labels)}")
+    type_name, label, assignment = min(hits, key=lambda h: tuple(map(abs, h[2])))
+    nu = tuple(
+        0 if _reference_symbol(assignment, f"d{i}", f"p{j}") == 1 else 1
+        for i, j in ((1, 2), (1, 3), (2, 3), (1, 4), (2, 4), (3, 4))
+    )
+    row = _TABLES["types"][type_name]["rows"][label]
+    patterns = _TABLES["invariant_rows"].get(label)
+    return CaseRecord(
+        d=d,
+        case_type=type_name,
+        label=label,
+        assignment=assignment,
+        symbol_matrix=nu,
+        g_type=frozenset(row["g"]),
+        gplus_label=row["gplus"],
+        g_order_formula=classify_mod._display(patterns["order"]) if patterns else None,
+    )
+
+
+def _classify_outcome(fn, d):
+    try:
+        return fn(d)
+    except (PreconditionError, NoRowMatchError, InternalConsistencyError) as exc:
+        return type(exc).__name__, str(exc)
+
+
+def test_classify_matches_reference_below_1e5():
+    for d in range(5, 10**5):
+        assert _classify_outcome(classify, d) == _classify_outcome(_reference_classify, d), d
+
+
+@settings(max_examples=200, deadline=None)
+@given(four_factor_discriminants(below=10**9))
+def test_classify_matches_reference_property(qs):
+    d = math.prod(qs)
+    assert _classify_outcome(classify, d) == _classify_outcome(_reference_classify, d)
+
+
+# every set of four distinct primes up to 23, with each prime discriminant of 2
+_SMALL_FACTOR_SETS = [
+    qs for qs in combinations([-3, 5, -7, -4, 8, -8, -11, 13, 17, -19, -23], 4)
+    if len({prime_of(q) for q in qs}) == 4
+]
+
+
+@pytest.mark.parametrize("type_name", sorted(_TABLES["types"]))
+def test_candidate_assignments_match_reference(type_name):
+    table = _TABLES["types"][type_name]
+    for qs in _SMALL_FACTOR_SETS:
+        want = set(_reference_assignments(type_name, table, qs))
+        for factors in permutations(qs):
+            got = {
+                tuple(factors[i] for i in at)
+                for at in classify_mod._candidate_assignments(table, factors)
+            }
+            assert got == want, (type_name, factors)
+
+
+@pytest.mark.parametrize("d", [d for d, _ in PINS] + [1596, 5 * 13 * 17 * 29])
+def test_classify_factors_once_and_builds_one_matrix(d, monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(arith, "factorize", counting("factorize", arith.factorize))
+    for module in (arith, qform, classify_mod):
+        monkeypatch.setattr(module, "kronecker", counting("kronecker", module.kronecker))
+    _classify_outcome(classify, d)
+    assert calls["factorize"] == 1
+    assert calls["kronecker"] <= 12

@@ -330,6 +330,19 @@ def test_scan_verify_rows_bound_failure_names_d(capsys, monkeypatch):
         )
 
 
+def test_scan_factor_bound_failure_names_d(capsys):
+    # 5000210000585 = 5 * 1000042000117, a product of two primes above 10^6
+    code, out, err = run(
+        capsys, "scan", "5000210000580", "5000210000590", "--bound", "10000000000000"
+    )
+    assert code == 5
+    assert [json.loads(line)["d"] for line in out.splitlines()] == [5000210000581]
+    assert err == (
+        "error: cannot factor 5000210000585: cofactor 1000042000117 is "
+        "composite with all prime factors > 1000000\n"
+    )
+
+
 def test_scan_verify_rows_classifies_each_field_once(capsys, monkeypatch):
     code, out, _ = run(capsys, "scan", "19170", "19180", "--verify-rows")
     assert code == 0 and len(out.splitlines()) == 3  # 19173, 19176, 19180

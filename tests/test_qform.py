@@ -1,23 +1,21 @@
 import math
 
 import pytest
-from hypothesis import assume, given, settings
-from hypothesis import strategies as st
+from hypothesis import given, settings
 
 from quadtower.arith import (
     NotFundamentalError,
     factor_discriminant,
     is_fundamental_discriminant,
-    is_prime_discriminant,
     is_sum_of_two_squares,
     kronecker,
-    prime_of,
 )
 from quadtower.qform import (
     BQForm,
     C4Splitting,
     FormClassGroup,
     c4_splittings,
+    character_matrix,
     class_group,
     compose,
     genus_character_matrix,
@@ -32,6 +30,7 @@ from quadtower.qform import (
 from quadtower.units import fundamental_unit
 
 from analytic import analytic_class_number, log_fundamental_unit
+from strategies import four_factor_discriminants
 
 
 def fundamental_range(lo, hi):
@@ -228,8 +227,8 @@ def _cl2_is_22(d, bound=10**7):
 
 
 def test_narrow_four_rank_pins():
-    assert narrow_four_rank(factor_discriminant(1596)) == 1  # Cl2 = (2, 4)
-    assert narrow_four_rank(factor_discriminant(19176)) == 0  # Cl2 = (2, 2)
+    assert narrow_four_rank(genus_character_matrix(1596)) == 1  # Cl2 = (2, 4)
+    assert narrow_four_rank(genus_character_matrix(19176)) == 0  # Cl2 = (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -242,31 +241,9 @@ def test_narrow_four_rank_matches_class_group(lo, hi, bound, count, rejects):
     seen = []
     for d, factors in _cl2_candidates(lo, hi):
         is_22 = _cl2_is_22(d, bound)
-        assert (narrow_four_rank(factors) == 0) == is_22, d
+        assert (narrow_four_rank(character_matrix(factors)) == 0) == is_22, d
         seen.append(is_22)
     assert (len(seen), seen.count(False)) == (count, rejects)
-
-
-_PRIME_DISCS = [q for q in range(-20000, 20000) if is_prime_discriminant(q)]
-
-
-@st.composite
-def four_factor_discriminants(draw):
-    """Four prime discriminants of distinct primes, the first negative, whose
-    product is positive and below 10^6."""
-    qs = []
-    for pool in ([q for q in _PRIME_DISCS if -60 <= q < 0],) + 2 * (
-        [q for q in _PRIME_DISCS if abs(q) <= 60],
-    ):
-        primes = {prime_of(q) for q in qs}
-        qs.append(draw(st.sampled_from([q for q in pool if prime_of(q) not in primes])))
-    sign = 1 if math.prod(qs) > 0 else -1
-    room = (10**6 - 1) // abs(math.prod(qs))
-    primes = {prime_of(q) for q in qs}
-    last = [q for q in _PRIME_DISCS
-            if q * sign > 0 and abs(q) <= room and prime_of(q) not in primes]
-    assume(last)
-    return qs + [draw(st.sampled_from(last))]
 
 
 @settings(max_examples=100, deadline=None)
@@ -276,4 +253,4 @@ def test_narrow_four_rank_property(qs):
     assert 0 < d < 10**6 and not is_sum_of_two_squares(d)
     assert sorted(qs, key=abs) == list(factor_discriminant(d))
     # qs is in draw order, not sorted: the rank does not depend on the order
-    assert (narrow_four_rank(qs) == 0) == _cl2_is_22(d)
+    assert (narrow_four_rank(character_matrix(qs)) == 0) == _cl2_is_22(d)
