@@ -9,11 +9,18 @@ Legendre-symbol identities.  Unit indices q(K/Q) of real multiquadratic
 fields are exact: K is saturated at 2 by testing which products of subfield
 fundamental units are squares in K, and each square root is found in rational
 arithmetic by descending through relative norms to Q, as in Wada's unit-group
-algorithm for multiquadratic fields.
+algorithm for multiquadratic fields.  Only products that pass a quadratic-
+character filter get a root tried, as in the number field sieve (Adleman
+1991; Buhler-Lenstra-Pomerance 1993): at an odd prime p dividing no m_i
+modulo which every m_i is a square, each choice of roots of the m_i mod p is
+a ring map from the p-integral elements of K, units among them, onto F_p.  A
+square maps to a square, so a product whose image has Legendre symbol -1 is
+no square, and the exact root search still decides every other product.
 """
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from fractions import Fraction
@@ -24,6 +31,7 @@ from .arith import (
     discriminant_of,
     factorize,
     is_fundamental_discriminant,
+    is_prime,
     radicand,
     squarefree_kernel,
 )
@@ -47,6 +55,11 @@ __all__ = [
 ]
 
 DEFAULT_CF_STEPS = 10**6
+# Quadratic characters that filter the unit-index saturation.  A basis has at
+# most 7 units, so 127 products a round; 24 characters let few non-squares
+# through to the exact root, and more cost more to compute than the roots
+# they would save.
+CHARACTERS = 24
 
 
 class NormMinusOneError(ValueError):
@@ -318,6 +331,7 @@ class _MultiQuadField:
     """
 
     def __init__(self, gens: Sequence[int]):
+        self.gens = tuple(gens)
         # w[S] = prod(m_i : i in S): sqrt(m_S) sqrt(m_T) = w[S & T] sqrt(m_{S ^ T})
         self.w = [math.prod(m for i, m in enumerate(gens) if mask >> i & 1)
                   for mask in range(2 ** len(gens))]
@@ -387,6 +401,102 @@ class _MultiQuadField:
         return sa if self.sign(norm) > 0 else sb
 
 
+def _unit_basis(field: _MultiQuadField, max_steps: int) -> list:
+    """Fundamental units of the quadratic subfields, one per nonzero mask."""
+    basis = []
+    for mask, w in enumerate(field.w[1:], start=1):
+        # (x + y' sqrt(m))/2 with sqrt(m) = sqrt(m_mask)/g, g^2 = w/m
+        u = unit_of_radicand(squarefree_kernel(w), max_steps)
+        x, ym = u.coords_over_radicand()
+        elem = [0] * len(field.w)
+        elem[0] = Fraction(x, 2)
+        elem[mask] = Fraction(ym, 2 * math.isqrt(w // u.m))
+        basis.append(elem)
+    return basis
+
+
+def _characters(gens: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """At least CHARACTERS quadratic characters of Q(sqrt(m_1), ..., sqrt(m_r)).
+
+    Each is (p, rho) with rho[S] the image of sqrt(m_S) in F_p, for the
+    odd primes p, taken in order, that divide no m_i and modulo which every
+    m_i is a nonzero square; each of the 2^r sign choices of the roots of
+    the m_i mod p is one degree-one prime above p.
+    """
+    chars = []
+    p = 1
+    while len(chars) < CHARACTERS:
+        p += 2
+        # Euler's criterion; it is 0 where p divides m
+        if not is_prime(p) or any(pow(m, (p - 1) // 2, p) != 1 for m in gens):
+            continue
+        roots = [next(x for x in range(1, p) if x * x % p == m % p) for m in gens]
+        for signs in range(2 ** len(gens)):
+            rho = [1]
+            for i, r in enumerate(roots):
+                r = -r if signs >> i & 1 else r
+                rho += [x * r % p for x in rho]
+            chars.append((p, tuple(rho)))
+    return chars
+
+
+def _character_vector(chars: Sequence[tuple[int, tuple[int, ...]]], u) -> int:
+    """Bit j is set when the Legendre symbol of u's image under chars[j] is -1.
+
+    The image of a coefficient n/m is n * m^-1 mod p.  A zero denominator or
+    image raises: neither occurs for a unit, since p is prime to 2 m_1 ... m_r
+    and so the unit and its inverse both have p-integral coefficients.
+    """
+    vector = 0
+    coeffs = {}  # u's coefficients mod p, reduced once for each prime
+    for j, (p, rho) in enumerate(chars):
+        if p not in coeffs:
+            if any(c.denominator % p == 0 for c in u):
+                raise ArithmeticError(f"a coefficient of {u} has no image mod {p}")
+            coeffs[p] = [c.numerator * pow(c.denominator, -1, p) % p for c in u]
+        image = sum(c * r for c, r in zip(coeffs[p], rho)) % p
+        if image == 0:
+            raise ArithmeticError(f"{u} vanishes at a prime above {p}")
+        if pow(image, (p - 1) // 2, p) != 1:
+            vector |= 1 << j
+    return vector
+
+
+def _saturate(field: _MultiQuadField, basis: Sequence) -> tuple[int, list]:
+    """(q, saturated basis): the 2-saturation of the lattice spanned by basis.
+
+    Masks are visited in increasing order.  A mask whose characters do not
+    all cancel names a product with a character -1, which is no square, so
+    only the other masks get their product built and an exact sqrt tried.
+    The first square found replaces its highest basis element by the
+    positive root, and the root's character vector is computed afresh.
+    """
+    basis = list(basis)
+    chars = _characters(field.gens)
+    vectors = [_character_vector(chars, u) for u in basis]
+    q = 1
+    while True:
+        xors = [0]  # xors[mask] = XOR of vectors[i] for the bits i of mask
+        for mask in range(1, 2 ** len(basis)):
+            top = mask.bit_length() - 1
+            xors.append(xors[mask ^ (1 << top)] ^ vectors[top])
+            if xors[mask]:
+                continue
+            eta = functools.reduce(
+                field.mul, (u for i, u in enumerate(basis) if mask >> i & 1)
+            )
+            xi = field.sqrt(eta)
+            if xi is not None:
+                break
+        else:
+            return q, basis
+        # eta is no square of a lattice element (exponents are 0/1), so
+        # swapping the root in genuinely doubles the lattice
+        basis[top] = xi if field.sign(xi) > 0 else [-c for c in xi]
+        vectors[top] = _character_vector(chars, basis[top])
+        q *= 2
+
+
 def kubota_index(m1: int, m2: int, m3: int | None = None,
                  max_steps: int = DEFAULT_CF_STEPS) -> int:
     """Unit index q(K/Q) = (E_K : <subfield fundamental units, -1>).
@@ -400,37 +510,19 @@ def kubota_index(m1: int, m2: int, m3: int | None = None,
     is a square catches units that are fourth roots of unit products, which
     occur from degree 8 on.  E_K modulo the lattice is a 2-group, so the
     lattice that no square root extends is E_K itself and q is exact.
+
+    A product is tried only when the XOR of its factors' character vectors
+    is 0: a square has every quadratic character +1, so a skipped product
+    is certainly no square.  Masks keep the unfiltered search's order, so
+    the same first square is found, the same roots are swapped in and q is
+    the same.  Once the basis vectors are independent over F_2 no product
+    passes, which certifies q without another root search.
     """
     gens = [squarefree_kernel(m) for m in (m1, m2, m3) if m is not None]
     if any(m <= 1 for m in gens):
         raise ValueError(f"radicands {gens} do not span a totally real field")
     field = _MultiQuadField(gens)
-    basis = []
-    for mask, w in enumerate(field.w[1:], start=1):
-        # (x + y' sqrt(m))/2 with sqrt(m) = sqrt(m_mask)/g, g^2 = w/m
-        u = unit_of_radicand(squarefree_kernel(w), max_steps)
-        x, ym = u.coords_over_radicand()
-        elem = [0] * len(field.w)
-        elem[0] = Fraction(x, 2)
-        elem[mask] = Fraction(ym, 2 * math.isqrt(w // u.m))
-        basis.append(elem)
-    q = 1
-    while True:
-        prods = [None]  # prods[mask] = product of basis[i] for the bits i of mask
-        for mask in range(1, 2 ** len(basis)):
-            top = mask.bit_length() - 1
-            rest = mask ^ (1 << top)
-            eta = field.mul(prods[rest], basis[top]) if rest else basis[top]
-            prods.append(eta)
-            xi = field.sqrt(eta)
-            if xi is not None:
-                break
-        else:
-            return q
-        # eta is no square of a lattice element (exponents are 0/1), so
-        # swapping the root in genuinely doubles the lattice
-        basis[top] = xi if field.sign(xi) > 0 else [-c for c in xi]
-        q *= 2
+    return _saturate(field, _unit_basis(field, max_steps))[0]
 
 
 def multiquadratic_h2(subfield_h2: Sequence[int], q: int, degree: int) -> int:

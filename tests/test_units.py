@@ -1,7 +1,10 @@
 """Tests for fundamental units, square-root decompositions and sign tables."""
 
+import functools
+import json
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
@@ -15,10 +18,16 @@ from quadtower.arith import (
     kronecker,
     squarefree_kernel,
 )
+from quadtower.classify import classify
 from quadtower.qform import genus_positivity, two_class_number
 from quadtower.units import (
+    CHARACTERS,
     NormMinusOneError,
+    _character_vector,
+    _characters,
     _MultiQuadField,
+    _saturate,
+    _unit_basis,
     QuadUnit,
     conjugate_sign_table,
     delta_invariant,
@@ -307,17 +316,21 @@ RADICANDS = [m for m in range(2, 60) if squarefree_kernel(m) == m]
 
 
 @st.composite
-def field_elements(draw):
-    """An independent set of 1-3 radicands and a nonzero element of its field."""
+def field_elements(draw, count=1):
+    """An independent set of 1-3 radicands and `count` nonzero elements of
+    its field."""
     gens = draw(st.lists(st.sampled_from(RADICANDS), min_size=1, max_size=3))
     try:
         field = _MultiQuadField(gens)
     except ValueError:
         assume(False)
-    coeffs = draw(st.lists(st.integers(-6, 6), min_size=2 ** len(gens),
-                           max_size=2 ** len(gens)))
-    assume(any(coeffs))
-    return gens, field, [Fraction(c, 2) for c in coeffs]
+    elements = []
+    for _ in range(count):
+        coeffs = draw(st.lists(st.integers(-6, 6), min_size=len(field.w),
+                               max_size=len(field.w)))
+        assume(any(coeffs))
+        elements.append([Fraction(c, 2) for c in coeffs])
+    return (gens, field, *elements)
 
 
 @settings(deadline=None)
@@ -335,6 +348,168 @@ def test_exact_sqrt_and_sign(case):
                 for s, c in enumerate(u))
     if abs(value) > 1e-6:
         assert field.sign(u) == (1 if value > 0 else -1)
+
+
+# ---------------------------------------------------------------------------
+# quadratic characters and the filtered saturation
+
+
+def _brute_image(c, p):
+    """The x in [0, p) with c.denominator * x = c.numerator mod p."""
+    return next(x for x in range(p) if (c.denominator * x - c.numerator) % p == 0)
+
+
+@settings(deadline=None)
+@given(field_elements())
+def test_characters_are_legendre_symbols_of_images(case):
+    gens, _, u = case
+    chars = _characters(gens)
+    assert len(chars) >= CHARACTERS
+    by_prime = {}
+    for p, rho in chars:
+        assert is_prime(p) and all(m % p for m in [2] + gens)
+        roots = tuple(rho[1 << i] for i in range(len(gens)))
+        assert all((r * r - m) % p == 0 for r, m in zip(roots, gens))
+        assert all(rho[s] == math.prod(r for i, r in enumerate(roots) if s >> i & 1) % p
+                   for s in range(len(rho)))
+        by_prime.setdefault(p, set()).add(roots)
+    # every sign choice of the roots, i.e. every prime of K above p, once
+    assert all(len(roots) == 2 ** len(gens) for roots in by_prime.values())
+    assert len(chars) == len(by_prime) * 2 ** len(gens)
+    images = [sum(_brute_image(c, p) * r for c, r in zip(u, rho)) % p for p, rho in chars]
+    if 0 in images:
+        with pytest.raises(ArithmeticError):
+            _character_vector(chars, u)
+        return
+    squares = [{x * x % p for x in range(1, p)} for p, _ in chars]
+    vector = _character_vector(chars, u)
+    assert [vector >> j & 1 for j in range(len(chars))] == \
+        [int(image not in sq) for image, sq in zip(images, squares)]
+
+
+@settings(deadline=None)
+@given(field_elements(count=2))
+def test_character_vector_is_multiplicative(case):
+    gens, field, u, v = case
+
+    def nonzero(char, x):
+        try:
+            _character_vector([char], x)
+        except ArithmeticError:
+            return False
+        return True
+
+    chars = [c for c in _characters(gens) if nonzero(c, u) and nonzero(c, v)]
+    assert _character_vector(chars, field.mul(u, v)) == \
+        _character_vector(chars, u) ^ _character_vector(chars, v)
+
+
+def test_character_vector_raises_on_zero_denominator_or_image():
+    chars = _characters([2, 7])
+    p, rho = chars[0]
+    with pytest.raises(ArithmeticError):
+        _character_vector(chars, [Fraction(1, p), 1, 0, 0])
+    with pytest.raises(ArithmeticError):
+        _character_vector(chars, [p, 0, 0, 0])
+    # sqrt(2) - r vanishes exactly at the primes that send sqrt(2) to r
+    u = [-rho[1], 1, 0, 0]
+    with pytest.raises(ArithmeticError):
+        _character_vector(chars[:1], u)
+    _character_vector([(q, r) for q, r in chars if (r[1] - rho[1]) % q], u)
+
+
+def _reference_saturate(field, basis):
+    """The unfiltered saturation loop: every product is built and tried."""
+    basis = list(basis)
+    q = 1
+    while True:
+        prods = [None]  # prods[mask] = product of basis[i] for the bits i of mask
+        for mask in range(1, 2 ** len(basis)):
+            top = mask.bit_length() - 1
+            rest = mask ^ (1 << top)
+            eta = field.mul(prods[rest], basis[top]) if rest else basis[top]
+            prods.append(eta)
+            xi = field.sqrt(eta)
+            if xi is not None:
+                break
+        else:
+            return q, basis
+        basis[top] = xi if field.sign(xi) > 0 else [-c for c in xi]
+        q *= 2
+
+
+class _NoSqrtField(_MultiQuadField):
+    def sqrt(self, eta):
+        raise AssertionError(f"sqrt tried on {eta}")
+
+
+def _f2_rank(vectors):
+    rank, vectors = 0, list(vectors)
+    while vectors:
+        v = vectors.pop()
+        if v:
+            rank += 1
+            low = v & -v
+            vectors = [w ^ v if w & low else w for w in vectors]
+    return rank
+
+
+def _check_saturation(gens) -> bool:
+    """q and the final basis equal the unfiltered loop's; returns whether
+    the final basis's character matrix has full rank, in which case no
+    product passes the filter and a rerun from that basis tries no sqrt."""
+    field = _MultiQuadField(gens)
+    basis = _unit_basis(field, 10**6)
+    q, final = _saturate(field, basis)
+    assert (q, final) == _reference_saturate(field, basis)
+    chars = _characters(gens)
+    if _f2_rank(_character_vector(chars, u) for u in final) < len(final):
+        return False
+    assert _saturate(_NoSqrtField(gens), final) == (1, final)
+    return True
+
+
+@functools.cache
+def _row_corpus():
+    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "row_fields.json"
+    return [f["d"] for f in json.loads(path.read_text())["fields"]]
+
+
+def _row_calls(d):
+    """The radicands verify_invariant_row hands kubota_index for d: three
+    quartic fields, then the octic one."""
+    d1, d2, d3, d4 = (squarefree_kernel(x) for x in classify(d).assignment)
+    return [(d1, squarefree_kernel(d2 * d3 * d4)), (d2, squarefree_kernel(d1 * d3 * d4)),
+            (squarefree_kernel(d1 * d2), squarefree_kernel(d3 * d4)),
+            (d1, d2, squarefree_kernel(d3 * d4))]
+
+
+def test_saturation_matches_unfiltered_loop_quartic_row_corpus():
+    certified = [_check_saturation(gens) for d in _row_corpus() for gens in _row_calls(d)[:3]]
+    assert len(certified) == 453 and sum(certified) > 400
+
+
+@pytest.mark.parametrize("stratum", range(8))
+def test_saturation_matches_unfiltered_loop_octic_row_strata(stratum):
+    # the first field of each eighth of the corpus, which is sorted by d
+    corpus = _row_corpus()
+    _check_saturation(_row_calls(corpus[stratum * len(corpus) // 8])[3])
+
+
+@settings(deadline=None, max_examples=10)
+@given(st.lists(st.sampled_from(RADICANDS), min_size=3, max_size=3, unique=True))
+def test_saturation_matches_unfiltered_loop_radicand_triples(gens):
+    try:
+        _MultiQuadField(gens)
+    except ValueError:
+        assume(False)
+    _check_saturation(gens)
+
+
+def test_full_rank_characters_certify_the_genus_field_27993():
+    # q = 2^7: every unit product acquires a root, and the final basis's 24
+    # characters separate E_K modulo squares
+    assert _check_saturation((217, 93, 1333))
 
 
 def test_multiquadratic_h2_validation():
