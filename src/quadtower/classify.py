@@ -22,10 +22,12 @@ from typing import Iterator, Sequence
 
 from .arith import (
     NotFundamentalError,
+    Sieved,
     discriminant_of,
     factor_discriminant,
     kronecker,
     prime_of,
+    sieve_factors,
     squarefree_kernel,
 )
 from .conic import h8_symbols
@@ -159,17 +161,18 @@ def _matches(table: dict, mat, at: Sequence[int]) -> str | None:
     return None
 
 
-def classify(d: int) -> CaseRecord:
+def classify(d: int, sieved: Sieved | None = None) -> CaseRecord:
     """Find the unique case row for the discriminant d.
 
     Searches every factor permutation permitted by the four type
     constraints; among assignments hitting the same row the
-    lexicographically smallest (|d1|,|d2|,|d3|,|d4|) wins.
+    lexicographically smallest (|d1|,|d2|,|d3|,|d4|) wins.  `sieved`, the
+    entry of d from `arith.sieve_factors`, spares factoring d again.
     """
     if d <= 0:
         raise PreconditionError(f"{d} is not positive")
     try:
-        factors = factor_discriminant(d)
+        factors = factor_discriminant(d, sieved=sieved)
     except NotFundamentalError as e:
         raise PreconditionError(str(e)) from None
     if len(factors) != 4:
@@ -471,16 +474,24 @@ def verify_invariant_row(
     return InvariantRowReport(d, rec.label, a, nu34, eps_sign, tuple(entries))
 
 
-def family_member(d: int) -> CaseRecord | None:
-    """The case record of d, or None when d is not in the family."""
+def family_member(d: int, sieved: Sieved | None = None) -> CaseRecord | None:
+    """The case record of d, or None when d is not in the family; `sieved`
+    is passed on to `classify`."""
     if d % 4 not in (0, 1):
         return None
     try:
-        return classify(d)
+        return classify(d, sieved=sieved)
     except (PreconditionError, NoRowMatchError):
         return None
 
 
+_SIEVE_BLOCK = 1000  # integers factored by one sieve in iter_family
+
+
 def iter_family(lo: int, hi: int) -> Iterator[CaseRecord]:
-    """Classify every qualifying discriminant in [lo, hi), ascending."""
-    return filter(None, map(family_member, range(lo, hi)))
+    """Classify every qualifying discriminant in [lo, hi), ascending, with
+    one factoring sieve per block of integers."""
+    for start in range(lo, hi, _SIEVE_BLOCK):
+        end = min(start + _SIEVE_BLOCK, hi)
+        members = map(family_member, range(start, end), sieve_factors(start, end))
+        yield from filter(None, members)

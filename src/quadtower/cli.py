@@ -10,6 +10,7 @@ bound exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -218,9 +219,9 @@ def _scan_block(
     lo, hi, verify, timing = payload
     records = []
     try:
-        for d in range(lo, hi):
+        for d, sieved in zip(range(lo, hi), arith.sieve_factors(lo, hi)):
             start = time.perf_counter()
-            rec = family_member(d)
+            rec = family_member(d, sieved)
             if rec is None:
                 continue
             verdict = tower_verdict(rec)
@@ -496,6 +497,7 @@ def cmd_group(args: argparse.Namespace) -> int:
 # -- parser --------------------------------------------------------------------
 
 
+@functools.cache  # one parser per process: parsing leaves it unchanged
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="quadtower",

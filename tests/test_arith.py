@@ -1,12 +1,19 @@
 """Oracle tests for the exact integer layer."""
 
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quadtower import arith
 from quadtower.arith import (
+    DEFAULT_FACTOR_BOUND,
+    SIEVE_MIN_WIDTH,
     BoundExceededError,
     NotFundamentalError,
     factor_discriminant,
@@ -16,6 +23,7 @@ from quadtower.arith import (
     is_prime_discriminant,
     is_sum_of_two_squares,
     kronecker,
+    sieve_factors,
     squarefree_kernel,
     two_square_decomposition,
 )
@@ -196,6 +204,102 @@ def test_factor_discriminant_matches_two_step_path():
 @given(st.integers(-(10**9), 10**9))
 def test_factor_discriminant_matches_two_step_path_large(d):
     assert _outcome(factor_discriminant, d) == _outcome(_factor_discriminant_two_step, d)
+
+
+def _check_sieve(lo, hi):
+    # oracle: trial division; the sieve leaves exactly the prime factors
+    # above its limit in the cofactor
+    limit = min(math.isqrt(hi - 1), DEFAULT_FACTOR_BOUND)
+    entries = sieve_factors(lo, hi)
+    assert len(entries) == hi - lo
+    for n, (found, rest) in zip(range(lo, hi), entries):
+        want = factorize(n)
+        assert found == {p: e for p, e in want.items() if p <= limit}, n
+        assert rest == math.prod(p**e for p, e in want.items() if p > limit), n
+
+
+def test_sieve_matches_factorize_below_20000():
+    # blocks of several widths, some starting off a multiple of any of them
+    lo = 1
+    for width in [SIEVE_MIN_WIDTH, 5, 17, 64, 999, 1000] * 4:
+        _check_sieve(lo, min(lo + width, 20000))
+        lo += width
+    _check_sieve(lo, 20000)
+    assert lo < 20000
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 10**9 - 400), st.integers(SIEVE_MIN_WIDTH, 400))
+def test_sieve_matches_factorize_below_10_9(lo, width):
+    _check_sieve(lo, lo + width)
+
+
+def test_sieve_matches_factorize_below_10_12():
+    # the limit is isqrt(10^12 - 1) = 999999: every prime below 10^6 sieves
+    _check_sieve(10**12 - 120, 10**12)
+
+
+def test_sieve_narrow_blocks_and_nonpositive_integers_get_none():
+    assert sieve_factors(100, 100 + SIEVE_MIN_WIDTH - 1) == [None] * (SIEVE_MIN_WIDTH - 1)
+    assert sieve_factors(9, 9) == sieve_factors(9, 3) == []
+    assert sieve_factors(-3, 1) == [None] * 4
+    entries = sieve_factors(-3, 30)
+    assert entries[:4] == [None] * 4
+    assert entries[4:] == sieve_factors(1, 30)
+    assert sieve_factors(-10, -2) == [None] * 8
+
+
+def test_factor_discriminant_from_sieve_matches_trial_division():
+    lo, hi = 5, 20000
+    for d, entry in zip(range(lo, hi), sieve_factors(lo, hi)):
+        assert _outcome(lambda d: factor_discriminant(d, sieved=entry), d) == _outcome(
+            factor_discriminant, d
+        ), d
+    # the entry is read, not consumed
+    (entry,) = sieve_factors(19176, 19176 + SIEVE_MIN_WIDTH)[:1]
+    assert factor_discriminant(19176, sieved=entry) == (-3, 8, 17, -47)
+    assert factor_discriminant(19176, sieved=entry) == (-3, 8, 17, -47)
+
+
+def test_factor_discriminant_from_sieve_checks_the_bound():
+    # 5000210000585 = 5 * 1000042000117: the sieve stops at 10^6 and leaves
+    # a composite cofactor, which only factor_discriminant rejects
+    lo = 5000210000580
+    entries = sieve_factors(lo, lo + 10)
+    assert entries[5] == ({5: 1}, 1000042000117)
+    message = (
+        "cannot factor 5000210000585: cofactor 1000042000117 is composite "
+        "with all prime factors > 1000000"
+    )
+    with pytest.raises(BoundExceededError) as trial:
+        factor_discriminant(lo + 5)
+    with pytest.raises(BoundExceededError) as sieved:
+        factor_discriminant(lo + 5, sieved=entries[5])
+    assert str(trial.value) == str(sieved.value) == message
+    assert factor_discriminant(lo + 1, sieved=entries[1]) == factor_discriminant(lo + 1)
+
+
+def test_sieve_primes_grow_only_as_far_as_a_block_needs():
+    # a fresh interpreter: importing builds no table, and a block near 2 * 10^6
+    # needs the primes up to isqrt(hi - 1) = 1414 only
+    code = (
+        "import quadtower.cli\n"
+        "from quadtower import arith\n"
+        "assert arith._sieve_primes == (1, []), arith._sieve_primes[0]\n"
+        "arith.sieve_factors(2000000, 2000250)\n"
+        "covered, primes = arith._sieve_primes\n"
+        "assert covered == 1414 and primes[-1] == 1409, covered\n"
+        "arith.sieve_factors(2000250, 2000500)\n"
+        "assert arith._sieve_primes[0] == 1414\n"
+        "arith.sieve_factors(10**6, 10**6 + 1000)\n"
+        "assert arith._sieve_primes[0] == 1414\n"
+        "arith.sieve_factors(3000000, 3000250)\n"
+        "assert arith._sieve_primes[0] == 2828\n"
+    )
+    src = str(Path(arith.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          env={**os.environ, "PYTHONPATH": src}, text=True, timeout=60)
+    assert done.returncode == 0, done.stderr
 
 
 def test_factor_discriminant_worked_examples():

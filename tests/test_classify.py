@@ -33,6 +33,7 @@ from quadtower.classify import (
     tower_verdict,
     verify_invariant_row,
 )
+from quadtower.cli import _target
 from quadtower.qform import character_matrix, narrow_four_rank
 
 from strategies import four_factor_discriminants
@@ -404,6 +405,16 @@ def test_classify_matches_reference_below_1e5():
 def test_classify_matches_reference_property(qs):
     d = math.prod(qs)
     assert _classify_outcome(classify, d) == _classify_outcome(_reference_classify, d)
+
+
+@settings(max_examples=60, deadline=None)
+@given(four_factor_discriminants(below=10**9))
+def test_classify_same_record_for_every_factor_order(qs):
+    outcomes = {
+        _classify_outcome(classify, _target("*".join(map(str, order))))
+        for order in permutations(qs)
+    }
+    assert outcomes == {_classify_outcome(classify, math.prod(qs))}
 
 
 # every set of four distinct primes up to 23, with each prime discriminant of 2

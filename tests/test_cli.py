@@ -19,7 +19,9 @@ from quadtower.classify import (
     NoRowMatchError,
     RowComputationError,
     RowPatternsUnavailableError,
+    family_member,
     iter_family,
+    tower_verdict,
 )
 from quadtower.cli import ScanRecord, main
 from quadtower.conic import NoSolutionWithinBoundError, SignRuleError
@@ -154,6 +156,19 @@ def test_classify_and_scan_above_old_class_group_cap(capsys):
     assert code == 0
     ds = [json.loads(ln)["d"] for ln in out.splitlines()]
     assert ds and ds == [rec.d for rec in iter_family(10000001, 10000301)]
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 10**5), (10**7 + 1, 10**7 + 3000)])
+def test_scan_and_iter_family_match_classify_one_by_one(capsys, lo, hi):
+    # oracle: family_member(d) with no sieve entry, which trial-divides d
+    recs = [rec for rec in map(family_member, range(lo, hi)) if rec is not None]
+    assert recs and list(iter_family(lo, hi)) == recs
+    code, out, _ = run(capsys, "scan", str(lo), str(hi - 1))
+    assert code == 0
+    assert out == "".join(
+        cli._record_for(rec, tower_verdict(rec).verdict.value, "skipped").to_json() + "\n"
+        for rec in recs
+    )
 
 
 def test_scan_rejects_bad_range(capsys):
@@ -349,9 +364,9 @@ def test_scan_verify_rows_classifies_each_field_once(capsys, monkeypatch):
     original = classify_mod.classify
     calls = Counter()
 
-    def counting(d):
+    def counting(d, *args, **kwargs):
         calls[d] += 1
-        return original(d)
+        return original(d, *args, **kwargs)
 
     monkeypatch.setattr(cli, "classify", counting)
     monkeypatch.setattr(classify_mod, "classify", counting)

@@ -2,6 +2,7 @@ import math
 
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from quadtower.arith import (
     NotFundamentalError,
@@ -18,6 +19,7 @@ from quadtower.qform import (
     character_matrix,
     class_group,
     compose,
+    cycle_of,
     genus_character_matrix,
     genus_characters,
     genus_positivity,
@@ -90,6 +92,48 @@ def test_composition_commutes_and_closes_medium_range():
                 xy = g.multiply(x, y)
                 assert xy in reps
                 assert xy == g.multiply(y, x)
+
+
+_SMALL_DISCS = fundamental_range(-400, 400)
+
+
+def _equivalent_form(f, steps):
+    # a properly equivalent form, by x -> x + k y and, while the leading
+    # coefficient stays positive, (x, y) -> (-y, x) after each shift
+    for k in steps:
+        f = BQForm(f.a, f.b + 2 * f.a * k, f.a * k * k + f.b * k + f.c)
+        if f.c > 0:
+            f = BQForm(f.c, -f.b, f.a)
+    return f
+
+
+def _class_of(f):
+    # the representative class_group lists: the reduced form for d < 0, the
+    # least form with a > 0 on the reduced cycle for d > 0
+    g = reduce_form(f)
+    return g if f.disc < 0 else min(h for h in cycle_of(g) if h.a > 0)
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    st.sampled_from(_SMALL_DISCS),
+    st.lists(st.tuples(st.integers(0, 10**6), st.lists(st.integers(-6, 6), max_size=4)),
+             min_size=3, max_size=3),
+)
+def test_raw_composition_commutes_and_associates_on_random_forms(d, draws):
+    # oracle: the class group table that class_group builds by enumeration
+    g = class_group(d)
+    reps = g.class_representatives
+    (x, fx), (y, fy), (z, fz) = [
+        (reps[i % len(reps)], _equivalent_form(reps[i % len(reps)], steps))
+        for i, steps in draws
+    ]
+    assert [_class_of(f) for f in (fx, fy, fz)] == [x, y, z]
+    xy = g.multiply(x, y)
+    assert _class_of(compose(fx, fy)) == _class_of(compose(fy, fx)) == xy
+    assert _class_of(compose(compose(fx, fy), fz)) == _class_of(
+        compose(fx, compose(fy, fz))
+    ) == g.multiply(xy, z)
 
 
 def test_class_number_matches_analytic_oracle_small():
