@@ -55,7 +55,7 @@ EXIT_NO_ROW = 3
 EXIT_INTERNAL = 4
 EXIT_BOUND = 5
 
-# trial division to DEFAULT_FACTOR_BOUND proves every factorization below this
+# division by the primes to DEFAULT_FACTOR_BOUND proves every factorization below this
 DEFAULT_SCAN_BOUND = arith.DEFAULT_FACTOR_BOUND ** 2
 
 

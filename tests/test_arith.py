@@ -219,13 +219,12 @@ def _check_sieve(lo, hi):
 
 
 def test_sieve_matches_factorize_below_20000():
-    # blocks of several widths, some starting off a multiple of any of them
+    # blocks of several widths, so that they start at many residues
     lo = 1
     for width in [SIEVE_MIN_WIDTH, 5, 17, 64, 999, 1000] * 4:
-        _check_sieve(lo, min(lo + width, 20000))
+        _check_sieve(lo, lo + width)
         lo += width
     _check_sieve(lo, 20000)
-    assert lo < 20000
 
 
 @settings(max_examples=60, deadline=None)
@@ -255,10 +254,12 @@ def test_factor_discriminant_from_sieve_matches_trial_division():
         assert _outcome(lambda d: factor_discriminant(d, sieved=entry), d) == _outcome(
             factor_discriminant, d
         ), d
-    # the entry is read, not consumed
-    (entry,) = sieve_factors(19176, 19176 + SIEVE_MIN_WIDTH)[:1]
-    assert factor_discriminant(19176, sieved=entry) == (-3, 8, 17, -47)
-    assert factor_discriminant(19176, sieved=entry) == (-3, 8, 17, -47)
+    # the entry is read, not consumed: 1005 = 3 * 5 * 67 leaves the
+    # cofactor 67 above the limit isqrt(1008) = 31
+    entry = sieve_factors(1005, 1009)[0]
+    assert entry == ({3: 1, 5: 1}, 67)
+    assert factor_discriminant(1005, sieved=entry) == (-3, 5, -67)
+    assert factor_discriminant(1005, sieved=entry) == (-3, 5, -67)
 
 
 def test_factor_discriminant_from_sieve_checks_the_bound():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+from quadtower import arith
 from quadtower import classify as classify_mod
 from quadtower import cli
 from quadtower.arith import BoundExceededError, NotFundamentalError
@@ -343,6 +344,28 @@ def test_scan_verify_rows_bound_failure_names_d(capsys, monkeypatch):
             before_failure,
             "error: d = 19176, column q1: continued fraction exceeded 5 steps\n",
         )
+
+
+def test_scan_trial_divides_only_blocks_too_narrow_to_sieve(capsys, monkeypatch):
+    calls = Counter()
+    original = arith.factorize
+
+    def counting(n, *args, **kwargs):
+        calls[n] += 1
+        return original(n, *args, **kwargs)
+
+    monkeypatch.setattr(arith, "factorize", counting)
+    # blocks of 1000, 1000 and 2 integers: the last is too narrow to sieve;
+    # of its two candidates only 2002001 has a discriminant's shape (2002000
+    # and 2000000 are 16 times an integer), so only it is factored
+    assert run(capsys, "scan", "2000000", "2002001")[0] == 0
+    assert calls == {2002001: 1}
+    calls.clear()
+    assert run(capsys, "scan", "2000000", "2000002")[0] == 0
+    assert calls == {2000001: 1}
+    calls.clear()
+    assert run(capsys, "scan", "2000000", "2000003")[0] == 0
+    assert not calls
 
 
 def test_scan_factor_bound_failure_names_d(capsys):
