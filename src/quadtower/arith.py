@@ -150,26 +150,25 @@ Sieved = tuple[dict[int, int], int]
 SIEVE_MIN_WIDTH = 4
 
 
-def sieve_factors(
-    lo: int, hi: int, bound: int = DEFAULT_FACTOR_BOUND
-) -> list[Sieved | None]:
-    """Divide every n in [lo, hi) by the primes up to min(isqrt(hi - 1), bound).
+def sieve_factors(lo: int, hi: int) -> list[Sieved | None]:
+    """Divide every n in [lo, hi) by the primes up to
+    min(isqrt(hi - 1), DEFAULT_FACTOR_BOUND).
 
     Entry n - lo is ({prime: exponent}, cofactor) for n >= 1 and None for
     n < 1.  The cofactor has no prime factor up to that limit; it is not
-    checked here, so a bound failure surfaces only when the entry is handed,
-    with the same bound, to `factor_discriminant`.  A block of fewer than
-    SIEVE_MIN_WIDTH integers gets None for every n: trial division of its
-    few integers costs less than one pass over the sieving primes.
+    checked here, so a bound failure surfaces only when the entry is handed
+    to `factor_discriminant`.  A block of fewer than SIEVE_MIN_WIDTH
+    integers gets None for every n: trial division of its few integers
+    costs less than one pass over the sieving primes.
     """
     if lo < 1:
-        return [None] * max(min(hi, 1) - lo, 0) + sieve_factors(1, hi, bound)
+        return [None] * max(min(hi, 1) - lo, 0) + sieve_factors(1, hi)
     width = hi - lo
     if width < SIEVE_MIN_WIDTH:
         return [None] * max(width, 0)
     rest = list(range(lo, hi))
     found: list[dict[int, int]] = [{} for _ in rest]
-    primes = _primes_upto(min(math.isqrt(hi - 1), bound))
+    primes = _primes_upto(min(math.isqrt(hi - 1), DEFAULT_FACTOR_BOUND))
     # most primes of a block high up divide none of its integers: skip those
     # with one remainder each before any loop over multiples
     for p in [p for p in primes if -lo % p < width]:
@@ -284,8 +283,9 @@ def factor_discriminant(
     The factorization d = d_1 * ... * d_t into prime discriminants is unique;
     factors are returned sorted by increasing |d_i|.  Raises
     NotFundamentalError when d is not a quadratic field discriminant.
-    `sieved`, the entry of d from `sieve_factors` with the same bound,
-    replaces the trial division of d.
+    `sieved`, the entry of d from `sieve_factors`, replaces the trial
+    division of d.  The sieve divides by no prime above DEFAULT_FACTOR_BOUND,
+    so the entry's cofactor is checked against the smaller of the two bounds.
     """
     # d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree; the
     # one factorization decides the odd part and yields the factors
@@ -295,7 +295,9 @@ def factor_discriminant(
     elif sieved is None:
         odd = factorize(d, bound)
     else:
-        odd = _with_cofactor(d, dict(sieved[0]), sieved[1], bound)
+        odd = _with_cofactor(
+            d, dict(sieved[0]), sieved[1], min(bound, DEFAULT_FACTOR_BOUND)
+        )
     odd.pop(2, None)
     if not shaped or any(e > 1 for e in odd.values()):
         raise NotFundamentalError(f"{d} is not a fundamental discriminant")

@@ -54,6 +54,7 @@ __all__ = [
     "verify_invariant_row",
     "family_member",
     "iter_family",
+    "SCAN_BLOCK",
     "prime_of",
     "load_tables",
 ]
@@ -485,13 +486,15 @@ def family_member(d: int, sieved: Sieved | None = None) -> CaseRecord | None:
         return None
 
 
-_SIEVE_BLOCK = 1000  # integers factored by one sieve in iter_family
+# most integers factored by one sieve; a scan also checkpoints and hands out
+# --jobs tasks in blocks of at most this many
+SCAN_BLOCK = 1000
 
 
 def iter_family(lo: int, hi: int) -> Iterator[CaseRecord]:
     """Classify every qualifying discriminant in [lo, hi), ascending, with
     one factoring sieve per block of integers."""
-    for start in range(lo, hi, _SIEVE_BLOCK):
-        end = min(start + _SIEVE_BLOCK, hi)
+    for start in range(lo, hi, SCAN_BLOCK):
+        end = min(start + SCAN_BLOCK, hi)
         members = map(family_member, range(start, end), sieve_factors(start, end))
         yield from filter(None, members)

@@ -22,6 +22,7 @@ from pathlib import Path
 
 from . import arith, qform
 from .classify import (
+    SCAN_BLOCK,
     CaseRecord,
     InternalConsistencyError,
     NoRowMatchError,
@@ -206,9 +207,6 @@ def cmd_classify(args: argparse.Namespace) -> int:
 
 
 # -- scan ----------------------------------------------------------------------
-
-
-SCAN_BLOCK = 1000  # most integers per checkpoint step and per --jobs task
 
 
 def _scan_block(

@@ -278,6 +278,14 @@ def test_factor_discriminant_from_sieve_checks_the_bound():
         factor_discriminant(lo + 5, sieved=entries[5])
     assert str(trial.value) == str(sieved.value) == message
     assert factor_discriminant(lo + 1, sieved=entries[1]) == factor_discriminant(lo + 1)
+    # a larger bound lets trial division find 1000003, but the sieve never
+    # divided by it, so the entry's cofactor is still checked against 10^6
+    d = 1000003 * 1000039
+    assert factor_discriminant(d, bound=10**7) == (-1000003, -1000039)
+    entry = sieve_factors(d, d + SIEVE_MIN_WIDTH)[0]
+    assert entry == ({}, d)
+    with pytest.raises(BoundExceededError, match="all prime factors > 1000000"):
+        factor_discriminant(d, bound=10**7, sieved=entry)
 
 
 def test_sieve_primes_grow_only_as_far_as_a_block_needs():
