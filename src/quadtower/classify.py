@@ -248,8 +248,11 @@ def tower_verdict(
     quotients other than 32.033 terminate the tower at length 2; 32.033 and
     the order-64 quotients except 64.150 force length >= 3; 64.150 is
     undecided unless the supplied Cl2 structure of the octic step has
-    8-rank 0.
+    8-rank 0.  Supplied invariants are checked whatever the quotient.
     """
+    structure = None if external_octic_cl2 is None else tuple(external_octic_cl2)
+    if structure is not None and any(n < 1 for n in structure):
+        raise ValueError(f"invalid abelian invariants {structure}")
     name = _TABLES["verdicts"][rec.gplus_label]
     if name == "Exactly2":
         return TowerVerdict(
@@ -262,10 +265,7 @@ def tower_verdict(
             Verdict.AT_LEAST_3,
             f"quotient {rec.gplus_label} forces narrow tower length >= 3",
         )
-    if external_octic_cl2 is not None:
-        structure = tuple(external_octic_cl2)
-        if any(n < 1 for n in structure):
-            raise ValueError(f"invalid abelian invariants {structure}")
+    if structure is not None:
         eight_rank = sum(1 for n in structure if n % 8 == 0)
         if eight_rank == 0:
             return TowerVerdict(

@@ -406,8 +406,8 @@ def quotient(G: TableGroup, N: Subgroup) -> tuple[TableGroup, dict[int, int]]:
 def abelian_invariants(G: TableGroup, members: Iterable[int] | None = None) -> tuple[int, ...]:
     """Invariant factors (ascending) of an abelian (sub)group.
 
-    The divisor chain comes from the relation-lattice routine that also
-    gives form class group structure, qform.abelian_structure.
+    The divisor chain comes from qform.abelian_structure, which counts the
+    solutions of x^(p^k) = 1 and also gives form class group structure.
     """
     G = _as_table(G)
     sub = set(members) if members is not None else set(range(G.order))

@@ -4,14 +4,14 @@ Forms (a, b, c) of fundamental discriminant d = b^2 - 4ac are reduced either
 in the definite sense (d < 0) or onto cycles of reduced forms under the rho
 operator (d > 0).  For d > 0 the form class group is the *narrow* class
 group; the ordinary class group is its quotient by the class of the negated
-principal form.  Group structure is read off a relation matrix via integer
-Smith normal form.
+principal form.  Group structure is read off the number of solutions of
+x^(p^k) = 1 for each prime power p^k dividing the class number.
 """
 
 from __future__ import annotations
 
 import math
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 
 from .arith import (
@@ -40,7 +40,6 @@ __all__ = [
     "genus_positivity",
     "c4_splittings",
     "abelian_structure",
-    "smith_normal_form",
 ]
 
 DEFAULT_CLASS_BOUND = 10**7
@@ -232,38 +231,29 @@ def _divisors(n: int) -> list[int]:
     return sorted(divs)
 
 
+@dataclass(frozen=True, eq=False)
 class FormClassGroup:
     """Finite abelian form class group with explicit structure.
 
     For d > 0 the form classes make up the narrow class group; with
     narrow=False the quotient by the negated principal class is returned.
     elementary_divisors is the divisor chain d_1 | d_2 | ... (trivial group:
-    empty list).
+    empty list); multiply and identity give the group law on
+    class_representatives.
     """
 
-    def __init__(self, d: int, narrow: bool, h: int,
-                 elementary_divisors: list[int],
-                 class_representatives: list[BQForm],
-                 _mul=None, _identity=None):
-        self.discriminant = d
-        self.narrow = narrow
-        self.h = h
-        self.elementary_divisors = elementary_divisors
-        self.class_representatives = class_representatives
-        self._mul = _mul
-        self._identity = _identity
+    discriminant: int
+    narrow: bool
+    h: int
+    elementary_divisors: list[int]
+    class_representatives: list[BQForm]
+    multiply: Callable[[BQForm, BQForm], BQForm] | None = None
+    identity: BQForm | None = None
 
     def __repr__(self) -> str:
         kind = "narrow" if self.narrow else "ordinary"
         return (f"FormClassGroup(d={self.discriminant}, {kind}, h={self.h}, "
                 f"type={self.elementary_divisors})")
-
-    def multiply(self, x: BQForm, y: BQForm) -> BQForm:
-        return self._mul(x, y)
-
-    @property
-    def identity(self) -> BQForm:
-        return self._identity
 
 
 def class_group(d: int, narrow: bool = True,
@@ -325,125 +315,56 @@ def class_group(d: int, narrow: bool = True,
     h = len(reps)
     divisors = abelian_structure(reps, mul, ident)
     return FormClassGroup(d, narrow if d > 0 else False, h, divisors, reps,
-                          _mul=mul, _identity=ident)
+                          mul, ident)
 
 
 def abelian_structure(elements, mul, ident) -> list[int]:
-    """Divisor chain of a finite abelian group given by a multiplication map.
+    """Divisor chain d_1 | d_2 | ... (trivial group: []) of a finite abelian
+    group given by its elements and multiplication map.
 
-    Builds discrete logs over a greedy generating set, collects the relation
-    lattice, and reads the chain d_1 | d_2 | ... (trivial group: []) off its
-    Smith normal form.
+    By the structure theorem, log_p(|G[p^k]| / |G[p^(k-1)]|) cyclic factors
+    have order >= p^k, where G[n] = {x : x^n = 1}.  For each p^e exactly
+    dividing h = |G|, every element is raised to the p-th power round after
+    round and the new solutions of x^(p^k) = 1 are counted; a p-part of order
+    p is cyclic and needs no powering.  Counts that do not fit an abelian
+    group of order h raise ValueError.
     """
+    elements = list(elements)
     h = len(elements)
-    if h == 1:
-        return []
-    # greedy generating set with discrete logs built during closure
-    gens: list = []
-    logs: dict = {ident: ()}
-    for x in elements:
-        if x in logs:
-            continue
-        gens.append(x)
-        k = len(gens)
-        logs = {e: v + (0,) for e, v in logs.items()}
-        frontier = dict(logs)
-        while True:
-            new = {}
-            for e, v in frontier.items():
-                ex = mul(e, x)
-                if ex not in logs and ex not in new:
-                    w = list(v)
-                    w[k - 1] += 1
-                    new[ex] = tuple(w)
-            if not new:
-                break
-            logs.update(new)
-            frontier = new
-    k = len(gens)
-    rows = set()
-    for e, v in logs.items():
-        for i, g in enumerate(gens):
-            w = logs[mul(e, g)]
-            row = list(v)
-            row[i] += 1
-            rows.add(tuple(a - b for a, b in zip(row, w)))
-    rows.discard(tuple([0] * k))
-    diag = smith_normal_form([list(r) for r in rows], k)
-    assert all(diag), "relation lattice of a finite group has full rank"
-    divisors = [x for x in diag if x > 1]
-    prod = 1
-    for x in divisors:
-        prod *= x
-    assert prod == h, f"structure {divisors} does not match order {h}"
-    return divisors
+    if elements.count(ident) != 1:
+        raise ValueError("the identity must occur exactly once")
+    chain: list[int] = []  # descending
+    for p, e in factorize(h).items():
+        ranks = [1] if e == 1 else _p_ranks(elements, mul, ident, p, e)
+        chain += [1] * (ranks[0] - len(chain))
+        for r in ranks:
+            for i in range(r):
+                chain[i] *= p
+    return chain[::-1]
 
 
-def smith_normal_form(rows: list[list[int]], width: int) -> list[int]:
-    """Diagonal of the Smith normal form of an integer matrix.
-
-    Returns `width` integers d_1 | d_2 | ... | d_width (zeros for missing
-    rank).  Destroys its input.
-    """
-    mat = [r[:] for r in rows if any(r)]
-    n = width
-    diag = []
-    while mat and n:
-        # move a nonzero pivot of minimal absolute value to (0, 0)
-        while True:
-            pi, pj = min(
-                ((i, j) for i, row in enumerate(mat) for j in range(n)
-                 if row[j] != 0),
-                key=lambda t: abs(mat[t[0]][t[1]]),
-            )
-            mat[0], mat[pi] = mat[pi], mat[0]
-            for row in mat:
-                row[0], row[pj] = row[pj], row[0]
-            p = mat[0][0]
-            dirty = False
-            for row in mat[1:]:
-                if row[0] % p:
-                    q = row[0] // p
-                    for j in range(n):
-                        row[j] -= q * mat[0][j]
-                    dirty = True
-            for j in range(1, n):
-                if mat[0][j] % p:
-                    q = mat[0][j] // p
-                    for row in mat:
-                        row[j] -= q * row[0]
-                    dirty = True
-            if not dirty:
-                break
-        p = abs(mat[0][0])
-        for row in mat[1:]:
-            if row[0]:
-                q = row[0] // mat[0][0]
-                for j in range(n):
-                    row[j] -= q * mat[0][j]
-        for j in range(1, n):
-            if mat[0][j]:
-                q = mat[0][j] // mat[0][0]
-                for row in mat:
-                    row[j] -= q * row[0]
-        diag.append(p)
-        mat = [row[1:] for row in mat[1:] if any(row[1:])]
-        n -= 1
-    diag.extend([0] * n)
-    # enforce the divisibility chain, zeros last
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(diag) - 1):
-            a, b = diag[i], diag[i + 1]
-            if a and b and b % a:
-                g = math.gcd(a, b)
-                diag[i], diag[i + 1] = g, a * b // g
-                changed = True
-            elif a == 0 and b != 0:
-                diag[i], diag[i + 1] = b, 0
-                changed = True
-    return diag
+def _p_ranks(elements, mul, ident, p, e) -> list[int]:
+    # ranks[k - 1] = number of cyclic factors of order >= p^k
+    ranks: list[int] = []
+    order, rest = 1, [x for x in elements if x != ident]  # order = |G[p^k]|
+    while order < p**e:
+        powered = []
+        for x in rest:
+            y = x
+            for _ in range(p - 1):
+                y = mul(y, x)
+            powered.append(y)
+        rest = [y for y in powered if y != ident]
+        grown, r = order + len(powered) - len(rest), 0
+        while order < grown:
+            order, r = order * p, r + 1
+        if order != grown or r == 0 or (ranks and r > ranks[-1]):
+            raise ValueError(f"{grown} solutions of x^({p}^{len(ranks) + 1}) = 1 "
+                             "do not fit an abelian group")
+        ranks.append(r)
+    if order != p**e:  # the chain's product would not be h
+        raise ValueError(f"the {p}-part has order {order}, not {p**e}")
+    return ranks
 
 
 def _two_part(n: int) -> int:

@@ -65,6 +65,17 @@ def test_classify_with_external_invariants(capsys):
     assert "Exactly2_By8Rank" in out
 
 
+@pytest.mark.parametrize("d", ["19176", "6072"])
+@pytest.mark.parametrize("invariants", ["0", "2,4,-4"])
+def test_classify_rejects_invalid_octic_invariants_for_every_quotient(
+    capsys, d, invariants
+):
+    # 19176 has a quotient that decides the length without octic data
+    code, _, err = run(capsys, "classify", d, "--octic-cl2", invariants)
+    assert code == 2
+    assert "invalid abelian invariants" in err
+
+
 def test_classify_exit_codes(capsys):
     code, _, err = run(capsys, "classify", "15")
     assert code == 2

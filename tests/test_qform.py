@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import pytest
@@ -15,6 +16,7 @@ from quadtower.qform import (
     BQForm,
     C4Splitting,
     FormClassGroup,
+    abelian_structure,
     c4_splittings,
     character_matrix,
     class_group,
@@ -159,6 +161,45 @@ def test_frozen_structures():
     assert two_sylow(go) == [2, 2]
     assert two_sylow(gn) == [2, 2, 2]
     assert gn.h == 2 * go.h
+    # odd p-parts of order p^2 and mixed p-parts
+    for d, chain in [(-3299, [3, 9]), (-4027, [3, 3]), (-3896, [3, 12]),
+                     (-11651, [3, 18]), (-15544, [6, 6])]:
+        assert class_group(d).elementary_divisors == chain, d
+    for narrow in (False, True):
+        assert class_group(62501, narrow=narrow).elementary_divisors == [3, 3]
+
+
+# sha256 over repr((d, narrow, elementary_divisors)) for every fundamental
+# d in [-3000, 3000], narrow False then True.  The chains were computed by an
+# independent algorithm (Smith normal form of the relation lattice).
+_STRUCTURES_3000_SHA256 = (
+    "b98e91e57bdb5ae0ba80708821c966ec2f27ff97cb30e00ef876551dd72ede39"
+)
+
+
+def test_structures_up_to_3000_match_frozen_digest():
+    digest = hashlib.sha256()
+    for d in fundamental_range(-3000, 3001):
+        for narrow in (False, True):
+            divs = class_group(d, narrow=narrow).elementary_divisors
+            digest.update(repr((d, narrow, divs)).encode())
+    assert digest.hexdigest() == _STRUCTURES_3000_SHA256
+
+
+def test_abelian_structure_rejects_a_map_that_is_no_group():
+    # x * x = x: no element of order 2, although 2^2 divides the order
+    with pytest.raises(ValueError):
+        abelian_structure(range(4), max, 0)
+    # identity missing
+    with pytest.raises(ValueError):
+        abelian_structure(range(1, 5), lambda x, y: (x + y) % 4, 0)
+    # 3 -> 2 -> 1 -> 0 under squaring: x^4 = 1 has 3 solutions, not a power of 2
+    square = {0: 0, 1: 0, 2: 1, 3: 2}
+    with pytest.raises(ValueError):
+        abelian_structure(range(4), lambda x, y: square[x], 0)
+    # 8 solutions of x^2 = 1 in a set of order 12: the chain's product is not 12
+    with pytest.raises(ValueError):
+        abelian_structure(range(12), lambda x, y: 0 if x < 8 else x, 0)
 
 
 def test_narrow_to_ordinary_ratio_tracks_unit_norm():
