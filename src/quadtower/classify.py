@@ -7,7 +7,8 @@ many Kronecker-symbol rows.  The rows, their Galois-type sets, their
 order-32/64 quotient labels, and the per-case unit/class-number invariant
 patterns ship in case_tables.json; this module searches the factor
 assignment, recomputes every symbol, and never copies a computed quantity
-out of the table.
+out of the table.  The search runs once per symbol signature (factor signs
+and character matrix); classify memoises its outcome.
 """
 
 from __future__ import annotations
@@ -162,13 +163,89 @@ def _matches(table: dict, mat, at: Sequence[int]) -> str | None:
     return None
 
 
-def classify(d: int, sieved: Sieved | None = None) -> CaseRecord:
-    """Find the unique case row for the discriminant d.
+@dataclass(frozen=True)
+class _Row:
+    """The row a signature hits: everything of a CaseRecord but d, with the
+    assignment as factor positions."""
+
+    case_type: str
+    label: str
+    at: tuple[int, ...]
+    nu: tuple[int, int, int, int, int, int]
+    g_type: frozenset[str]
+    gplus_label: str
+    g_order_formula: str | None
+
+
+def _signature(factors: Sequence[int], mat) -> tuple:
+    """Each factor's class (-4, positive or negative), then the character
+    matrix by rows: all that the Redei test and the row search read."""
+    classes = [-4 if q == -4 else q > 0 for q in factors]
+    return (*classes, *mat[0], *mat[1], *mat[2], *mat[3])
+
+
+def _search(factors: Sequence[int], mat) -> _Row | int | tuple[str, ...] | None:
+    """What classify concludes from the factors' signature: the narrow
+    4-rank when it is not 0, else the row hit (None for no row, the sorted
+    labels when several rows match).
 
     Searches every factor permutation permitted by the four type
     constraints; among assignments hitting the same row the
-    lexicographically smallest (|d1|,|d2|,|d3|,|d4|) wins.  `sieved`, the
-    entry of d from `arith.sieve_factors`, spares factoring d again.
+    lexicographically smallest (|d1|,|d2|,|d3|,|d4|) wins.  The factors are
+    sorted by distinct |q|, so that is the smallest tuple of positions.
+    """
+    # with 4 factors and N(eps) = +1 the narrow 2-rank is 3, so Cl2 = (2, 2)
+    # exactly when the narrow 4-rank is 0 (Redei)
+    four_rank = narrow_four_rank(mat)
+    if four_rank:
+        return four_rank
+    hits: list[tuple[str, str, tuple[int, ...]]] = []
+    for type_name, table in _TABLES["types"].items():
+        for at in _candidate_assignments(table, factors):
+            label = _matches(table, mat, at)
+            if label is not None:
+                hits.append((type_name, label, at))
+    if not hits:
+        return None
+    labels = sorted({label for _, label, _ in hits})
+    if len(labels) > 1:
+        return tuple(labels)
+    type_name, label, at = min(hits, key=lambda h: h[2])
+    nu = tuple(
+        0 if _symbol(mat, at, f"d{i}", f"p{j}") == 1 else 1
+        for i, j in _NU_PAIRS
+    )
+    row = _TABLES["types"][type_name]["rows"][label]
+    patterns = _TABLES["invariant_rows"].get(label)
+    return _Row(
+        case_type=type_name,
+        label=label,
+        at=at,
+        nu=nu,
+        g_type=frozenset(row["g"]),
+        gplus_label=row["gplus"],
+        g_order_formula=_display(patterns["order"]) if patterns else None,
+    )
+
+
+# signature -> _search of it, filled on first sight; see classify
+_BY_SIGNATURE: dict[tuple, _Row | int | tuple[str, ...] | None] = {}
+
+
+def classify(d: int, sieved: Sieved | None = None) -> CaseRecord:
+    """Find the unique case row for the discriminant d.
+
+    d is factored once into prime discriminants, sorted by |q|, and their
+    `character_matrix` is built once.  Past the factor checks, the Redei
+    4-rank test and the row search depend only on the signature: each
+    factor's class (-4, positive or negative) and the matrix.  Each
+    signature's outcome is memoised in `_BY_SIGNATURE`, which only the
+    permutation search `_search` fills, on its first sight; later
+    candidates with that signature cost one dict lookup.  A signature is
+    four classes and sixteen signs, most of them tied by quadratic
+    reciprocity, so the memo stays small (at most 1472 entries) without an
+    eviction rule.  `sieved`, the entry of d from `arith.sieve_factors`,
+    spares factoring d again.
     """
     if d <= 0:
         raise PreconditionError(f"{d} is not positive")
@@ -187,49 +264,32 @@ def classify(d: int, sieved: Sieved | None = None) -> CaseRecord:
         raise PreconditionError(f"{d} is a sum of two squares")
     # every symbol below is read off this one matrix, by factor position
     mat = character_matrix(factors)
-    # with 4 factors and N(eps) = +1 the narrow 2-rank is 3, so Cl2 = (2, 2)
-    # exactly when the narrow 4-rank is 0 (Redei)
-    four_rank = narrow_four_rank(mat)
-    if four_rank:
+    key = _signature(factors, mat)
+    try:
+        found = _BY_SIGNATURE[key]
+    except KeyError:
+        found = _BY_SIGNATURE[key] = _search(factors, mat)
+    if isinstance(found, _Row):
+        return CaseRecord(
+            d=d,
+            case_type=found.case_type,
+            label=found.label,
+            assignment=tuple(factors[i] for i in found.at),
+            symbol_matrix=found.nu,
+            g_type=found.g_type,
+            gplus_label=found.gplus_label,
+            g_order_formula=found.g_order_formula,
+        )
+    if isinstance(found, int):
         raise PreconditionError(
             f"2-class group of {d} is not (2, 2): its narrow 4-rank is "
-            f"{four_rank}, need 0"
+            f"{found}, need 0"
         )
-
-    hits: list[tuple[str, str, tuple[int, ...]]] = []
-    for type_name, table in _TABLES["types"].items():
-        for at in _candidate_assignments(table, factors):
-            label = _matches(table, mat, at)
-            if label is not None:
-                hits.append((type_name, label, at))
-    if not hits:
+    if found is None:
         raise NoRowMatchError(
             f"{d} = {'*'.join(map(str, factors))} matches no classification row"
         )
-    labels = {label for _, label, _ in hits}
-    if len(labels) > 1:
-        raise InternalConsistencyError(
-            f"{d} matches several rows: {sorted(labels)}"
-        )
-    type_name, label, at = min(
-        hits, key=lambda h: tuple(abs(factors[i]) for i in h[2])
-    )
-    nu = tuple(
-        0 if _symbol(mat, at, f"d{i}", f"p{j}") == 1 else 1
-        for i, j in _NU_PAIRS
-    )
-    row = _TABLES["types"][type_name]["rows"][label]
-    patterns = _TABLES["invariant_rows"].get(label)
-    return CaseRecord(
-        d=d,
-        case_type=type_name,
-        label=label,
-        assignment=tuple(factors[i] for i in at),
-        symbol_matrix=nu,
-        g_type=frozenset(row["g"]),
-        gplus_label=row["gplus"],
-        g_order_formula=_display(patterns["order"]) if patterns else None,
-    )
+    raise InternalConsistencyError(f"{d} matches several rows: {list(found)}")
 
 
 def h8_predicate(assignment: Sequence[int] | CaseRecord) -> bool:

@@ -218,7 +218,7 @@ def _scan_block(
     records = []
     try:
         for d, sieved in zip(range(lo, hi), arith.sieve_factors(lo, hi)):
-            start = time.perf_counter()
+            start = time.perf_counter() if timing else None
             rec = family_member(d, sieved)
             if rec is None:
                 continue
@@ -409,7 +409,9 @@ def cmd_unit(args: argparse.Namespace) -> int:
 
 def cmd_classgroup(args: argparse.Namespace) -> int:
     cg = qform.class_group(args.d, narrow=args.narrow)
-    kind = "narrow" if args.narrow else "ordinary"
+    # an imaginary field has no narrow group: class_group gives it the
+    # ordinary one, and the label says which group was computed
+    kind = "narrow" if cg.narrow else "ordinary"
     divisors = list(cg.elementary_divisors)
     print(f"d = {args.d}  ({kind})")
     print(f"h = {cg.h}")

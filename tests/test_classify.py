@@ -3,10 +3,10 @@
 import math
 import time
 from collections import Counter
-from itertools import combinations, permutations
+from itertools import combinations, permutations, product
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import HealthCheck, given, settings
 
 from quadtower import arith, qform
 from quadtower import classify as classify_mod
@@ -395,16 +395,72 @@ def _classify_outcome(fn, d):
         return type(exc).__name__, str(exc)
 
 
-def test_classify_matches_reference_below_1e5():
+@pytest.fixture
+def empty_memo(monkeypatch):
+    """classify's signature memo, emptied for the test."""
+    monkeypatch.setattr(classify_mod, "_BY_SIGNATURE", {})
+
+
+@pytest.fixture
+def warm_memo(empty_memo):
+    """classify's signature memo, filled by a scan of other discriminants, so
+    that a lookup reuses an outcome found for another d."""
+    for _ in iter_family(10**6, 10**6 + 10**5):
+        pass
+    assert len(classify_mod._BY_SIGNATURE) > 500
+
+
+def _check_below_1e5():
     for d in range(5, 10**5):
         assert _classify_outcome(classify, d) == _classify_outcome(_reference_classify, d), d
 
 
-@settings(max_examples=200, deadline=None)
+def test_classify_matches_reference_below_1e5(empty_memo):
+    _check_below_1e5()
+
+
+def test_classify_matches_reference_below_1e5_on_a_warm_memo(warm_memo):
+    _check_below_1e5()
+
+
+# the memo fixtures are set up once per test, not once per example
+_MEMO_SETTINGS = settings(
+    max_examples=200, deadline=None,
+    suppress_health_check=[HealthCheck.function_scoped_fixture],
+)
+
+
+@_MEMO_SETTINGS
 @given(four_factor_discriminants(below=10**9))
-def test_classify_matches_reference_property(qs):
+def test_classify_matches_reference_property(empty_memo, qs):
     d = math.prod(qs)
     assert _classify_outcome(classify, d) == _classify_outcome(_reference_classify, d)
+
+
+@_MEMO_SETTINGS
+@given(four_factor_discriminants(below=10**9))
+def test_classify_matches_reference_property_on_a_warm_memo(warm_memo, qs):
+    d = math.prod(qs)
+    assert _classify_outcome(classify, d) == _classify_outcome(_reference_classify, d)
+
+
+def test_search_runs_only_on_a_new_signature(empty_memo, monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    for name in ("_search", "_candidate_assignments", "narrow_four_rank"):
+        monkeypatch.setattr(classify_mod, name, counting(name, getattr(classify_mod, name)))
+    first = [_classify_outcome(classify, d) for d in range(5, 20000)]
+    signatures = len(classify_mod._BY_SIGNATURE)
+    assert calls["_search"] == calls["narrow_four_rank"] == signatures > 100
+    searched = calls.copy()
+    assert [_classify_outcome(classify, d) for d in range(5, 20000)] == first
+    assert calls == searched
 
 
 @settings(max_examples=60, deadline=None)
@@ -453,3 +509,103 @@ def test_classify_factors_once_and_builds_one_matrix(d, monkeypatch):
     _classify_outcome(classify, d)
     assert calls["factorize"] == 1
     assert calls["kronecker"] <= 12
+
+
+# -- audit: every symbol signature, classified by the uncached search ----------
+
+# the symbols between an odd prime p and the even factor depend only on
+# p mod 8; one prime of each class stands for it
+_CLASS_PRIME = {1: 17, 3: 3, 5: 5, 7: 7}
+_EVEN_FACTORS = (-4, 8, -8)
+
+
+def _audit_cases():
+    """(factors, character matrix) for every factor class by position: an odd
+    prime's class mod 8 or one of -4, 8, -8, with at most one even factor.
+    Reciprocity makes (q_i / p_j) = (q_j / p_i) for odd q_i, q_j, with the
+    sign flipped when both are negative: one free bit per odd pair.  The
+    symbols against the even factor follow from the classes.  Only d > 0
+    that is not a sum of two squares is kept, so some factor is negative.
+    Sorting by |q| puts an even factor early in a real d; these cases drop
+    that constraint and cover every position."""
+    classes = list(_CLASS_PRIME) + list(_EVEN_FACTORS)
+    for cls in product(classes, repeat=4):
+        even = [i for i, c in enumerate(cls) if c in _EVEN_FACTORS]
+        if len(even) > 1:
+            continue
+        factors = [
+            c if c in _EVEN_FACTORS else (
+                _CLASS_PRIME[c] if c % 4 == 1 else -_CLASS_PRIME[c]
+            )
+            for c in cls
+        ]
+        if math.prod(factors) < 0 or all(q > 0 for q in factors):
+            continue
+        odd_pairs = [
+            (i, j) for i, j in combinations(range(4), 2)
+            if i not in even and j not in even
+        ]
+        for bits in product((1, -1), repeat=len(odd_pairs)):
+            mat = [[1] * 4 for _ in range(4)]
+            for (i, j), bit in zip(odd_pairs, bits):
+                mat[i][j] = bit
+                mat[j][i] = -bit if factors[i] < 0 and factors[j] < 0 else bit
+            for e in even:
+                for j in set(range(4)) - {e}:
+                    mat[e][j] = kronecker(factors[e], prime_of(factors[j]))
+                    mat[j][e] = kronecker(factors[j], 2)
+            for i in range(4):
+                mat[i][i] = math.prod(mat[l][i] for l in range(4) if l != i)
+            yield tuple(factors), mat
+
+
+@pytest.fixture(scope="module")
+def audit():
+    """signature -> the set of search outcomes over the audit cases, and the
+    number of cases."""
+    outcomes = {}
+    cases = 0
+    for factors, mat in _audit_cases():
+        cases += 1
+        key = classify_mod._signature(factors, mat)
+        outcomes.setdefault(key, set()).add(classify_mod._search(factors, mat))
+    return outcomes, cases
+
+
+def test_signature_audit_one_outcome_per_signature(audit):
+    outcomes, cases = audit
+    assert cases == 9984
+    assert len(outcomes) == 1472
+    assert all(len(found) == 1 for found in outcomes.values())
+    # a row, or else the nonzero narrow 4-rank: no signature with 4-rank 0
+    # misses every row (None) or hits several (their labels), so
+    # NoRowMatchError and InternalConsistencyError cannot happen
+    kinds = Counter(
+        "row" if isinstance(outcome, classify_mod._Row) else outcome
+        for found in outcomes.values() for outcome in found
+    )
+    assert kinds == {"row": 992, 1: 444, 2: 36}
+
+
+def test_signature_audit_reaches_every_label(audit):
+    outcomes, _ = audit
+    labels = {
+        outcome.label
+        for found in outcomes.values() for outcome in found
+        if isinstance(outcome, classify_mod._Row)
+    }
+    assert labels == {
+        label for table in _TABLES["types"].values() for label in table["rows"]
+    }
+    assert len(labels) == 37
+
+
+@pytest.mark.parametrize("lo", [5, 10**9, 10**12 - 2 * 10**4])
+def test_scanned_signatures_are_in_the_audit(audit, lo, empty_memo):
+    # the audit's matrices are the ones character_matrix builds for real d
+    outcomes, _ = audit
+    for _ in iter_family(lo, lo + 2 * 10**4):
+        pass
+    assert classify_mod._BY_SIGNATURE
+    for key, outcome in classify_mod._BY_SIGNATURE.items():
+        assert outcomes[key] == {outcome}, key

@@ -152,6 +152,27 @@ def test_scan_is_deterministic(capsys):
     assert first == second
 
 
+def test_scan_reads_the_clock_per_record_only_with_timing(capsys, monkeypatch):
+    reads = Counter()
+    clock = time.perf_counter
+
+    def counting():
+        reads["n"] += 1
+        return clock()
+
+    monkeypatch.setattr(cli.time, "perf_counter", counting)
+    code, plain, _ = run(capsys, "scan", "5", "3000")
+    assert code == 0
+    assert reads["n"] < 10
+    reads.clear()
+    code, timed, _ = run(capsys, "scan", "5", "3000", "--timing")
+    assert code == 0
+    records = [json.loads(ln) for ln in timed.splitlines()]
+    assert reads["n"] >= 2 * len(records) > 0
+    assert all(r.pop("ms") >= 0 for r in records)
+    assert records == [json.loads(ln) for ln in plain.splitlines()]
+
+
 def test_scan_empty_range(tmp_path, capsys):
     out_file = tmp_path / "empty.jsonl"
     code, _, _ = run(capsys, "scan", "21", "24", "--output", str(out_file))
@@ -513,6 +534,16 @@ def test_classgroup_output(capsys):
     code, out, _ = run(capsys, "classgroup", "19176")
     assert code == 0
     assert "two_sylow = [2, 2]" in out
+
+
+def test_classgroup_label_follows_the_group_computed(capsys):
+    # an imaginary field has no narrow group, so --narrow gives the ordinary one
+    code, out, _ = run(capsys, "classgroup", "--narrow", "--", "-23")
+    assert code == 0
+    assert out.splitlines()[0] == "d = -23  (ordinary)"
+    code, out, _ = run(capsys, "classgroup", "--narrow", "40")
+    assert code == 0
+    assert out.splitlines()[0] == "d = 40  (narrow)"
 
 
 def test_group_build_and_checks(capsys):
