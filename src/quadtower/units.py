@@ -7,31 +7,32 @@ sqrt(eps) = (1 + eps)/sqrt(N(1 + eps)), so eps has a square root of the shape
 the associated sign (a^2 m1 - b^2 m2)/4 = +-1 reproduces the classical
 Legendre-symbol identities.  Unit indices q(K/Q) of real multiquadratic
 fields are exact: K is saturated at 2 by testing which products of subfield
-fundamental units are squares in K, and each square root is found in rational
-arithmetic by descending through relative norms to Q, as in Wada's unit-group
-algorithm for multiquadratic fields.  Only products that pass a quadratic-
-character filter get a root tried, as in the number field sieve (Adleman
-1991; Buhler-Lenstra-Pomerance 1993): at an odd prime p dividing no m_i
-modulo which every m_i is a square, each choice of roots of the m_i mod p is
-a ring map from the p-integral elements of K, units among them, onto F_p.  A
-square maps to a square, so a product whose image has Legendre symbol -1 is
-no square, and the exact root search still decides every other product.
+fundamental units are squares in K, and each square root is found exactly,
+on integer coefficients over one common denominator, by descending through
+relative norms to Q, as in Wada's unit-group algorithm for multiquadratic
+fields.  Only products that pass a quadratic-character filter get a root
+tried, as in the number field sieve (Adleman 1991; Buhler-Lenstra-Pomerance
+1993): at an odd prime p dividing no m_i modulo which every m_i is a
+square, each choice of roots of the m_i mod p is a ring map from the
+p-integral elements of K, units among them, onto F_p.  A square maps to a
+square, so a product whose image has Legendre symbol -1 is no square, and
+the exact root search still decides every other product.
 """
 
 from __future__ import annotations
 
+import bisect
 import functools
 import math
 from dataclasses import dataclass
-from fractions import Fraction
 from typing import Iterable, Mapping, Sequence
 
 from .arith import (
     BoundExceededError,
+    _primes_upto,
     discriminant_of,
     factorize,
     is_fundamental_discriminant,
-    is_prime,
     radicand,
     squarefree_kernel,
 )
@@ -320,14 +321,25 @@ def conjugate_sign_table(words: Iterable[Word],
 # ---------------------------------------------------------------------------
 # multiquadratic fields: exact arithmetic on Q(sqrt(m1), ..., sqrt(mr))
 
+def _lowest_terms(coeffs: list[int], den: int) -> tuple[list[int], int]:
+    """The element coeffs/den, for den > 0, with gcd(den, *coeffs) = 1."""
+    g = math.gcd(den, *coeffs)
+    if g == 1:
+        return coeffs, den
+    return [c // g for c in coeffs], den // g
+
+
 class _MultiQuadField:
     """Q(sqrt(m_1), ..., sqrt(m_r)) for multiplicatively independent m_i > 1.
 
-    An element is a list of 2^r rational coefficients over the product
-    basis sqrt(m_S) = prod(sqrt(m_i) : i in S), indexed by the bit mask S.
-    Its first half lies in the subfield F on the first r - 1 generators and
-    its second half is the coefficient of sqrt(m_r), so u = a + b*sqrt(m_r)
-    with a, b in F; the same methods serve every subfield.
+    An element is a pair (coeffs, den): 2^r integer coefficients over the
+    product basis sqrt(m_S) = prod(sqrt(m_i) : i in S), indexed by the bit
+    mask S, and one denominator den > 0.  Elements are kept in lowest terms,
+    gcd(den, *coeffs) = 1, so zero is ([0, ..., 0], 1) and equal elements
+    are equal pairs.  The first half of coeffs lies in the subfield F on the
+    first r - 1 generators and the second half is the coefficient of
+    sqrt(m_r), so u = (a + b*sqrt(m_r))/den with a, b integer vectors of F;
+    the same methods serve every subfield.
     """
 
     def __init__(self, gens: Sequence[int]):
@@ -338,7 +350,8 @@ class _MultiQuadField:
         if len({squarefree_kernel(x) for x in self.w}) != len(self.w):
             raise ValueError(f"radicands {gens} are not independent")
 
-    def mul(self, u, v):
+    def _mul(self, u: list[int], v: list[int]) -> list[int]:
+        """Product of two integer coefficient vectors, not reduced."""
         w = self.w
         out = [0] * len(u)
         for s, cu in enumerate(u):
@@ -348,12 +361,18 @@ class _MultiQuadField:
                         out[s ^ t] += cu * cv * w[s & t]
         return out
 
-    def _split(self, u):
-        """(a, b, m, a^2 - m b^2) for u = a + b*sqrt(m) over the subfield."""
-        half = len(u) // 2
-        a, b, m = u[:half], u[half:], self.w[half]
-        norm = [x - m * y for x, y in zip(self.mul(a, a), self.mul(b, b))]
-        return a, b, m, norm
+    def mul(self, u, v):
+        """u * v in lowest terms."""
+        return _lowest_terms(self._mul(u[0], v[0]), u[1] * v[1])
+
+    def _split(self, coeffs: list[int]) -> tuple[list[int], list[int], int]:
+        """(a, b, m) with coeffs = a + b*sqrt(m), a and b over the subfield."""
+        half = len(coeffs) // 2
+        return coeffs[:half], coeffs[half:], self.w[half]
+
+    def _relative_norm(self, a: list[int], b: list[int], m: int) -> list[int]:
+        """a^2 - m b^2, the norm of a + b*sqrt(m) to the subfield."""
+        return [x - m * y for x, y in zip(self._mul(a, a), self._mul(b, b))]
 
     def sqrt(self, eta):
         """A square root of eta in the field, or None if eta is no square.
@@ -361,57 +380,73 @@ class _MultiQuadField:
         If eta = (x + y sqrt(m))^2 with x, y in F, then n = x^2 - m y^2 is a
         square root of the relative norm a^2 - m b^2, x^2 = (a + n)/2 and
         m y^2 = (a - n)/2.  Recursing on the norm and on both signs of n
-        reaches every root; each is checked exactly against b = 2xy.
+        reaches every root; each is checked exactly against b = 2xy, cross-
+        multiplied by the denominators.  At Q a fraction in lowest terms is
+        a square when its numerator and denominator are.
         """
-        if len(eta) == 1:
-            c = Fraction(eta[0])
+        coeffs, den = eta
+        if len(coeffs) == 1:
+            c = coeffs[0]
             if c < 0:
                 return None
-            num, den = math.isqrt(c.numerator), math.isqrt(c.denominator)
-            if num * num != c.numerator or den * den != c.denominator:
+            num, root = math.isqrt(c), math.isqrt(den)
+            if num * num != c or root * root != den:
                 return None
-            return [Fraction(num, den)]
-        a, b, m, norm = self._split(eta)
-        n = self.sqrt(norm)
+            return [num], root
+        a, b, m = self._split(coeffs)
+        n = self.sqrt(_lowest_terms(self._relative_norm(a, b, m), den * den))
         if n is None:
             return None
+        nc, nd = n
+        # a/den and nc/nd over the common denominator den * nd
+        den_n = den * nd
+        a = [c * nd for c in a]
+        n = [c * den for c in nc]
         for n in (n, [-c for c in n]):
-            x = self.sqrt([Fraction(c + d, 2) for c, d in zip(a, n)])
+            x = self.sqrt(_lowest_terms([c + d for c, d in zip(a, n)], 2 * den_n))
             if x is None:
                 continue
-            y = self.sqrt([Fraction(c - d, 2 * m) for c, d in zip(a, n)])
+            y = self.sqrt(_lowest_terms([c - d for c, d in zip(a, n)], 2 * m * den_n))
             if y is None:
                 continue
-            xy2 = [2 * c for c in self.mul(x, y)]
-            if xy2 == b:
-                return x + y
-            if xy2 == [-c for c in b]:
-                return x + [-c for c in y]
+            # 2xy = +-b/den, both sides times den and the denominators of x, y
+            xy2 = [2 * den * c for c in self._mul(x[0], y[0])]
+            bxy = [c * x[1] * y[1] for c in b]
+            if xy2 == bxy or xy2 == [-c for c in bxy]:
+                # x +- y sqrt(m) over the lcm is in lowest terms: a prime of
+                # the lcm divides the denominator of x or of y as often, and
+                # not every coefficient of that element
+                lcm = math.lcm(x[1], y[1])
+                sy = lcm // y[1] if xy2 == bxy else -lcm // y[1]
+                return [c * (lcm // x[1]) for c in x[0]] + [c * sy for c in y[0]], lcm
         return None
 
     def sign(self, u) -> int:
         """Sign of u in the real embedding where every sqrt(m_i) is positive."""
-        if len(u) == 1:
-            return (u[0] > 0) - (u[0] < 0)
-        a, b, _, norm = self._split(u)
-        sa, sb = self.sign(a), self.sign(b)
+        return self._sign(u[0])  # the denominator is positive
+
+    def _sign(self, coeffs: list[int]) -> int:
+        if len(coeffs) == 1:
+            return (coeffs[0] > 0) - (coeffs[0] < 0)
+        a, b, m = self._split(coeffs)
+        sa, sb = self._sign(a), self._sign(b)
         if sa * sb >= 0:
             return sa or sb
         # a and b sqrt(m) differ in sign: the larger in absolute value wins
-        return sa if self.sign(norm) > 0 else sb
+        return sa if self._sign(self._relative_norm(a, b, m)) > 0 else sb
 
 
 def _unit_basis(field: _MultiQuadField, max_steps: int) -> list:
     """Fundamental units of the quadratic subfields, one per nonzero mask."""
     basis = []
     for mask, w in enumerate(field.w[1:], start=1):
-        # (x + y' sqrt(m))/2 with sqrt(m) = sqrt(m_mask)/g, g^2 = w/m
+        # (x + y' sqrt(m))/2 = (x g + y' sqrt(m_mask))/2g, g^2 = w/m
         u = unit_of_radicand(squarefree_kernel(w), max_steps)
         x, ym = u.coords_over_radicand()
-        elem = [0] * len(field.w)
-        elem[0] = Fraction(x, 2)
-        elem[mask] = Fraction(ym, 2 * math.isqrt(w // u.m))
-        basis.append(elem)
+        g = math.isqrt(w // u.m)
+        coeffs = [0] * len(field.w)
+        coeffs[0], coeffs[mask] = x * g, ym
+        basis.append(_lowest_terms(coeffs, 2 * g))
     return basis
 
 
@@ -424,37 +459,45 @@ def _characters(gens: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     the m_i mod p is one degree-one prime above p.
     """
     chars = []
-    p = 1
+    lo = 2
     while len(chars) < CHARACTERS:
-        p += 2
-        # Euler's criterion; it is 0 where p divides m
-        if not is_prime(p) or any(pow(m, (p - 1) // 2, p) != 1 for m in gens):
-            continue
-        roots = [next(x for x in range(1, p) if x * x % p == m % p) for m in gens]
-        for signs in range(2 ** len(gens)):
-            rho = [1]
-            for i, r in enumerate(roots):
-                r = -r if signs >> i & 1 else r
-                rho += [x * r % p for x in rho]
-            chars.append((p, tuple(rho)))
+        # the primes in (lo, 2 lo], from the shared table
+        primes = _primes_upto(2 * lo)
+        for p in primes[bisect.bisect_right(primes, lo):]:
+            # Euler's criterion; it is 0 where p divides m
+            if any(pow(m, (p - 1) // 2, p) != 1 for m in gens):
+                continue
+            roots = [next(x for x in range(1, p) if x * x % p == m % p) for m in gens]
+            for signs in range(2 ** len(gens)):
+                rho = [1]
+                for i, r in enumerate(roots):
+                    r = -r if signs >> i & 1 else r
+                    rho += [x * r % p for x in rho]
+                chars.append((p, tuple(rho)))
+            if len(chars) >= CHARACTERS:
+                break
+        lo *= 2
     return chars
 
 
 def _character_vector(chars: Sequence[tuple[int, tuple[int, ...]]], u) -> int:
     """Bit j is set when the Legendre symbol of u's image under chars[j] is -1.
 
-    The image of a coefficient n/m is n * m^-1 mod p.  A zero denominator or
-    image raises: neither occurs for a unit, since p is prime to 2 m_1 ... m_r
-    and so the unit and its inverse both have p-integral coefficients.
+    The image of u = (coeffs, den) is den^-1 * sum(coeffs[S] rho[S]) mod p.
+    A denominator divisible by p or a zero image raises: neither occurs for
+    a unit, since p is prime to 2 m_1 ... m_r and so the unit and its
+    inverse both have p-integral coefficients.
     """
     vector = 0
-    coeffs = {}  # u's coefficients mod p, reduced once for each prime
+    coeffs, den = u
+    images = {}  # coeffs times den^-1 mod p, reduced once for each prime
     for j, (p, rho) in enumerate(chars):
-        if p not in coeffs:
-            if any(c.denominator % p == 0 for c in u):
-                raise ArithmeticError(f"a coefficient of {u} has no image mod {p}")
-            coeffs[p] = [c.numerator * pow(c.denominator, -1, p) % p for c in u]
-        image = sum(c * r for c, r in zip(coeffs[p], rho)) % p
+        if p not in images:
+            if den % p == 0:
+                raise ArithmeticError(f"the denominator of {u} has no inverse mod {p}")
+            inv = pow(den, -1, p)
+            images[p] = [c * inv % p for c in coeffs]
+        image = sum(c * r for c, r in zip(images[p], rho)) % p
         if image == 0:
             raise ArithmeticError(f"{u} vanishes at a prime above {p}")
         if pow(image, (p - 1) // 2, p) != 1:
@@ -492,7 +535,7 @@ def _saturate(field: _MultiQuadField, basis: Sequence) -> tuple[int, list]:
             return q, basis
         # eta is no square of a lattice element (exponents are 0/1), so
         # swapping the root in genuinely doubles the lattice
-        basis[top] = xi if field.sign(xi) > 0 else [-c for c in xi]
+        basis[top] = xi if field.sign(xi) > 0 else ([-c for c in xi[0]], xi[1])
         vectors[top] = _character_vector(chars, basis[top])
         q *= 2
 

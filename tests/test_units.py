@@ -1,6 +1,7 @@
 """Tests for fundamental units, square-root decompositions and sign tables."""
 
 import functools
+import hashlib
 import json
 import math
 from fractions import Fraction
@@ -315,10 +316,41 @@ def test_kubota_index_octic_genus_field_27993():
 RADICANDS = [m for m in range(2, 60) if squarefree_kernel(m) == m]
 
 
+def _element(fractions):
+    """The field element (coeffs, den) with the given rational coefficients."""
+    den = math.lcm(*(f.denominator for f in fractions))
+    return [int(f * den) for f in fractions], den
+
+
+def _fractions(u):
+    coeffs, den = u
+    return [Fraction(c, den) for c in coeffs]
+
+
+def _neg(u):
+    return [-c for c in u[0]], u[1]
+
+
+def _assert_lowest_terms(u):
+    coeffs, den = u
+    assert den > 0 and math.gcd(den, *coeffs) == 1
+
+
+def _fraction_mul(gens, u, v):
+    """u * v in Fraction arithmetic, from sqrt(m_S) sqrt(m_T) = w sqrt(m_{S ^ T})
+    with w the product of the m_i for i in S & T."""
+    out = [Fraction(0)] * len(u[0])
+    for s, a in enumerate(_fractions(u)):
+        for t, b in enumerate(_fractions(v)):
+            w = math.prod(m for i, m in enumerate(gens) if (s & t) >> i & 1)
+            out[s ^ t] += a * b * w
+    return out
+
+
 @st.composite
 def field_elements(draw, count=1):
     """An independent set of 1-3 radicands and `count` nonzero elements of
-    its field."""
+    its field, with coefficients c/den for |c| <= 6 and den <= 6."""
     gens = draw(st.lists(st.sampled_from(RADICANDS), min_size=1, max_size=3))
     try:
         field = _MultiQuadField(gens)
@@ -329,8 +361,20 @@ def field_elements(draw, count=1):
         coeffs = draw(st.lists(st.integers(-6, 6), min_size=len(field.w),
                                max_size=len(field.w)))
         assume(any(coeffs))
-        elements.append([Fraction(c, 2) for c in coeffs])
+        den = draw(st.integers(1, 6))
+        elements.append(_element([Fraction(c, den) for c in coeffs]))
     return (gens, field, *elements)
+
+
+@settings(deadline=None)
+@given(field_elements(count=2))
+def test_mul_matches_fraction_product(case):
+    gens, field, u, v = case
+    product = field.mul(u, v)
+    _assert_lowest_terms(product)
+    assert _fractions(product) == _fraction_mul(gens, u, v)
+    zero = field.mul(u, ([0] * len(field.w), 1))
+    assert zero == ([0] * len(field.w), 1)
 
 
 @settings(deadline=None)
@@ -338,14 +382,18 @@ def field_elements(draw, count=1):
 def test_exact_sqrt_and_sign(case):
     gens, field, u = case
     square = field.mul(u, u)
-    assert field.sqrt(square) in (u, [-c for c in u])
+    root = field.sqrt(square)
+    _assert_lowest_terms(root)
+    assert root in (u, _neg(u))
     p = next(p for p in range(2, 100) if is_prime(p) and all(m % p for m in gens))
-    assert field.sqrt([p * c for c in square]) is None
+    one = [1] + [0] * (len(field.w) - 1)
+    for scale in (([p] + one[1:], 1), (one, p)):
+        assert field.sqrt(field.mul(scale, square)) is None
     assert field.sign(square) == 1
-    assert field.sign([-c for c in square]) == -1
+    assert field.sign(_neg(square)) == -1
     # floating-point oracle for the sign of u itself, away from zero
     value = sum(c * math.prod(math.sqrt(m) for i, m in enumerate(gens) if s >> i & 1)
-                for s, c in enumerate(u))
+                for s, c in enumerate(_fractions(u)))
     if abs(value) > 1e-6:
         assert field.sign(u) == (1 if value > 0 else -1)
 
@@ -376,7 +424,17 @@ def test_characters_are_legendre_symbols_of_images(case):
     # every sign choice of the roots, i.e. every prime of K above p, once
     assert all(len(roots) == 2 ** len(gens) for roots in by_prime.values())
     assert len(chars) == len(by_prime) * 2 ** len(gens)
-    images = [sum(_brute_image(c, p) * r for c, r in zip(u, rho)) % p for p, rho in chars]
+    # the primes are the first ones, in order, modulo which every m_i is a square
+    primes = [p for p, _ in chars]
+    assert primes == sorted(primes)
+    assert list(by_prime) == [p for p in range(3, primes[-1] + 1, 2) if is_prime(p)
+                              and all(kronecker(m, p) == 1 for m in gens)]
+    if any(u[1] % p == 0 for p in primes):
+        with pytest.raises(ArithmeticError):
+            _character_vector(chars, u)
+        return
+    images = [sum(_brute_image(c, p) * r for c, r in zip(_fractions(u), rho)) % p
+              for p, rho in chars]
     if 0 in images:
         with pytest.raises(ArithmeticError):
             _character_vector(chars, u)
@@ -407,14 +465,17 @@ def test_character_vector_is_multiplicative(case):
 def test_character_vector_raises_on_zero_denominator_or_image():
     chars = _characters([2, 7])
     p, rho = chars[0]
-    with pytest.raises(ArithmeticError):
-        _character_vector(chars, [Fraction(1, p), 1, 0, 0])
-    with pytest.raises(ArithmeticError):
-        _character_vector(chars, [p, 0, 0, 0])
+
+    def raises_naming(u, chars):
+        with pytest.raises(ArithmeticError) as error:
+            _character_vector(chars, u)
+        assert str(u) in str(error.value) and str(error.value).endswith(f" {p}")
+
+    raises_naming(([1, p, 0, 0], p), chars)  # 1/p + sqrt(2)
+    raises_naming(([p, 0, 0, 0], 1), chars)
     # sqrt(2) - r vanishes exactly at the primes that send sqrt(2) to r
-    u = [-rho[1], 1, 0, 0]
-    with pytest.raises(ArithmeticError):
-        _character_vector(chars[:1], u)
+    u = ([-rho[1], 1, 0, 0], 1)
+    raises_naming(u, chars[:1])
     _character_vector([(q, r) for q, r in chars if (r[1] - rho[1]) % q], u)
 
 
@@ -434,7 +495,7 @@ def _reference_saturate(field, basis):
                 break
         else:
             return q, basis
-        basis[top] = xi if field.sign(xi) > 0 else [-c for c in xi]
+        basis[top] = xi if field.sign(xi) > 0 else _neg(xi)
         q *= 2
 
 
@@ -510,6 +571,26 @@ def test_full_rank_characters_certify_the_genus_field_27993():
     # q = 2^7: every unit product acquires a root, and the final basis's 24
     # characters separate E_K modulo squares
     assert _check_saturation((217, 93, 1333))
+
+
+# sha256 of the compact JSON list [gens, q, final basis with each coefficient
+# as [numerator, denominator] in lowest terms], one entry per kubota_index
+# call of the row corpus, pinned from the Fraction-coefficient field of
+# commit ff7db03; it does not depend on how elements are stored
+ROW_CORPUS_SATURATION_SHA256 = "bfa00f645d9538ee7e75cc9babf69de3fc3040dd7d94b4340581006632f6b629"
+
+
+def test_saturation_of_the_row_corpus_matches_pinned_digest():
+    out = []
+    for d in _row_corpus():
+        for gens in _row_calls(d):
+            field = _MultiQuadField(gens)
+            q, final = _saturate(field, _unit_basis(field, 10**6))
+            out.append([list(gens), q, [[[f.numerator, f.denominator] for f in _fractions(u)]
+                                        for u in final]])
+    assert len(out) == 604
+    digest = hashlib.sha256(json.dumps(out, separators=(",", ":")).encode()).hexdigest()
+    assert digest == ROW_CORPUS_SATURATION_SHA256
 
 
 def test_multiquadratic_h2_validation():
