@@ -16,7 +16,6 @@ import os
 import sys
 import time
 from collections import Counter
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -310,7 +309,12 @@ def cmd_scan(args: argparse.Namespace) -> int:
         for b in range(start, hi + 1, span)
     ]
     text = ScanRecord.CSV_HEADER + "\n" if args.format == "csv" and not state else ""
-    pool = ProcessPoolExecutor(max_workers=jobs) if jobs > 1 else None
+    pool = None
+    if jobs > 1:
+        # imported here: multiprocessing costs every serial run's start-up
+        from concurrent.futures import ProcessPoolExecutor
+
+        pool = ProcessPoolExecutor(max_workers=jobs)
     try:
         results = (pool.map if pool else map)(_scan_block, blocks)
         for (_, end, _, _), (records, error) in zip(blocks, results):

@@ -6,6 +6,12 @@ operator (d > 0).  For d > 0 the form class group is the *narrow* class
 group; the ordinary class group is its quotient by the class of the negated
 principal form.  Group structure is read off the number of solutions of
 x^(p^k) = 1 for each prime power p^k dividing the class number.
+
+2-class numbers come from genus theory where it decides them: for t prime
+discriminant factors the narrow 2-rank is t - 1, and when the Redei 4-rank is
+0 the narrow 2-class number is 2^(t-1), halved for the ordinary group of
+d > 0 unless the fundamental unit has norm -1.  Forms are enumerated only
+for a positive 4-rank.
 """
 
 from __future__ import annotations
@@ -26,15 +32,12 @@ from .arith import (
 __all__ = [
     "BQForm",
     "FormClassGroup",
-    "GenusCharacter",
     "reduce_form",
     "compose",
     "principal_form",
     "class_group",
     "two_class_number",
     "two_sylow",
-    "genus_characters",
-    "genus_character_matrix",
     "character_matrix",
     "narrow_four_rank",
     "genus_positivity",
@@ -256,11 +259,28 @@ class FormClassGroup:
                 f"type={self.elementary_divisors})")
 
 
+def _check_bound(d: int, bound: int) -> None:
+    if abs(d) > bound:
+        raise BoundExceededError(f"|{d}| exceeds class group bound {bound}")
+
+
+def _negated_principal_form(d: int) -> BQForm:
+    one = principal_form(d)
+    return BQForm(-one.a, one.b, -one.c)
+
+
+def _has_norm_minus_one_unit(d: int) -> bool:
+    """For d > 0: the negated principal form lies on the principal cycle, so
+    the fundamental unit has norm -1 and the narrow and ordinary groups agree.
+    """
+    one = reduce_form(principal_form(d))
+    return reduce_form(_negated_principal_form(d)) in cycle_of(one)
+
+
 def class_group(d: int, narrow: bool = True,
                 bound: int = DEFAULT_CLASS_BOUND) -> FormClassGroup:
     """Class group of the fundamental discriminant d by form enumeration."""
-    if abs(d) > bound:
-        raise BoundExceededError(f"|{d}| exceeds class group bound {bound}")
+    _check_bound(d, bound)
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
 
@@ -296,21 +316,18 @@ def class_group(d: int, narrow: bool = True,
 
         ident = canon(principal_form(d))
 
-    if d > 0 and not narrow:
-        # quotient by the class of the totally negative principal form
-        one = principal_form(d)
-        neg = canon(BQForm(-one.a, one.b, -one.c))
-        if neg == ident:
-            pass  # norm -1 unit: narrow and ordinary agree
-        else:
-            orbit = {x: min(x, mul(x, neg)) for x in reps}
-            reps = sorted(set(orbit.values()))
-            inner_mul = mul
+    # with a norm -1 unit the narrow and the ordinary group agree; otherwise
+    # take the quotient by the class of the totally negative principal form
+    if d > 0 and not narrow and not _has_norm_minus_one_unit(d):
+        neg = canon(_negated_principal_form(d))
+        orbit = {x: min(x, mul(x, neg)) for x in reps}
+        reps = sorted(set(orbit.values()))
+        inner_mul = mul
 
-            def mul(x, y):
-                return orbit[inner_mul(x, y)]
+        def mul(x, y):
+            return orbit[inner_mul(x, y)]
 
-            ident = orbit[ident]
+        ident = orbit[ident]
 
     h = len(reps)
     divisors = abelian_structure(reps, mul, ident)
@@ -379,39 +396,23 @@ def two_sylow(cg: FormClassGroup) -> list[int]:
 
 def two_class_number(d: int, narrow: bool = False,
                      bound: int = DEFAULT_CLASS_BOUND) -> int:
-    """Order of the 2-Sylow subgroup of the class group of discriminant d."""
-    return _two_part(class_group(d, narrow=narrow, bound=bound).h)
+    """Order of the 2-Sylow subgroup of the class group of discriminant d.
 
-
-@dataclass(frozen=True)
-class GenusCharacter:
-    """Genus character n -> kronecker(d_i, n) for a prime discriminant d_i."""
-
-    prime_discriminant: int
-    parent: int
-
-    def __call__(self, n: int) -> int:
-        v = kronecker(self.prime_discriminant, n)
-        if v == 0:
-            raise ValueError(
-                f"{n} is not coprime to {self.prime_discriminant}; use the "
-                "character matrix for factor primes"
-            )
-        return v
-
-
-def genus_characters(d: int) -> list[GenusCharacter]:
-    return [GenusCharacter(q, d) for q in factor_discriminant(d)]
-
-
-def genus_character_matrix(d: int) -> list[list[int]]:
-    """Matrix chi_i(p_j) over the prime discriminant factors of d.
-
-    Rows are indexed by characters chi_i, columns by the primes p_j of the
-    factors; the diagonal entry chi_i(p_i) is evaluated through the
-    complementary factor d/d_i, as usual for p_i dividing d_i.
+    Genus theory: for t prime discriminant factors the narrow 2-Sylow has
+    rank t - 1, and its 4-rank is `narrow_four_rank` (Redei).  When the
+    4-rank is 0 the 2-Sylow is elementary, so h2+ = 2^(t-1).  The ordinary
+    group of d > 0 is the narrow one when the fundamental unit has norm -1
+    and its half otherwise; a negative prime discriminant factor rules out
+    norm -1.  Only a positive 4-rank needs the forms enumerated.
     """
-    return character_matrix(factor_discriminant(d))
+    _check_bound(d, bound)
+    qs = factor_discriminant(d)
+    if narrow_four_rank(character_matrix(qs)):
+        return _two_part(class_group(d, narrow=narrow, bound=bound).h)
+    h2 = 2 ** (len(qs) - 1)
+    if d < 0 or narrow or (min(qs) > 0 and _has_norm_minus_one_unit(d)):
+        return h2
+    return h2 // 2
 
 
 def character_matrix(qs: Sequence[int]) -> list[list[int]]:

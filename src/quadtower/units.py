@@ -380,9 +380,9 @@ class _MultiQuadField:
         If eta = (x + y sqrt(m))^2 with x, y in F, then n = x^2 - m y^2 is a
         square root of the relative norm a^2 - m b^2, x^2 = (a + n)/2 and
         m y^2 = (a - n)/2.  Recursing on the norm and on both signs of n
-        reaches every root; each is checked exactly against b = 2xy, cross-
-        multiplied by the denominators.  At Q a fraction in lowest terms is
-        a square when its numerator and denominator are.
+        reaches every root; b = 2xy, compared exactly and cross-multiplied
+        by the denominators, picks the sign of y.  At Q a fraction in lowest
+        terms is a square when its numerator and denominator are.
         """
         coeffs, den = eta
         if len(coeffs) == 1:
@@ -409,7 +409,9 @@ class _MultiQuadField:
             y = self.sqrt(_lowest_terms([c - d for c, d in zip(a, n)], 2 * m * den_n))
             if y is None:
                 continue
-            # 2xy = +-b/den, both sides times den and the denominators of x, y
+            # (2xy)^2 = b^2 holds once x and y exist, so this comparison of
+            # 2xy with +-b/den (both sides times den and the denominators of
+            # x, y) chooses the sign of y; it does not test for a root
             xy2 = [2 * den * c for c in self._mul(x[0], y[0])]
             bxy = [c * x[1] * y[1] for c in b]
             if xy2 == bxy or xy2 == [-c for c in bxy]:

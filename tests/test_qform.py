@@ -1,11 +1,16 @@
 import hashlib
+import json
 import math
+from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+import quadtower.classify as classify_mod
+import quadtower.qform as qform_mod
 from quadtower.arith import (
+    BoundExceededError,
     NotFundamentalError,
     factor_discriminant,
     is_fundamental_discriminant,
@@ -16,19 +21,19 @@ from quadtower.qform import (
     BQForm,
     C4Splitting,
     FormClassGroup,
+    _two_part,
     abelian_structure,
     c4_splittings,
     character_matrix,
     class_group,
     compose,
     cycle_of,
-    genus_character_matrix,
-    genus_characters,
     genus_positivity,
     is_reduced,
     narrow_four_rank,
     principal_form,
     reduce_form,
+    two_class_number,
     two_sylow,
 )
 from quadtower.units import fundamental_unit
@@ -240,16 +245,19 @@ def test_two_sylow_on_synthetic_divisor_chains():
 
 
 def test_genus_characters_values():
-    chars = genus_characters(27993)
-    by_factor = {c.prime_discriminant: c for c in chars}
-    assert set(by_factor) == {-3, -7, -31, -43}
-    assert by_factor[-7](3) == -1
-    assert all(c(1) == 1 for c in chars)
-    chars40 = genus_characters(40)
-    by_factor40 = {c.prime_discriminant: c for c in chars40}
-    assert by_factor40[5](2) == -1
-    with pytest.raises(ValueError):
-        by_factor40[5](10)
+    # the genus character of a prime discriminant factor q is n -> (q / n)
+    qs = factor_discriminant(27993)
+    assert qs == (-3, -7, -31, -43)
+    assert kronecker(-7, 3) == -1
+    assert all(kronecker(q, 1) == 1 for q in qs)
+    qs40 = factor_discriminant(40)
+    assert qs40 == (5, 8)
+    mat = character_matrix(qs40)
+    assert mat[0][1] == kronecker(5, 2) == -1
+    # (5 / 10) = 0 at the factor prime 5: the matrix takes that entry
+    # through the complementary factor instead
+    assert kronecker(5, 10) == 0
+    assert mat[0][0] == kronecker(8, 5) == -1
 
 
 def test_genus_character_matrix_diagonal_convention():
@@ -257,14 +265,14 @@ def test_genus_character_matrix_diagonal_convention():
     # principal character, with the factor-prime value taken through the
     # complementary factor
     for d in (19176, 27993, 6072, 5740, -420, 13420):
-        mat = genus_character_matrix(d)
+        mat = character_matrix(factor_discriminant(d))
         n = len(mat)
         for j in range(n):
             assert math.prod(mat[i][j] for i in range(n)) == 1
     # Sign table for the all-negative discriminant 27993 with the
     # factor order (-3, -7, -31, -43): spot values
-    mat = genus_character_matrix(27993)
     qs = factor_discriminant(27993)
+    mat = character_matrix(qs)
     assert qs == (-3, -7, -31, -43)
     assert mat[1][0] == kronecker(-7, 3) == -1
     assert mat[0][1] == kronecker(-3, 7) == 1
@@ -312,8 +320,8 @@ def _cl2_is_22(d, bound=10**7):
 
 
 def test_narrow_four_rank_pins():
-    assert narrow_four_rank(genus_character_matrix(1596)) == 1  # Cl2 = (2, 4)
-    assert narrow_four_rank(genus_character_matrix(19176)) == 0  # Cl2 = (2, 2)
+    assert narrow_four_rank(character_matrix(factor_discriminant(1596))) == 1  # Cl2 = (2, 4)
+    assert narrow_four_rank(character_matrix(factor_discriminant(19176))) == 0  # Cl2 = (2, 2)
 
 
 @pytest.mark.parametrize(
@@ -339,3 +347,83 @@ def test_narrow_four_rank_property(qs):
     assert sorted(qs, key=abs) == list(factor_discriminant(d))
     # qs is in draw order, not sorted: the rank does not depend on the order
     assert (narrow_four_rank(character_matrix(qs)) == 0) == _cl2_is_22(d)
+
+
+# -- 2-class numbers from genus theory against form enumeration ---------------
+
+
+def _two_class_oracle(d, narrow):
+    return _two_part(class_group(d, narrow=narrow).h)
+
+
+def _assert_two_class_numbers_match_oracle(discs):
+    for d in discs:
+        for narrow in (False, True):
+            assert two_class_number(d, narrow) == _two_class_oracle(d, narrow), (d, narrow)
+
+
+def test_two_class_number_matches_class_group_up_to_3000():
+    _assert_two_class_numbers_match_oracle(fundamental_range(-3000, 3001))
+
+
+@pytest.fixture(scope="module")
+def row_h2_calls():
+    """The discriminant of every two_class_number call verify_invariant_row
+    makes on the 151 row fields of bench/data/row_fields.json, in order."""
+    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "row_fields.json"
+    calls = []
+
+    def recording(d):
+        calls.append(d)
+        return two_class_number(d)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(classify_mod, "two_class_number", recording)
+        for field in json.loads(path.read_text())["fields"]:
+            assert classify_mod.verify_invariant_row(field["d"]).matched
+    return calls
+
+
+def test_two_class_number_matches_class_group_on_row_corpus(row_h2_calls):
+    discs = sorted(set(row_h2_calls))
+    assert len(discs) == 485
+    _assert_two_class_numbers_match_oracle(discs)
+
+
+def test_two_class_number_enumerates_forms_only_for_positive_four_rank(
+    row_h2_calls, monkeypatch
+):
+    enumerated = []
+    original = qform_mod.class_group
+
+    def counting(d, *args, **kwargs):
+        enumerated.append(d)
+        return original(d, *args, **kwargs)
+
+    monkeypatch.setattr(qform_mod, "class_group", counting)
+    for d in row_h2_calls:
+        before = len(enumerated)
+        two_class_number(d)
+        positive = narrow_four_rank(character_matrix(factor_discriminant(d))) > 0
+        assert enumerated[before:] == ([d] if positive else []), d
+    assert (len(row_h2_calls), len(enumerated)) == (1057, 116)
+
+
+@settings(max_examples=50, deadline=None)
+@given(st.integers(-10**6 + 1, 10**6 - 1), st.booleans())
+def test_two_class_number_matches_class_group_property(d, narrow):
+    assume(is_fundamental_discriminant(d))
+    assert two_class_number(d, narrow) == _two_class_oracle(d, narrow)
+
+
+def test_two_class_number_errors_keep_their_order_and_messages():
+    # the bound is checked first, also for a d that is not fundamental
+    for d in (12, -16):
+        with pytest.raises(BoundExceededError) as err:
+            two_class_number(d, bound=10)
+        assert str(err.value) == f"|{d}| exceeds class group bound 10"
+    for d in (0, 1, 16, -12, 10**7 + 2, 9 * 1111113):
+        for narrow in (False, True):
+            with pytest.raises(ValueError) as err:
+                two_class_number(d, narrow, bound=2 * 10**7)
+            assert str(err.value) == f"{d} is not a fundamental discriminant"

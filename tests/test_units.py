@@ -398,6 +398,18 @@ def test_exact_sqrt_and_sign(case):
         assert field.sign(u) == (1 if value > 0 else -1)
 
 
+def test_sqrt_takes_the_sign_of_y_from_b():
+    # At Q both half-roots x and y come out positive, so a root whose
+    # sqrt(m) coefficient is negative is reached only through 2xy = -b.
+    field = _MultiQuadField([2])
+    assert field.sqrt(([3, -2], 1)) == ([1, -1], 1)  # (1 - sqrt 2)^2
+    assert field.sqrt(([3, -2], 4)) == ([1, -1], 2)
+    assert field.sqrt(([3, 2], 1)) == ([1, 1], 1)
+    field = _MultiQuadField([2, 3])
+    assert field.sqrt(([5, 0, 0, -2], 1)) == ([0, 1, -1, 0], 1)  # (sqrt 2 - sqrt 3)^2
+    assert field.sqrt(([5, 0, 0, 2], 1)) == ([0, 1, 1, 0], 1)
+
+
 # ---------------------------------------------------------------------------
 # quadratic characters and the filtered saturation
 
