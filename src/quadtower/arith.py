@@ -28,7 +28,6 @@ __all__ = [
     "prime_of",
     "factor_discriminant",
     "is_sum_of_two_squares",
-    "two_square_decomposition",
 ]
 
 DEFAULT_FACTOR_BOUND = 10**6
@@ -320,30 +319,3 @@ def is_sum_of_two_squares(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
         p % 4 != 3 or e % 2 == 0 for p, e in factorize(n, bound).items()
     )
 
-
-def two_square_decomposition(p: int) -> tuple[int, int]:
-    """Write a prime p = 2 or p = 1 mod 4 as s^2 + t^2 with t odd.
-
-    Returns (s, t) with s, t > 0 and t odd (for p = 2 this is (1, 1)).
-    Uses a square root of -1 mod p followed by Cornacchia descent.
-    """
-    if p == 2:
-        return (1, 1)
-    if p % 4 != 1 or not is_prime(p):
-        raise ValueError(f"{p} is not 2 or a prime = 1 mod 4")
-    # find z with z^2 = -1 mod p from any quadratic non-residue
-    z = 0
-    for a in range(2, p):
-        if kronecker(a, p) == -1:
-            z = pow(a, (p - 1) // 4, p)
-            break
-    assert z * z % p == p - 1
-    a, b = p, z
-    while b * b > p:
-        a, b = b, a % b
-    s = b
-    t = math.isqrt(p - s * s)
-    assert s * s + t * t == p
-    if s % 2 == 1:
-        s, t = t, s
-    return (s, t)

@@ -56,7 +56,6 @@ __all__ = [
     "family_member",
     "iter_family",
     "SCAN_BLOCK",
-    "prime_of",
     "load_tables",
 ]
 
@@ -537,12 +536,14 @@ def verify_invariant_row(
 
 def family_member(d: int, sieved: Sieved | None = None) -> CaseRecord | None:
     """The case record of d, or None when d is not in the family; `sieved`
-    is passed on to `classify`."""
+    is passed on to `classify`.  A member that matches no row, or several,
+    raises as in `classify`: only edited case tables can do that, and a
+    scan must not drop such a d silently."""
     if d % 4 not in (0, 1):
         return None
     try:
         return classify(d, sieved=sieved)
-    except (PreconditionError, NoRowMatchError):
+    except PreconditionError:
         return None
 
 

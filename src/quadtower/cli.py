@@ -609,8 +609,8 @@ def main(argv: list[str] | None = None) -> int:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND
     except (RowPatternsUnavailableError, ValueError) as exc:
-        # PreconditionError, SignRuleError, InvalidTableError and
-        # NotFundamentalError are all ValueErrors
+        # PreconditionError, InvalidTableError and NotFundamentalError are
+        # all ValueErrors
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
     except OSError as exc:

@@ -1,11 +1,13 @@
-"""Rational points on conics a^2 = b^2 d1 + c^2 d2 and derived elements.
+"""Rational points on conics a^2 = b^2 d1 + c^2 d2 and quaternionic elements.
 
-Primitive integer solutions of the diagonal conic feed two constructions:
-quadratic irrationals alpha = a + c sqrt(D) whose norm factors as b^2 d1,
-and multiquadratic elements beta = x1 sqrt(d1) + x2 sqrt(d2) of prescribed
-norm -d3 d4 x3^2.  Both shapes pin down square roots that generate the
-relevant quartic extensions, so every identity here is checked exactly in
-integers; there is no tolerance anywhere.
+A primitive integer solution of the diagonal conic gives a quadratic
+irrationality a + c sqrt(d2) of norm b^2 d1; for the splittings of
+`qform.c4_splittings` that is the element alpha whose square root
+generates a cyclic quartic extension, and the tests check that every such
+conic is solvable.  The module also builds multiquadratic elements
+beta = x1 sqrt(d1) + x2 sqrt(d2) of prescribed norm -d3 d4 x3^2.  Every
+identity here is checked exactly in integers; there is no tolerance
+anywhere.
 
 The solver is a bounded search over (b, c) with a perfect-square test on
 b^2 d1 + c^2 d2.  Before searching it rules out locally insoluble inputs
@@ -33,14 +35,11 @@ from .units import QuadUnit, fundamental_unit
 
 __all__ = [
     "ConicSolution",
-    "AlphaElement",
     "MuElement",
     "ProvablyInsolubleError",
     "NoSolutionWithinBoundError",
     "H8HypothesisError",
-    "SignRuleError",
     "solve_conic",
-    "build_alpha",
     "solve_h8",
     "h8_symbols",
     "DEFAULT_CONIC_BOUND",
@@ -66,10 +65,6 @@ class H8HypothesisError(ValueError):
     """The quaternion-embedding hypotheses fail for the given triple."""
 
 
-class SignRuleError(ValueError):
-    """The requested sign normalization cannot be applied."""
-
-
 @dataclass(frozen=True)
 class ConicSolution:
     """Primitive solution (a, b, c) of a^2 = b^2 delta1 + c^2 delta2."""
@@ -87,44 +82,6 @@ class ConicSolution:
             )
         if math.gcd(self.a, self.b, self.c) != 1:
             raise ValueError("solution is not primitive")
-
-
-@dataclass(frozen=True)
-class AlphaElement:
-    """alpha = a + c sqrt(D) with norm a^2 - c^2 D = b^2 d1.
-
-    The sign of a is meaningful (it selects alpha versus -alpha'), while
-    c > 0 is a normalization.  gamma_multiplier records the convention that
-    the class-field generator is alpha itself when alpha < 0 and d3*alpha
-    when alpha > 0; the caller applies it.
-    """
-
-    a: int
-    c: int
-    base_disc: int
-    companion_b: int
-    d1: int
-    d3: int = 1
-
-    def __post_init__(self):
-        lhs = self.a * self.a - self.c * self.c * self.base_disc
-        rhs = self.companion_b**2 * self.d1
-        if lhs != rhs:
-            raise ValueError(f"norm {lhs} != b^2 d1 = {rhs}")
-        if self.c <= 0:
-            raise ValueError("c must be positive; fold signs into a")
-
-    @property
-    def sign_choice(self) -> int:
-        """Sign of alpha under the real embedding with sqrt(D) > 0."""
-        if self.a >= 0:
-            return 1
-        # a < 0: alpha > 0 iff c sqrt(D) beats |a|
-        return 1 if self.c * self.c * self.base_disc > self.a * self.a else -1
-
-    @property
-    def gamma_multiplier(self) -> int:
-        return 1 if self.sign_choice < 0 else self.d3
 
 
 @dataclass(frozen=True)
@@ -207,54 +164,6 @@ def solve_conic(
             return ConicSolution(a, b, c, (delta1, delta2))
     raise NoSolutionWithinBoundError(
         f"a^2 = b^2*({delta1}) + c^2*({delta2})", bound
-    )
-
-
-def build_alpha(
-    sol: ConicSolution,
-    base_disc: int,
-    d1: int,
-    d3: int = 1,
-    rule: str = "auto",
-    h2_F: int | None = None,
-) -> AlphaElement:
-    """Lift a conic solution to alpha = a + c sqrt(D), D = base_disc.
-
-    The solution must satisfy a^2 = b^2 d1 + c^2 D, i.e. form_params
-    (d1, D).  The returned alpha has norm b^2 d1; when that norm is
-    negative the two real embeddings of alpha have opposite signs and the
-    representative with alpha > 0 is chosen.  When the norm is positive a
-    sign rule is required: "positive", "negative", or "auto", the last
-    selecting both-positive when h2_F >= 4 and both-negative when h2_F == 2.
-    """
-    if sol.form_params != (d1, base_disc):
-        raise ValueError(
-            f"solution solves {sol.form_params}, expected ({d1}, {base_disc})"
-        )
-    if sol.c == 0:
-        raise ValueError("c = 0: alpha would be rational")
-    if rule not in ("auto", "positive", "negative"):
-        raise ValueError(f"unknown sign rule {rule!r}")
-    a = abs(sol.a)
-    norm = sol.b * sol.b * d1
-    if norm < 0:
-        # a^2 < c^2 D: the embeddings have opposite signs, the positive
-        # representative is canonical and no sign rule applies
-        return AlphaElement(a, sol.c, base_disc, sol.b, d1, d3)
-    if rule == "auto":
-        if h2_F is None:
-            raise SignRuleError(
-                "sign rule 'auto' needs the 2-class number of the base field"
-            )
-        if h2_F >= 4:
-            rule = "positive"
-        elif h2_F == 2:
-            rule = "negative"
-        else:
-            raise SignRuleError(f"no sign convention for h2 = {h2_F}")
-    # norm > 0 means a^2 > c^2 D, so sign(a) is the sign of both embeddings
-    return AlphaElement(
-        -a if rule == "negative" else a, sol.c, base_disc, sol.b, d1, d3
     )
 
 

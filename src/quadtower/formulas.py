@@ -1,13 +1,12 @@
 """Exact calculators for 2-class-number formulas of multiquadratic steps.
 
-Two formula families drive the tower bounds: Kuroda's class number formula
-for a V4-extension (a 2-power prefactor times a unit index times the
-product of the subextension class numbers over the square of the base) and
-the ambiguous class number formula #Am_2 = 2^(t-1)/(E:H) for a ramified
-quadratic extension.  Proof-level inputs (unit indices, numbers of ramified
-places, Hasse indices) are never derived here; callers pass them in, or use
-the per-case constants encoded at the bottom.  Everything is an exact
-rational identity, so all arithmetic uses Fraction.
+Two calculators drive the tower bounds: the ambiguous class number formula
+#Am_2 = 2^(t-1)/(E:H) for a ramified quadratic extension, and the growth
+ratio of the main chain, composed from the Kuroda prefactors of its two
+reduction steps.  Kuroda's class number formula itself, over Q, is
+`units.multiquadratic_h2`.  Proof-level inputs (unit indices, numbers of
+ramified places) are never derived here; callers pass them in.  Everything
+is an exact rational identity, so all arithmetic uses Fraction.
 """
 
 from __future__ import annotations
@@ -16,61 +15,16 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 __all__ = [
-    "KurodaInput",
     "AmbiguousInput",
     "MainChainResult",
-    "kuroda_ratio",
     "ambiguous_number",
-    "ambiguous_rank",
     "main_chain",
     "ELL_BY_TYPE",
-    "SPLITTING_RANK_CASES",
-    "case_splitting_rank",
 ]
 
 
 def _is_power_of_two(n: int) -> bool:
     return n >= 1 and n & (n - 1) == 0
-
-
-@dataclass(frozen=True)
-class KurodaInput:
-    """One instance of Kuroda's formula for a V4-extension K/F.
-
-    The ratio computed is q * h1*h2*h3 / (2^(v + prefactor_exponent) * h_F^2).
-    kappa (the number of infinite places of F ramified in K) is carried for
-    the record; the caller derives prefactor_exponent from it and the degree
-    (2 for F = Q totally real, 1 for the CM steps here).  When one subfield
-    class number has been moved to the other side of the equation, pass 1 in
-    its slot and read the result as a ratio.
-    """
-
-    v: int
-    kappa: int
-    unit_index_q: int
-    subfield_h2: tuple[int, int, int]
-    base_h2: int
-    prefactor_exponent: int
-
-    def __post_init__(self):
-        if self.v not in (0, 1):
-            raise ValueError("v must be 0 or 1")
-        if self.kappa < 0:
-            raise ValueError("kappa must be nonnegative")
-        if not _is_power_of_two(self.unit_index_q):
-            raise ValueError(f"unit index {self.unit_index_q} is not a power of 2")
-        if len(self.subfield_h2) != 3 or any(h < 1 for h in self.subfield_h2):
-            raise ValueError("subfield_h2 must be three positive integers")
-        if self.base_h2 < 1:
-            raise ValueError("base_h2 must be positive")
-
-
-def kuroda_ratio(inp: KurodaInput) -> Fraction:
-    h1, h2, h3 = inp.subfield_h2
-    return Fraction(
-        inp.unit_index_q * h1 * h2 * h3,
-        2 ** (inp.v + inp.prefactor_exponent) * inp.base_h2**2,
-    )
 
 
 @dataclass(frozen=True)
@@ -98,11 +52,6 @@ def ambiguous_number(inp: AmbiguousInput) -> int:
             f"inconsistent inputs: (E:H) = {inp.unit_index} does not divide 2^{t - 1}"
         )
     return num // inp.unit_index
-
-
-def ambiguous_rank(inp: AmbiguousInput) -> int:
-    """log2 of #Am_2; equals the 2-rank over a base with odd class number."""
-    return ambiguous_number(inp).bit_length() - 1
 
 
 # Kuroda prefactor ell of the first reduction step, by Galois type of the
@@ -136,25 +85,3 @@ def main_chain(g_type: str, h2_M: int) -> MainChainResult:
     ratio = ell * (1 / (8 * ell)) * h2_M**2
     conclusion = "length >= 3" if ratio >= 2 else "inconclusive"
     return MainChainResult(ratio, conclusion)
-
-
-# Ramification data of the relative quadratic extension generated by the
-# splitting element alpha, for the cases where both alpha embeddings are
-# negative: two infinite places ramify and (E:H) = 4.  The two families
-# differ only in the number of ramified finite places.
-_RANK3_CASES = ("a1", "a2", "b2", "a5", "b5", "a7", "b7")
-_RANK2_CASES = ("b1", "a6", "b6")
-
-SPLITTING_RANK_CASES: dict[str, AmbiguousInput] = {
-    **{label: AmbiguousInput(4, 2, 4) for label in _RANK3_CASES},
-    **{label: AmbiguousInput(3, 2, 4) for label in _RANK2_CASES},
-}
-
-
-def case_splitting_rank(label: str) -> int:
-    """2-rank of Cl(F_c) forced by the ambiguous class number, per case."""
-    try:
-        inp = SPLITTING_RANK_CASES[label]
-    except KeyError:
-        raise ValueError(f"no encoded splitting-rank data for case {label!r}") from None
-    return ambiguous_rank(inp)

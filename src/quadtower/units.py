@@ -573,6 +573,8 @@ def kubota_index(m1: int, m2: int, m3: int | None = None,
 def multiquadratic_h2(subfield_h2: Sequence[int], q: int, degree: int) -> int:
     """2-class number of a real multiquadratic field of degree 4 or 8.
 
+    This is Kuroda's class number formula over Q, with q the unit index
+    and the h2 of the quadratic subfields:
     Degree 4: h2 = q * prod(three subfield h2) / 4.
     Degree 8: h2 = q * prod(seven subfield h2) / 2^9.
     """

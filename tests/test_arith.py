@@ -25,7 +25,6 @@ from quadtower.arith import (
     kronecker,
     sieve_factors,
     squarefree_kernel,
-    two_square_decomposition,
 )
 
 
@@ -347,17 +346,3 @@ def test_sum_of_two_squares_read_off_factors_large(d):
     assume(is_fundamental_discriminant(d))
     assert is_sum_of_two_squares(d) == _sum_of_two_squares_by_factors(d)
 
-
-def test_two_square_decomposition():
-    for p in _primes_below(10000):
-        if p != 2 and p % 4 != 1:
-            with pytest.raises(ValueError):
-                two_square_decomposition(p)
-            continue
-        s, t = two_square_decomposition(p)
-        assert s > 0 and t > 0
-        assert s * s + t * t == p
-        assert t % 2 == 1
-    assert two_square_decomposition(5) == (2, 1)
-    assert two_square_decomposition(13) == (2, 3)
-    assert two_square_decomposition(17) == (4, 1)

@@ -16,6 +16,7 @@ from quadtower.arith import (
     factor_discriminant,
     is_sum_of_two_squares,
     kronecker,
+    prime_of,
 )
 from quadtower.classify import (
     CaseRecord,
@@ -29,7 +30,6 @@ from quadtower.classify import (
     h8_predicate,
     iter_family,
     load_tables,
-    prime_of,
     tower_verdict,
     verify_invariant_row,
 )

@@ -14,7 +14,7 @@ import pytest
 from quadtower import arith
 from quadtower import classify as classify_mod
 from quadtower import cli
-from quadtower.arith import BoundExceededError, NotFundamentalError
+from quadtower.arith import BoundExceededError, NotFundamentalError, factor_discriminant
 from quadtower.classify import (
     InternalConsistencyError,
     NoRowMatchError,
@@ -25,8 +25,9 @@ from quadtower.classify import (
     tower_verdict,
 )
 from quadtower.cli import ScanRecord, main
-from quadtower.conic import NoSolutionWithinBoundError, SignRuleError
+from quadtower.conic import NoSolutionWithinBoundError
 from quadtower.group2 import InvalidTableError
+from quadtower.qform import character_matrix
 
 
 def run(capsys, *argv):
@@ -93,7 +94,6 @@ def test_classify_exit_codes(capsys):
         (RowComputationError(19176, "q1", BoundExceededError("cf")), 5),
         (NoSolutionWithinBoundError("x^2 = 5 y^2", 7), 5),
         (RowPatternsUnavailableError("no patterns"), 2),
-        (SignRuleError("no sign"), 2),
         (InvalidTableError("bad table"), 2),
         (NotFundamentalError("not fundamental"), 2),
     ],
@@ -411,6 +411,35 @@ def test_scan_factor_bound_failure_names_d(capsys):
         "error: cannot factor 5000210000585: cofactor 1000042000117 is "
         "composite with all prime factors > 1000000\n"
     )
+
+
+def test_scan_stops_at_a_member_that_matches_no_row(capsys, monkeypatch):
+    # only edited case tables can leave a signature without a row; the scan
+    # then writes the records before that d and exits 3, as classify d does
+    argv = ["scan", "5", "8000"]
+    records = run(capsys, *argv)[1].splitlines(keepends=True)
+
+    def signature(d):
+        factors = factor_discriminant(d)
+        return classify_mod._signature(factors, character_matrix(factors))
+
+    lost = signature(6072)
+    ds = [json.loads(line)["d"] for line in records]
+    first = next(i for i, d in enumerate(ds) if signature(d) == lost)
+    product = "*".join(map(str, factor_discriminant(ds[first])))
+    search = classify_mod._search
+    monkeypatch.setattr(
+        classify_mod, "_search",
+        lambda factors, mat: None if classify_mod._signature(factors, mat) == lost
+        else search(factors, mat),
+    )
+    for jobs in ("1", "2"):
+        monkeypatch.setattr(classify_mod, "_BY_SIGNATURE", {})
+        assert run(capsys, *argv, "--jobs", jobs) == (
+            3,
+            "".join(records[:first]),
+            f"error: {ds[first]} = {product} matches no classification row\n",
+        )
 
 
 def test_scan_verify_rows_classifies_each_field_once(capsys, monkeypatch):

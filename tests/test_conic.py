@@ -9,18 +9,15 @@ import pytest
 
 from quadtower.arith import NotFundamentalError
 from quadtower.conic import (
-    AlphaElement,
     ConicSolution,
     MuElement,
     NoSolutionWithinBoundError,
     ProvablyInsolubleError,
     H8HypothesisError,
-    SignRuleError,
-    build_alpha,
     solve_conic,
     solve_h8,
 )
-from quadtower.qform import c4_splittings, two_class_number
+from quadtower.qform import c4_splittings
 from quadtower.units import QuadUnit
 
 
@@ -63,59 +60,6 @@ def test_solve_conic_bound_reported():
     with pytest.raises(NoSolutionWithinBoundError) as info:
         solve_conic(-3, 217, bound=2)  # minimal solution has height 3
     assert info.value.bound == 2
-
-
-def test_build_alpha_negative_pair_from_h2():
-    sol = solve_conic(8, 17)
-    assert two_class_number(136) == 2
-    alpha = build_alpha(sol, 17, 8, rule="auto", h2_F=two_class_number(136))
-    # alpha = -5 + sqrt(17): both embeddings negative, alpha*alpha' = 8
-    assert (alpha.a, alpha.c) == (-5, 1)
-    assert alpha.sign_choice == -1
-    assert alpha.a**2 - alpha.c**2 * 17 == alpha.companion_b**2 * alpha.d1
-    assert alpha.gamma_multiplier == 1
-
-
-def test_build_alpha_mixed_sign_norm():
-    sol = ConicSolution(383, 1, 26, (-3, 217))
-    alpha = build_alpha(sol, 217, -3)
-    # norm is -3 < 0, so alpha > 0 regardless of rule and gamma = d3 * alpha
-    assert (alpha.a, alpha.c) == (383, 26)
-    assert alpha.sign_choice == 1
-    assert alpha.gamma_multiplier == 1  # default d3 = 1: caller's convention
-    assert build_alpha(sol, 217, -3, d3=-3).gamma_multiplier == -3
-
-
-def test_build_alpha_explicit_rules():
-    sol = solve_conic(8, 17)
-    assert build_alpha(sol, 17, 8, rule="positive").a == 5
-    assert build_alpha(sol, 17, 8, rule="negative").a == -5
-    assert build_alpha(sol, 17, 8, rule="auto", h2_F=4).a == 5
-    with pytest.raises(SignRuleError, match="auto"):
-        build_alpha(sol, 17, 8)
-    with pytest.raises(SignRuleError, match="h2 = 1"):
-        build_alpha(sol, 17, 8, rule="auto", h2_F=1)
-    with pytest.raises(ValueError, match="unknown sign rule"):
-        build_alpha(sol, 17, 8, rule="flip")
-
-
-def test_build_alpha_rejects_degenerate_input():
-    sol = solve_conic(8, 17)
-    with pytest.raises(ValueError, match="expected"):
-        build_alpha(sol, 17, 5)
-    rational = ConicSolution(2, 1, 0, (4, 17))
-    with pytest.raises(ValueError, match="rational"):
-        build_alpha(rational, 17, 4)
-
-
-def test_alpha_element_validation():
-    with pytest.raises(ValueError, match="norm"):
-        AlphaElement(383, 26, 217, 1, 5)
-    with pytest.raises(ValueError, match="positive"):
-        AlphaElement(5, -1, 17, 1, 8)
-    # non-normality witness: alpha' = b^2 d1 / alpha, a non-square multiple
-    alpha = AlphaElement(-5, 1, 17, 1, 8)
-    assert alpha.a**2 - alpha.c**2 * 17 == 8
 
 
 def test_solve_h8_instances():

@@ -7,46 +7,16 @@ import pytest
 from quadtower.formulas import (
     AmbiguousInput,
     ELL_BY_TYPE,
-    KurodaInput,
     MainChainResult,
-    SPLITTING_RANK_CASES,
     ambiguous_number,
-    ambiguous_rank,
-    case_splitting_rank,
-    kuroda_ratio,
     main_chain,
 )
-
-
-def test_kuroda_quartic_over_q():
-    # 1/4 * q * product of the three quadratic class numbers
-    inp = KurodaInput(0, 0, 2, (1, 2, 1), 1, 2)
-    assert kuroda_ratio(inp) == 1
-
-
-def test_kuroda_minimal_instance():
-    assert kuroda_ratio(KurodaInput(0, 0, 1, (1, 1, 1), 1, 1)) == Fraction(1, 2)
-
-
-def test_kuroda_cm_quartic_step():
-    # 1/2 * h2 of the two reflex quadratics; 8 comes from a (2,16) group
-    assert kuroda_ratio(KurodaInput(0, 1, 1, (1, 8, 1), 1, 1)) == 4
-
-
-def test_kuroda_validation():
-    with pytest.raises(ValueError, match="v must be"):
-        KurodaInput(2, 0, 1, (1, 1, 1), 1, 1)
-    with pytest.raises(ValueError, match="power of 2"):
-        KurodaInput(0, 0, 3, (1, 1, 1), 1, 1)
-    with pytest.raises(ValueError, match="positive integers"):
-        KurodaInput(0, 0, 1, (1, 0, 1), 1, 1)
-    with pytest.raises(ValueError, match="base_h2"):
-        KurodaInput(0, 0, 1, (1, 1, 1), 0, 1)
 
 
 def test_ambiguous_number_instances():
     assert ambiguous_number(AmbiguousInput(1, 0, 1)) == 1
     assert ambiguous_number(AmbiguousInput(4, 2, 4)) == 8
+    assert ambiguous_number(AmbiguousInput(3, 2, 4)) == 4
     assert ambiguous_number(AmbiguousInput(1, 2, 4)) == 1
 
 
@@ -90,16 +60,3 @@ def test_main_chain_validation():
     with pytest.raises(ValueError, match="positive"):
         main_chain("D", 0)
 
-
-def test_case_splitting_ranks():
-    expected = {
-        "a1": 3, "a2": 3, "b2": 3, "a5": 3, "b5": 3, "a7": 3, "b7": 3,
-        "b1": 2, "a6": 2, "b6": 2,
-    }
-    assert {label: case_splitting_rank(label) for label in SPLITTING_RANK_CASES} == expected
-    # both families share the infinite-place count and unit index
-    for label, inp in SPLITTING_RANK_CASES.items():
-        assert (inp.t_inf, inp.unit_index) == (2, 4)
-        assert ambiguous_number(inp) == 2 ** expected[label]
-    with pytest.raises(ValueError, match="no encoded"):
-        case_splitting_rank("c1")

@@ -606,6 +606,7 @@ def test_saturation_of_the_row_corpus_matches_pinned_digest():
 
 
 def test_multiquadratic_h2_validation():
+    # Kuroda's formula for a real biquadratic field: h2 = q h2_1 h2_2 h2_3 / 4
     assert multiquadratic_h2([1, 2, 1], 2, 4) == 1
     assert multiquadratic_h2([1, 4, 2], 2, 4) == 4
     assert multiquadratic_h2([4, 1, 1, 1, 1, 1, 1], 128, 8) == 1
@@ -613,5 +614,5 @@ def test_multiquadratic_h2_validation():
         multiquadratic_h2([1, 1], 2, 4)
     with pytest.raises(ValueError):
         multiquadratic_h2([1, 1, 1], 2, 6)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="inconsistent inputs"):
         multiquadratic_h2([1, 1, 1], 1, 4)
