@@ -11,6 +11,18 @@ from quadtower.formulas import (
     ambiguous_number,
     main_chain,
 )
+from quadtower.units import multiquadratic_h2
+
+
+def test_kuroda_quartic_over_q():
+    # Kuroda over Q: h2 = 1/4 * q * product of the three quadratic class numbers
+    assert multiquadratic_h2((1, 2, 1), 2, 4) == 1
+
+
+def test_kuroda_minimal_instance():
+    # q = 1 with trivial quadratic parts gives h2 = 1/4, which no field has
+    with pytest.raises(ValueError, match="inconsistent inputs"):
+        multiquadratic_h2((1, 1, 1), 1, 4)
 
 
 def test_ambiguous_number_instances():
