@@ -1,9 +1,10 @@
 """Exact integer arithmetic: Kronecker symbols, prime discriminants, squares.
 
 Everything in this module is integer-exact; no floating point is used.
-Factoring is plain trial division with an explicit bound, which is all the
-desk-scale discriminants handled here require; a range of consecutive
-integers is factored with one segmented sieve instead (`sieve_factors`).
+Factoring is plain trial division by the primes up to DEFAULT_FACTOR_BOUND,
+which is all the desk-scale discriminants handled here require; a range of
+consecutive integers is factored with one segmented sieve by the same primes
+instead (`sieve_factors`).
 """
 
 from __future__ import annotations
@@ -71,49 +72,49 @@ def is_prime(n: int) -> bool:
     return True
 
 
-def factorize(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> dict[int, int]:
-    """Factor |n| by trial division up to `bound`; returns {prime: exponent}.
+def factorize(n: int) -> dict[int, int]:
+    """Factor |n| by trial division up to DEFAULT_FACTOR_BOUND; returns
+    {prime: exponent}.
 
     After the trial pass the remaining cofactor must be 1 or prime.  A
-    composite cofactor means every missing prime exceeds `bound`, so we
+    composite cofactor means every missing prime exceeds the bound, so we
     refuse to guess and raise BoundExceededError.
     """
     if n == 0:
         raise ValueError("cannot factor 0")
     rest = abs(n)
     out: dict[int, int] = {}
-    for p in _trial_primes(bound):
+    for p in _trial_primes():
         if p * p > rest:
             break
         while rest % p == 0:
             out[p] = out.get(p, 0) + 1
             rest //= p
-    return _with_cofactor(n, out, rest, bound)
+    return _with_cofactor(n, out, rest)
 
 
-def _with_cofactor(
-    n: int, found: dict[int, int], rest: int, bound: int
-) -> dict[int, int]:
+def _with_cofactor(n: int, found: dict[int, int], rest: int) -> dict[int, int]:
     """`found` completed by the cofactor `rest` that dividing n by primes
-    left; rest has no prime factor up to min(isqrt(rest), bound)."""
+    left; rest has no prime factor up to
+    min(isqrt(rest), DEFAULT_FACTOR_BOUND)."""
     if rest > 1:
-        if rest <= bound * bound or is_prime(rest):
+        if rest <= DEFAULT_FACTOR_BOUND**2 or is_prime(rest):
             # cofactor below bound^2 has no two factors > bound, so prime
             found[rest] = found.get(rest, 0) + 1
         else:
             raise BoundExceededError(
                 f"cannot factor {n}: cofactor {rest} is composite with all "
-                f"prime factors > {bound}"
+                f"prime factors > {DEFAULT_FACTOR_BOUND}"
             )
     return found
 
 
-def _trial_primes(bound: int):
+def _trial_primes():
     yield 2
     yield 3
     p = 5
     step = 2
-    while p <= bound:
+    while p <= DEFAULT_FACTOR_BOUND:
         yield p
         p += step
         step = 6 - step
@@ -216,7 +217,7 @@ def kronecker(a: int, n: int) -> int:
     return result if n == 1 else 0
 
 
-def squarefree_kernel(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> int:
+def squarefree_kernel(n: int) -> int:
     """Largest squarefree divisor pattern: product of primes with odd exponent.
 
     The sign of n is preserved, e.g. squarefree_kernel(-12) == -3.
@@ -224,26 +225,26 @@ def squarefree_kernel(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> int:
     if n == 0:
         raise ValueError("squarefree kernel of 0 is undefined")
     kern = 1
-    for p, e in factorize(n, bound).items():
+    for p, e in factorize(n).items():
         if e % 2 == 1:
             kern *= p
     return kern if n > 0 else -kern
 
 
-def is_fundamental_discriminant(d: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
+def is_fundamental_discriminant(d: int) -> bool:
     """True when d is the discriminant of a quadratic field (so d != 1)."""
     if d in (0, 1):
         return False
     if d % 4 == 1:
-        return _is_squarefree(d, bound)
+        return _is_squarefree(d)
     if d % 4 == 0:
         m = d // 4
-        return m % 4 in (2, 3) and _is_squarefree(m, bound)
+        return m % 4 in (2, 3) and _is_squarefree(m)
     return False
 
 
-def _is_squarefree(n: int, bound: int) -> bool:
-    return all(e == 1 for e in factorize(n, bound).values())
+def _is_squarefree(n: int) -> bool:
+    return all(e == 1 for e in factorize(n).values())
 
 
 def radicand(d: int) -> int:
@@ -274,17 +275,16 @@ def prime_of(d: int) -> int:
     return 2 if d % 2 == 0 else abs(d)
 
 
-def factor_discriminant(
-    d: int, bound: int = DEFAULT_FACTOR_BOUND, sieved: Sieved | None = None
-) -> tuple[int, ...]:
+def factor_discriminant(d: int, sieved: Sieved | None = None) -> tuple[int, ...]:
     """Split a fundamental discriminant into prime discriminants.
 
     The factorization d = d_1 * ... * d_t into prime discriminants is unique;
     factors are returned sorted by increasing |d_i|.  Raises
     NotFundamentalError when d is not a quadratic field discriminant.
     `sieved`, the entry of d from `sieve_factors`, replaces the trial
-    division of d.  The sieve divides by no prime above DEFAULT_FACTOR_BOUND,
-    so the entry's cofactor is checked against the smaller of the two bounds.
+    division of d.  Both leave a cofactor with no prime factor up to
+    min(isqrt(cofactor), DEFAULT_FACTOR_BOUND), so they decide d alike and
+    word a bound failure alike.
     """
     # d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree; the
     # one factorization decides the odd part and yields the factors
@@ -292,11 +292,9 @@ def factor_discriminant(
     if not shaped:
         odd = {}
     elif sieved is None:
-        odd = factorize(d, bound)
+        odd = factorize(d)
     else:
-        odd = _with_cofactor(
-            d, dict(sieved[0]), sieved[1], min(bound, DEFAULT_FACTOR_BOUND)
-        )
+        odd = _with_cofactor(d, dict(sieved[0]), sieved[1])
     odd.pop(2, None)
     if not shaped or any(e > 1 for e in odd.values()):
         raise NotFundamentalError(f"{d} is not a fundamental discriminant")
@@ -309,13 +307,11 @@ def factor_discriminant(
     return tuple(parts)
 
 
-def is_sum_of_two_squares(n: int, bound: int = DEFAULT_FACTOR_BOUND) -> bool:
+def is_sum_of_two_squares(n: int) -> bool:
     """n = x^2 + y^2 solvable iff no prime = 3 mod 4 divides n to an odd power."""
     if n < 0:
         return False
     if n == 0:
         return True
-    return all(
-        p % 4 != 3 or e % 2 == 0 for p, e in factorize(n, bound).items()
-    )
+    return all(p % 4 != 3 or e % 2 == 0 for p, e in factorize(n).items())
 

@@ -28,6 +28,7 @@ from .arith import (
     factor_discriminant,
     kronecker,
     prime_of,
+    radicand,
     sieve_factors,
     squarefree_kernel,
 )
@@ -511,7 +512,7 @@ def verify_invariant_row(
         q_i = _compute(
             d, f"q{i}",
             lambda discs=discs: kubota_index(
-                squarefree_kernel(discs[0]), squarefree_kernel(discs[2]), max_steps=max_steps
+                radicand(discs[0]), radicand(discs[2]), max_steps=max_steps
             ),
         )
         check(f"q{i}", patterns["q"][i - 1], q_i)
@@ -524,7 +525,7 @@ def verify_invariant_row(
         check(f"h2_{i}", patterns["h2"][i - 1], h2_i)
 
     def octic_order() -> int:
-        gens = (squarefree_kernel(d1), squarefree_kernel(d2), squarefree_kernel(d3 * d4))
+        gens = (radicand(d1), radicand(d2), radicand(d3 * d4))
         q = kubota_index(*gens, max_steps=max_steps)
         discs = (d1, d2, d3 * d4, d1 * d2, d1 * d3 * d4, d2 * d3 * d4, d)
         return 4 * multiquadratic_h2([h2(x) for x in discs], q, 8)

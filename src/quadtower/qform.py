@@ -259,11 +259,6 @@ class FormClassGroup:
                 f"type={self.elementary_divisors})")
 
 
-def _check_bound(d: int, bound: int) -> None:
-    if abs(d) > bound:
-        raise BoundExceededError(f"|{d}| exceeds class group bound {bound}")
-
-
 def _negated_principal_form(d: int) -> BQForm:
     one = principal_form(d)
     return BQForm(-one.a, one.b, -one.c)
@@ -280,7 +275,8 @@ def _has_norm_minus_one_unit(d: int) -> bool:
 def class_group(d: int, narrow: bool = True,
                 bound: int = DEFAULT_CLASS_BOUND) -> FormClassGroup:
     """Class group of the fundamental discriminant d by form enumeration."""
-    _check_bound(d, bound)
+    if abs(d) > bound:
+        raise BoundExceededError(f"|{d}| exceeds class group bound {bound}")
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
 
@@ -394,8 +390,7 @@ def two_sylow(cg: FormClassGroup) -> list[int]:
     return sorted(t for t in map(_two_part, cg.elementary_divisors) if t > 1)
 
 
-def two_class_number(d: int, narrow: bool = False,
-                     bound: int = DEFAULT_CLASS_BOUND) -> int:
+def two_class_number(d: int, narrow: bool = False) -> int:
     """Order of the 2-Sylow subgroup of the class group of discriminant d.
 
     Genus theory: for t prime discriminant factors the narrow 2-Sylow has
@@ -403,12 +398,13 @@ def two_class_number(d: int, narrow: bool = False,
     4-rank is 0 the 2-Sylow is elementary, so h2+ = 2^(t-1).  The ordinary
     group of d > 0 is the narrow one when the fundamental unit has norm -1
     and its half otherwise; a negative prime discriminant factor rules out
-    norm -1.  Only a positive 4-rank needs the forms enumerated.
+    norm -1.  Genus theory has no size limit: only a positive 4-rank needs
+    the forms enumerated, and there `class_group` raises BoundExceededError
+    for |d| > DEFAULT_CLASS_BOUND.
     """
-    _check_bound(d, bound)
     qs = factor_discriminant(d)
     if narrow_four_rank(character_matrix(qs)):
-        return _two_part(class_group(d, narrow=narrow, bound=bound).h)
+        return _two_part(class_group(d, narrow=narrow).h)
     h2 = 2 ** (len(qs) - 1)
     if d < 0 or narrow or (min(qs) > 0 and _has_norm_minus_one_unit(d)):
         return h2

@@ -347,7 +347,9 @@ class _MultiQuadField:
         # w[S] = prod(m_i : i in S): sqrt(m_S) sqrt(m_T) = w[S & T] sqrt(m_{S ^ T})
         self.w = [math.prod(m for i, m in enumerate(gens) if mask >> i & 1)
                   for mask in range(2 ** len(gens))]
-        if len({squarefree_kernel(x) for x in self.w}) != len(self.w):
+        # kernel[S]: the squarefree m with Q(sqrt(m)) = Q(sqrt(w[S]))
+        self.kernel = [squarefree_kernel(x) for x in self.w]
+        if len(set(self.kernel)) != len(self.w):
             raise ValueError(f"radicands {gens} are not independent")
 
     def _mul(self, u: list[int], v: list[int]) -> list[int]:
@@ -443,7 +445,7 @@ def _unit_basis(field: _MultiQuadField, max_steps: int) -> list:
     basis = []
     for mask, w in enumerate(field.w[1:], start=1):
         # (x + y' sqrt(m))/2 = (x g + y' sqrt(m_mask))/2g, g^2 = w/m
-        u = unit_of_radicand(squarefree_kernel(w), max_steps)
+        u = unit_of_radicand(field.kernel[mask], max_steps)
         x, ym = u.coords_over_radicand()
         g = math.isqrt(w // u.m)
         coeffs = [0] * len(field.w)

@@ -189,6 +189,20 @@ def test_classify_and_scan_above_old_class_group_cap(capsys):
     assert code == 0
     ds = [json.loads(ln)["d"] for ln in out.splitlines()]
     assert ds and ds == [rec.d for rec in iter_family(10000001, 10000301)]
+    # genus theory gives every subfield h2 with a zero 4-rank, whatever |d|
+    code, out, _ = run(capsys, "verify-row", "10000060")
+    assert code == 0
+    assert "match = NO" not in out
+    code, out, _ = run(capsys, "scan", "10000001", "10000300", "--verify-rows")
+    assert code == 0
+    checks = [json.loads(ln)["verification"] for ln in out.splitlines()]
+    assert (len(checks), checks.count("matched"), checks.count("unavailable")) == (14, 3, 11)
+    # a subfield with positive 4-rank above the bound still needs its forms
+    code, _, err = run(capsys, "verify-row", "1000000140")
+    assert code == 5
+    assert err.strip() == (
+        "error: d = 1000000140, column h2_3: |83333345| exceeds class group bound 10000000"
+    )
 
 
 @pytest.mark.parametrize("lo, hi", [(5, 10**5), (10**7 + 1, 10**7 + 3000)])

@@ -335,6 +335,8 @@ def test_narrow_four_rank_matches_class_group(lo, hi, bound, count, rejects):
     for d, factors in _cl2_candidates(lo, hi):
         is_22 = _cl2_is_22(d, bound)
         assert (narrow_four_rank(character_matrix(factors)) == 0) == is_22, d
+        # genus theory alone gives h2 = 4 there, also above the class group bound
+        assert not is_22 or two_class_number(d) == 4, d
         seen.append(is_22)
     assert (len(seen), seen.count(False)) == (count, rejects)
 
@@ -417,13 +419,16 @@ def test_two_class_number_matches_class_group_property(d, narrow):
 
 
 def test_two_class_number_errors_keep_their_order_and_messages():
-    # the bound is checked first, also for a d that is not fundamental
-    for d in (12, -16):
-        with pytest.raises(BoundExceededError) as err:
-            two_class_number(d, bound=10)
-        assert str(err.value) == f"|{d}| exceeds class group bound 10"
-    for d in (0, 1, 16, -12, 10**7 + 2, 9 * 1111113):
+    # d is checked first, also above the class group bound
+    for d in (0, 1, 16, -16, -12, 10**7 + 2, 9 * 1111113):
         for narrow in (False, True):
             with pytest.raises(ValueError) as err:
-                two_class_number(d, narrow, bound=2 * 10**7)
+                two_class_number(d, narrow)
             assert str(err.value) == f"{d} is not a fundamental discriminant"
+    # only a positive 4-rank enumerates forms, and only there the bound holds
+    d = 83333345
+    assert narrow_four_rank(character_matrix(factor_discriminant(d))) > 0
+    for narrow in (False, True):
+        with pytest.raises(BoundExceededError) as err:
+            two_class_number(d, narrow)
+        assert str(err.value) == f"|{d}| exceeds class group bound 10000000"
