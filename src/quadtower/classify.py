@@ -37,7 +37,13 @@ from .qform import character_matrix, narrow_four_rank, two_class_number
 # neither is called here; bench/spans.py hooks both names on this module
 from .arith import is_sum_of_two_squares  # noqa: F401
 from .qform import class_group  # noqa: F401
-from .units import delta_invariant, fundamental_unit, kubota_index, multiquadratic_h2
+from .units import (
+    QuadUnit,
+    delta_invariant,
+    fundamental_unit,
+    kubota_index,
+    multiquadratic_h2,
+)
 
 __all__ = [
     "CaseRecord",
@@ -440,8 +446,9 @@ def verify_invariant_row(
     the order 4*h2 of the degree-8 step) is computed from scratch via the
     unit and form modules, then matched against the encoded row patterns,
     resolving the nu34 and norm branches by computation.  Each subfield
-    2-class number is computed once per call.  Mismatches are report
-    entries, not errors.  A CaseRecord of d skips classifying it again.
+    fundamental unit and 2-class number is computed once per call.
+    Mismatches are report entries, not errors.  A CaseRecord of d skips
+    classifying it again.
     """
     rec = d if isinstance(d, CaseRecord) else classify(d)
     d = rec.d
@@ -464,7 +471,14 @@ def verify_invariant_row(
         RowEntry("nu", str(expected_nu), str(list(rec.symbol_matrix)), nu_ok)
     )
 
-    eps12 = _compute(d, "n_eps12", lambda: fundamental_unit(d1 * d2, max_steps))
+    unit_of: dict[int, QuadUnit] = {}
+
+    def unit(disc: int) -> QuadUnit:
+        if disc not in unit_of:
+            unit_of[disc] = fundamental_unit(disc, max_steps)
+        return unit_of[disc]
+
+    eps12 = _compute(d, "n_eps12", lambda: unit(d1 * d2))
     eps_sign = eps12.norm
     allowed = patterns["n_eps12"]
     entries.append(
@@ -484,7 +498,7 @@ def verify_invariant_row(
     for column, disc in deltas.items():
         value = _compute(
             d, column,
-            lambda disc=disc: delta_invariant(fundamental_unit(disc, max_steps)).delta,
+            lambda disc=disc: delta_invariant(unit(disc)).delta,
         )
         pattern = _resolve(patterns[column], nu34, eps_sign)
         want = _atoms_value(pattern, a)
@@ -512,7 +526,7 @@ def verify_invariant_row(
         q_i = _compute(
             d, f"q{i}",
             lambda discs=discs: kubota_index(
-                radicand(discs[0]), radicand(discs[2]), max_steps=max_steps
+                radicand(discs[0]), radicand(discs[2]), unit=unit
             ),
         )
         check(f"q{i}", patterns["q"][i - 1], q_i)
@@ -526,7 +540,7 @@ def verify_invariant_row(
 
     def octic_order() -> int:
         gens = (radicand(d1), radicand(d2), radicand(d3 * d4))
-        q = kubota_index(*gens, max_steps=max_steps)
+        q = kubota_index(*gens, unit=unit)
         discs = (d1, d2, d3 * d4, d1 * d2, d1 * d3 * d4, d2 * d3 * d4, d)
         return 4 * multiquadratic_h2([h2(x) for x in discs], q, 8)
 

@@ -272,14 +272,22 @@ def _has_norm_minus_one_unit(d: int) -> bool:
     return reduce_form(_negated_principal_form(d)) in cycle_of(one)
 
 
+def _check_bound(d: int, bound: int) -> None:
+    if abs(d) > bound:
+        raise BoundExceededError(f"|{d}| exceeds class group bound {bound}")
+
+
 def class_group(d: int, narrow: bool = True,
                 bound: int = DEFAULT_CLASS_BOUND) -> FormClassGroup:
     """Class group of the fundamental discriminant d by form enumeration."""
-    if abs(d) > bound:
-        raise BoundExceededError(f"|{d}| exceeds class group bound {bound}")
+    _check_bound(d, bound)
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
+    return _class_group(d, narrow)
 
+
+def _class_group(d: int, narrow: bool) -> FormClassGroup:
+    """class_group for a d already known to be fundamental and in bound."""
     if d < 0:
         reps = sorted(_reduced_forms(d))
         canon = reduce_form
@@ -399,12 +407,13 @@ def two_class_number(d: int, narrow: bool = False) -> int:
     group of d > 0 is the narrow one when the fundamental unit has norm -1
     and its half otherwise; a negative prime discriminant factor rules out
     norm -1.  Genus theory has no size limit: only a positive 4-rank needs
-    the forms enumerated, and there `class_group` raises BoundExceededError
-    for |d| > DEFAULT_CLASS_BOUND.
+    the forms enumerated, and there it raises BoundExceededError for
+    |d| > DEFAULT_CLASS_BOUND, as `class_group` does.
     """
-    qs = factor_discriminant(d)
+    qs = factor_discriminant(d)  # raises unless d is fundamental
     if narrow_four_rank(character_matrix(qs)):
-        return _two_part(class_group(d, narrow=narrow).h)
+        _check_bound(d, DEFAULT_CLASS_BOUND)
+        return _two_part(_class_group(d, narrow).h)
     h2 = 2 ** (len(qs) - 1)
     if d < 0 or narrow or (min(qs) > 0 and _has_norm_minus_one_unit(d)):
         return h2

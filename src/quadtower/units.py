@@ -16,7 +16,10 @@ tried, as in the number field sieve (Adleman 1991; Buhler-Lenstra-Pomerance
 square, each choice of roots of the m_i mod p is a ring map from the
 p-integral elements of K, units among them, onto F_p.  A square maps to a
 square, so a product whose image has Legendre symbol -1 is no square, and
-the exact root search still decides every other product.
+the exact root search still decides every other product.  The 2^r images
+above one prime are one Walsh-Hadamard transform of the element's terms
+under a single choice of roots (Tonelli-Shanks), and each Legendre symbol
+is read from a table of the non-squares mod p.
 """
 
 from __future__ import annotations
@@ -25,7 +28,7 @@ import bisect
 import functools
 import math
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Sequence
+from typing import Callable, Iterable, Mapping, Sequence
 
 from .arith import (
     BoundExceededError,
@@ -57,9 +60,11 @@ __all__ = [
 
 DEFAULT_CF_STEPS = 10**6
 # Quadratic characters that filter the unit-index saturation.  A basis has at
-# most 7 units, so 127 products a round; 24 characters let few non-squares
-# through to the exact root, and more cost more to compute than the roots
-# they would save.
+# most 7 units, so 127 products a round.  On the 151 fields of
+# bench/data/row_fields.json, 24 characters leave 189 of 1353 exact root
+# tries failing, and 32 and 48 leave 56 and 6; with the transform computing
+# all characters above a prime at once, 24 and 32 verify the rows equally
+# fast, and 16 and 48 are slower.
 CHARACTERS = 24
 
 
@@ -440,12 +445,13 @@ class _MultiQuadField:
         return sa if self._sign(self._relative_norm(a, b, m)) > 0 else sb
 
 
-def _unit_basis(field: _MultiQuadField, max_steps: int) -> list:
-    """Fundamental units of the quadratic subfields, one per nonzero mask."""
+def _unit_basis(field: _MultiQuadField, unit: Callable[[int], QuadUnit]) -> list:
+    """Fundamental units of the quadratic subfields, one per nonzero mask;
+    unit(D) is the fundamental unit of discriminant D."""
     basis = []
     for mask, w in enumerate(field.w[1:], start=1):
         # (x + y' sqrt(m))/2 = (x g + y' sqrt(m_mask))/2g, g^2 = w/m
-        u = unit_of_radicand(field.kernel[mask], max_steps)
+        u = unit(discriminant_of(field.kernel[mask]))
         x, ym = u.coords_over_radicand()
         g = math.isqrt(w // u.m)
         coeffs = [0] * len(field.w)
@@ -454,58 +460,114 @@ def _unit_basis(field: _MultiQuadField, max_steps: int) -> list:
     return basis
 
 
-def _characters(gens: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-    """At least CHARACTERS quadratic characters of Q(sqrt(m_1), ..., sqrt(m_r)).
+def _sqrt_mod(a: int, p: int) -> int:
+    """The square root r of a mod p with 0 < r < p/2, for an odd prime p and
+    a nonzero square a mod p.
 
-    Each is (p, rho) with rho[S] the image of sqrt(m_S) in F_p, for the
-    odd primes p, taken in order, that divide no m_i and modulo which every
-    m_i is a nonzero square; each of the 2^r sign choices of the roots of
-    the m_i mod p is one degree-one prime above p.
+    For p = 3 mod 4 it is a^((p+1)/4) up to sign; otherwise Tonelli-Shanks
+    with p - 1 = q 2^s, q odd, and z the least non-residue: r = a^((q+1)/2)
+    is corrected by powers of z^q until t = a^q, the error r^2/a, is 1.
+    """
+    a %= p
+    non_squares = _non_squares(p)
+    if non_squares[a]:  # Tonelli-Shanks would not end
+        raise ValueError(f"{a} is not a nonzero square mod {p}")
+    if p % 4 == 3:
+        r = pow(a, (p + 1) // 4, p)
+    else:
+        q, s = p - 1, 0
+        while q % 2 == 0:
+            q, s = q // 2, s + 1
+        z = non_squares.index(1, 2)
+        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
+        while t != 1:
+            # the order of t is 2^i, i < m
+            i, t2 = 0, t
+            while t2 != 1:
+                t2 = t2 * t2 % p
+                i += 1
+            b = pow(c, 1 << (m - i - 1), p)
+            m, c = i, b * b % p
+            t, r = t * c % p, r * b % p
+    return min(r, p - r)
+
+
+@functools.cache
+def _non_squares(p: int) -> bytes:
+    """Entry x is 1 unless x is a nonzero square mod the odd prime p.
+
+    One table of p bytes for each prime any field's characters have looked
+    at; the characters of the row fields stop below p = 500.
+    """
+    table = bytearray(b"\x01") * p
+    for x in range(1, (p + 1) // 2):
+        table[x * x % p] = 0
+    return bytes(table)
+
+
+def _characters(gens: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+    """The primes of at least CHARACTERS quadratic characters of
+    Q(sqrt(m_1), ..., sqrt(m_r)).
+
+    Each is (p, rho) with rho[S] the image of sqrt(m_S) in F_p under the
+    least roots of the m_i mod p, for the odd primes p, taken in order, that
+    divide no m_i and modulo which every m_i is a nonzero square.  Each of
+    the 2^r sign choices of those roots is one degree-one prime above p and
+    one character, so ceil(CHARACTERS / 2^r) primes are listed.
     """
     chars = []
     lo = 2
-    while len(chars) < CHARACTERS:
+    while len(chars) << len(gens) < CHARACTERS:
         # the primes in (lo, 2 lo], from the shared table
         primes = _primes_upto(2 * lo)
         for p in primes[bisect.bisect_right(primes, lo):]:
-            # Euler's criterion; it is 0 where p divides m
-            if any(pow(m, (p - 1) // 2, p) != 1 for m in gens):
+            non_squares = _non_squares(p)
+            if any(non_squares[m % p] for m in gens):
                 continue
-            roots = [next(x for x in range(1, p) if x * x % p == m % p) for m in gens]
-            for signs in range(2 ** len(gens)):
-                rho = [1]
-                for i, r in enumerate(roots):
-                    r = -r if signs >> i & 1 else r
-                    rho += [x * r % p for x in rho]
-                chars.append((p, tuple(rho)))
-            if len(chars) >= CHARACTERS:
+            rho = [1]
+            for m in gens:
+                r = _sqrt_mod(m, p)
+                rho += [x * r % p for x in rho]
+            chars.append((p, tuple(rho)))
+            if len(chars) << len(gens) >= CHARACTERS:
                 break
         lo *= 2
     return chars
 
 
 def _character_vector(chars: Sequence[tuple[int, tuple[int, ...]]], u) -> int:
-    """Bit j is set when the Legendre symbol of u's image under chars[j] is -1.
+    """Bit k 2^r + s is set when the Legendre symbol of u's image at the
+    prime chars[k] with sign choice s is -1.
 
-    The image of u = (coeffs, den) is den^-1 * sum(coeffs[S] rho[S]) mod p.
-    A denominator divisible by p or a zero image raises: neither occurs for
-    a unit, since p is prime to 2 m_1 ... m_r and so the unit and its
-    inverse both have p-integral coefficients.
+    Sign choice s negates the roots of the m_i for the bits i of s, so it
+    sends sqrt(m_S) to (-1)^|S & s| rho[S] and u = (coeffs, den) to
+    den^-1 sum(coeffs[S] rho[S] (-1)^|S & s|) mod p: the Walsh-Hadamard
+    transform of the terms coeffs[S] rho[S] / den gives all 2^r images in
+    r 2^r additions.  A denominator divisible by p or a zero image raises:
+    neither occurs for a unit, since p is prime to 2 m_1 ... m_r and so the
+    unit and its inverse both have p-integral coefficients.
     """
     vector = 0
     coeffs, den = u
-    images = {}  # coeffs times den^-1 mod p, reduced once for each prime
-    for j, (p, rho) in enumerate(chars):
-        if p not in images:
-            if den % p == 0:
-                raise ArithmeticError(f"the denominator of {u} has no inverse mod {p}")
-            inv = pow(den, -1, p)
-            images[p] = [c * inv % p for c in coeffs]
-        image = sum(c * r for c, r in zip(images[p], rho)) % p
-        if image == 0:
-            raise ArithmeticError(f"{u} vanishes at a prime above {p}")
-        if pow(image, (p - 1) // 2, p) != 1:
-            vector |= 1 << j
+    size = len(coeffs)
+    # the butterflies of the r generator axes, one pair of masks each
+    pairs = [(i, i | h) for h in (1 << k for k in range(size.bit_length() - 1))
+             for i in range(size) if not i & h]
+    for k, (p, rho) in enumerate(chars):
+        if den % p == 0:
+            raise ArithmeticError(f"the denominator of {u} has no inverse mod {p}")
+        inv = pow(den, -1, p)
+        images = [c % p * r * inv for c, r in zip(coeffs, rho)]
+        for i, j in pairs:
+            a, b = images[i], images[j]
+            images[i], images[j] = a + b, a - b
+        non_squares = _non_squares(p)
+        for s, image in enumerate(images):
+            image %= p
+            if image == 0:
+                raise ArithmeticError(f"{u} vanishes at a prime above {p}")
+            if non_squares[image]:
+                vector |= 1 << (k * size + s)
     return vector
 
 
@@ -545,7 +607,8 @@ def _saturate(field: _MultiQuadField, basis: Sequence) -> tuple[int, list]:
 
 
 def kubota_index(m1: int, m2: int, m3: int | None = None,
-                 max_steps: int = DEFAULT_CF_STEPS) -> int:
+                 max_steps: int = DEFAULT_CF_STEPS,
+                 unit: Callable[[int], QuadUnit] | None = None) -> int:
     """Unit index q(K/Q) = (E_K : <subfield fundamental units, -1>).
 
     K = Q(sqrt(m1), sqrt(m2)[, sqrt(m3)]) must be totally real.  Saturates
@@ -564,12 +627,18 @@ def kubota_index(m1: int, m2: int, m3: int | None = None,
     the same first square is found, the same roots are swapped in and q is
     the same.  Once the basis vectors are independent over F_2 no product
     passes, which certifies q without another root search.
+
+    unit(D) gives the fundamental unit of the subfield of discriminant D;
+    it defaults to fundamental_unit(D, max_steps).  A caller that indexes
+    several fields with common subfields passes one memo to all of them.
     """
     gens = [squarefree_kernel(m) for m in (m1, m2, m3) if m is not None]
     if any(m <= 1 for m in gens):
         raise ValueError(f"radicands {gens} do not span a totally real field")
+    if unit is None:
+        unit = functools.partial(fundamental_unit, max_steps=max_steps)
     field = _MultiQuadField(gens)
-    return _saturate(field, _unit_basis(field, max_steps))[0]
+    return _saturate(field, _unit_basis(field, unit))[0]
 
 
 def multiquadratic_h2(subfield_h2: Sequence[int], q: int, degree: int) -> int:

@@ -1,14 +1,18 @@
 """Case classification, tower verdicts, and invariant-row verification."""
 
+import dataclasses
+import hashlib
+import json
 import math
 import time
 from collections import Counter
 from itertools import combinations, permutations, product
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
 
-from quadtower import arith, qform
+from quadtower import arith, qform, units
 from quadtower import classify as classify_mod
 from quadtower.arith import (
     BoundExceededError,
@@ -254,6 +258,27 @@ def test_invariant_row_computes_each_two_class_number_once(monkeypatch):
     assert set(calls.values()) == {2}
 
 
+def test_invariant_row_runs_each_continued_fraction_once(monkeypatch):
+    original = units.fundamental_unit
+    calls = Counter()
+
+    def counting(disc, *args, **kwargs):
+        calls[disc] += 1
+        return original(disc, *args, **kwargs)
+
+    # the columns and kubota_index look fundamental_unit up in two modules
+    monkeypatch.setattr(classify_mod, "fundamental_unit", counting)
+    monkeypatch.setattr(units, "fundamental_unit", counting)
+    by_d = verify_invariant_row(19176)
+    d1, d2, d3, d4 = by_d.assignment
+    # the octic field and its quartic subfields have seven quadratic subfields
+    assert set(calls) == {d1, d2, d3 * d4, d1 * d2, d1 * d3 * d4, d2 * d3 * d4, 19176}
+    assert set(calls.values()) == {1}
+    # the units live for one call only
+    assert verify_invariant_row(classify(19176)) == by_d
+    assert set(calls.values()) == {2}
+
+
 def test_invariant_row_two_class_number_failure_names_column(monkeypatch):
     def exhausted(disc):
         raise BoundExceededError(f"form bound exceeded at {disc}")
@@ -261,6 +286,22 @@ def test_invariant_row_two_class_number_failure_names_column(monkeypatch):
     monkeypatch.setattr(classify_mod, "two_class_number", exhausted)
     with pytest.raises(RowComputationError, match=r"^d = 19176, column h2_1: "):
         verify_invariant_row(19176)
+
+
+# sha256 of the compact JSON list of every InvariantRowReport of
+# bench/data/row_fields.json, each as dataclasses.astuple (d, label,
+# assignment, nu34, eps_sign and every column's expected and computed value),
+# pinned from the character-by-character filter of commit 61cb93f
+ROW_CORPUS_REPORTS_SHA256 = "c007170d394f1d9714f6a54d917663e1a787dc93ae92ed08aefb5677da57ac91"
+
+
+def test_invariant_reports_of_the_row_corpus_match_pinned_digest():
+    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "row_fields.json"
+    fields = [f["d"] for f in json.loads(path.read_text())["fields"]]
+    reports = [dataclasses.astuple(verify_invariant_row(d)) for d in fields]
+    assert len(reports) == 151
+    digest = hashlib.sha256(json.dumps(reports, separators=(",", ":")).encode()).hexdigest()
+    assert digest == ROW_CORPUS_REPORTS_SHA256
 
 
 def test_invariant_row_unavailable():

@@ -396,13 +396,18 @@ def test_two_class_number_enumerates_forms_only_for_positive_four_rank(
     row_h2_calls, monkeypatch
 ):
     enumerated = []
-    original = qform_mod.class_group
+    original = qform_mod._class_group
 
     def counting(d, *args, **kwargs):
         enumerated.append(d)
         return original(d, *args, **kwargs)
 
-    monkeypatch.setattr(qform_mod, "class_group", counting)
+    def refactoring(d):
+        raise AssertionError(f"{d} is factored again")
+
+    monkeypatch.setattr(qform_mod, "_class_group", counting)
+    # factor_discriminant has already found d fundamental
+    monkeypatch.setattr(qform_mod, "is_fundamental_discriminant", refactoring)
     for d in row_h2_calls:
         before = len(enumerated)
         two_class_number(d)

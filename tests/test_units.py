@@ -28,6 +28,7 @@ from quadtower.units import (
     _characters,
     _MultiQuadField,
     _saturate,
+    _sqrt_mod,
     _unit_basis,
     QuadUnit,
     conjugate_sign_table,
@@ -419,41 +420,75 @@ def _brute_image(c, p):
     return next(x for x in range(p) if (c.denominator * x - c.numerator) % p == 0)
 
 
+def test_sqrt_mod_matches_exhaustive_search():
+    # p = 1 mod 4 takes Tonelli-Shanks, whose loop can run twice or more
+    # only for p = 1 mod 8
+    for p in range(3, 1000, 2):
+        if not is_prime(p):
+            continue
+        least = {}
+        for x in range(p - 1, 0, -1):
+            least[x * x % p] = x
+        assert len(least) == (p - 1) // 2
+        for a, x in least.items():
+            assert _sqrt_mod(a, p) == x == min(x, p - x)
+            assert _sqrt_mod(a + 5 * p, p) == x
+        # zero and the least non-squares
+        for a in [0] + [a for a in range(2, p) if a not in least][:3]:
+            with pytest.raises(ValueError, match=f"^{a} is not a nonzero square mod {p}$"):
+                _sqrt_mod(a, p)
+
+
+def _sign_choices(p, rho, count):
+    """Every character above p by brute force: for each sign choice s the
+    roots with those of m_i negated for the bits i of s, and the images of
+    all sqrt(m_S) as products of those roots."""
+    roots = [rho[1 << i] for i in range(count)]
+    out = []
+    for s in range(2 ** count):
+        signed = [-r if s >> i & 1 else r for i, r in enumerate(roots)]
+        out.append(tuple(math.prod(r for i, r in enumerate(signed) if t >> i & 1) % p
+                         for t in range(2 ** count)))
+    return out
+
+
 @settings(deadline=None)
 @given(field_elements())
 def test_characters_are_legendre_symbols_of_images(case):
     gens, _, u = case
     chars = _characters(gens)
-    assert len(chars) >= CHARACTERS
-    by_prime = {}
+    size = 2 ** len(gens)
+    assert len(chars) * size >= CHARACTERS > (len(chars) - 1) * size
     for p, rho in chars:
         assert is_prime(p) and all(m % p for m in [2] + gens)
         roots = tuple(rho[1 << i] for i in range(len(gens)))
-        assert all((r * r - m) % p == 0 for r, m in zip(roots, gens))
+        assert all((r * r - m) % p == 0 and 2 * r < p for r, m in zip(roots, gens))
         assert all(rho[s] == math.prod(r for i, r in enumerate(roots) if s >> i & 1) % p
-                   for s in range(len(rho)))
-        by_prime.setdefault(p, set()).add(roots)
+                   for s in range(size))
     # every sign choice of the roots, i.e. every prime of K above p, once
-    assert all(len(roots) == 2 ** len(gens) for roots in by_prime.values())
-    assert len(chars) == len(by_prime) * 2 ** len(gens)
+    expanded = [(p, rho_s) for p, rho in chars for rho_s in _sign_choices(p, rho, len(gens))]
+    for p, _ in chars:
+        above = {tuple(rho_s[1 << i] for i in range(len(gens))) for q, rho_s in expanded if q == p}
+        assert len(above) == size
     # the primes are the first ones, in order, modulo which every m_i is a square
     primes = [p for p, _ in chars]
-    assert primes == sorted(primes)
-    assert list(by_prime) == [p for p in range(3, primes[-1] + 1, 2) if is_prime(p)
-                              and all(kronecker(m, p) == 1 for m in gens)]
+    assert primes == [p for p in range(3, primes[-1] + 1, 2) if is_prime(p)
+                      and all(kronecker(m, p) == 1 for m in gens)]
     if any(u[1] % p == 0 for p in primes):
         with pytest.raises(ArithmeticError):
             _character_vector(chars, u)
         return
-    images = [sum(_brute_image(c, p) * r for c, r in zip(_fractions(u), rho)) % p
-              for p, rho in chars]
+    images = [sum(_brute_image(c, p) * r for c, r in zip(_fractions(u), rho_s)) % p
+              for p, rho_s in expanded]
     if 0 in images:
         with pytest.raises(ArithmeticError):
             _character_vector(chars, u)
         return
-    squares = [{x * x % p for x in range(1, p)} for p, _ in chars]
+    squares = [{x * x % p for x in range(1, p)} for p, _ in expanded]
     vector = _character_vector(chars, u)
-    assert [vector >> j & 1 for j in range(len(chars))] == \
+    # bit prime_index * 2^r + sign choice
+    assert vector >> len(expanded) == 0
+    assert [vector >> j & 1 for j in range(len(expanded))] == \
         [int(image not in sq) for image, sq in zip(images, squares)]
 
 
@@ -485,10 +520,11 @@ def test_character_vector_raises_on_zero_denominator_or_image():
 
     raises_naming(([1, p, 0, 0], p), chars)  # 1/p + sqrt(2)
     raises_naming(([p, 0, 0, 0], 1), chars)
-    # sqrt(2) - r vanishes exactly at the primes that send sqrt(2) to r
+    # sqrt(2) - r vanishes exactly at the primes above q that send sqrt(2)
+    # to r, which exist where r^2 = 2 mod q
     u = ([-rho[1], 1, 0, 0], 1)
     raises_naming(u, chars[:1])
-    _character_vector([(q, r) for q, r in chars if (r[1] - rho[1]) % q], u)
+    _character_vector([(q, r) for q, r in chars if (rho[1] ** 2 - 2) % q], u)
 
 
 def _reference_saturate(field, basis):
@@ -532,7 +568,7 @@ def _check_saturation(gens) -> bool:
     the final basis's character matrix has full rank, in which case no
     product passes the filter and a rerun from that basis tries no sqrt."""
     field = _MultiQuadField(gens)
-    basis = _unit_basis(field, 10**6)
+    basis = _unit_basis(field, fundamental_unit)
     q, final = _saturate(field, basis)
     assert (q, final) == _reference_saturate(field, basis)
     chars = _characters(gens)
@@ -597,7 +633,7 @@ def test_saturation_of_the_row_corpus_matches_pinned_digest():
     for d in _row_corpus():
         for gens in _row_calls(d):
             field = _MultiQuadField(gens)
-            q, final = _saturate(field, _unit_basis(field, 10**6))
+            q, final = _saturate(field, _unit_basis(field, fundamental_unit))
             out.append([list(gens), q, [[[f.numerator, f.denominator] for f in _fractions(u)]
                                         for u in final]])
     assert len(out) == 604
