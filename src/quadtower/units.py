@@ -47,7 +47,6 @@ __all__ = [
     "NormMinusOneError",
     "DecompositionError",
     "fundamental_unit",
-    "unit_of_radicand",
     "delta_invariant",
     "sqrt_unit_decomposition",
     "sqrt_conjugate_sign",
@@ -149,11 +148,6 @@ def fundamental_unit(d: int, max_steps: int = DEFAULT_CF_STEPS) -> QuadUnit:
     raise BoundExceededError(
         f"continued fraction of discriminant {d} exceeded {max_steps} steps"
     )
-
-
-def unit_of_radicand(m: int, max_steps: int = DEFAULT_CF_STEPS) -> QuadUnit:
-    """Fundamental unit of Q(sqrt(m)) for a squarefree m > 1."""
-    return fundamental_unit(discriminant_of(m), max_steps)
 
 
 @dataclass(frozen=True)
@@ -607,8 +601,7 @@ def _saturate(field: _MultiQuadField, basis: Sequence) -> tuple[int, list]:
 
 
 def kubota_index(m1: int, m2: int, m3: int | None = None,
-                 max_steps: int = DEFAULT_CF_STEPS,
-                 unit: Callable[[int], QuadUnit] | None = None) -> int:
+                 unit: Callable[[int], QuadUnit] = fundamental_unit) -> int:
     """Unit index q(K/Q) = (E_K : <subfield fundamental units, -1>).
 
     K = Q(sqrt(m1), sqrt(m2)[, sqrt(m3)]) must be totally real.  Saturates
@@ -629,14 +622,12 @@ def kubota_index(m1: int, m2: int, m3: int | None = None,
     passes, which certifies q without another root search.
 
     unit(D) gives the fundamental unit of the subfield of discriminant D;
-    it defaults to fundamental_unit(D, max_steps).  A caller that indexes
-    several fields with common subfields passes one memo to all of them.
+    it defaults to fundamental_unit.  A caller that indexes several fields
+    with common subfields passes one memo to all of them.
     """
     gens = [squarefree_kernel(m) for m in (m1, m2, m3) if m is not None]
     if any(m <= 1 for m in gens):
         raise ValueError(f"radicands {gens} do not span a totally real field")
-    if unit is None:
-        unit = functools.partial(fundamental_unit, max_steps=max_steps)
     field = _MultiQuadField(gens)
     return _saturate(field, _unit_basis(field, unit))[0]
 

@@ -12,7 +12,12 @@ import time
 from fractions import Fraction
 
 from analytic import analytic_class_number, log_fundamental_unit
-from quadtower.arith import is_fundamental_discriminant, is_prime, kronecker, radicand
+from quadtower.arith import (
+    discriminant_of,
+    is_fundamental_discriminant,
+    is_prime,
+    kronecker,
+)
 from quadtower.classify import (
     Verdict,
     classify,
@@ -36,7 +41,6 @@ from quadtower.units import (
     delta_invariant,
     fundamental_unit,
     sqrt_unit_decomposition,
-    unit_of_radicand,
 )
 
 
@@ -212,17 +216,17 @@ def _primes_3_mod_4(bound):
 def test_criterion_6_unit_sign_and_genus_suite():
     failures = []
     for p in _primes_3_mod_4(500):
-        dec = sqrt_unit_decomposition(unit_of_radicand(p))
+        dec = sqrt_unit_decomposition(fundamental_unit(discriminant_of(p)))
         if dec.sign_identity(leading=2 * p) != -kronecker(-p, 2):
             failures.append(f"sign identity fails at radicand {p}")
     pairs = _primes_3_mod_4(200)
     for i, p in enumerate(pairs):
         for q in pairs[i + 1:]:
-            dec = sqrt_unit_decomposition(unit_of_radicand(p * q))
+            dec = sqrt_unit_decomposition(fundamental_unit(discriminant_of(p * q)))
             if dec.sign_identity(leading=p) != kronecker(p, q):
                 failures.append(f"sign identity fails at radicand {p * q}")
     for p in pairs:
-        dec = sqrt_unit_decomposition(unit_of_radicand(2 * p))
+        dec = sqrt_unit_decomposition(fundamental_unit(discriminant_of(2 * p)))
         if dec.sign_identity(leading=2) != kronecker(2, p):
             failures.append(f"sign identity fails at radicand {2 * p}")
 
@@ -235,7 +239,7 @@ def test_criterion_6_unit_sign_and_genus_suite():
             expected = primes[0] * primes[2] * primes[3]
         else:
             expected = primes[0] * primes[1]
-        delta = int(delta_invariant(unit_of_radicand(radicand(rec.d))))
+        delta = int(delta_invariant(fundamental_unit(rec.d)))
         if delta != expected:
             failures.append(f"{rec.d} ({rec.label}): delta {delta} != {expected}")
         elif not genus_positivity(rec.d, delta):

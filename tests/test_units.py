@@ -39,7 +39,6 @@ from quadtower.units import (
     sqrt_conjugate_sign,
     sqrt_unit_decomposition,
     unit_conjugate_sign,
-    unit_of_radicand,
     word_conjugate_sign,
 )
 
@@ -99,13 +98,13 @@ def test_unit_identity_and_minimality_up_to_2000():
 def test_norm_signs_follow_classical_splitting():
     # over Q(sqrt(p)): norm -1 iff p = 2 or p = 1 mod 4
     for p in [q for q in range(2, 500) if is_prime(q)]:
-        u = unit_of_radicand(p)
+        u = fundamental_unit(discriminant_of(p))
         assert u.norm == (-1 if p == 2 or p % 4 == 1 else 1)
     # composite radicands with every prime 3 mod 4 force norm +1
-    assert unit_of_radicand(21).norm == 1
-    assert unit_of_radicand(1333).norm == 1
-    assert unit_of_radicand(65).norm == -1
-    assert unit_of_radicand(34).norm == 1
+    assert fundamental_unit(discriminant_of(21)).norm == 1
+    assert fundamental_unit(discriminant_of(1333)).norm == 1
+    assert fundamental_unit(discriminant_of(65)).norm == -1
+    assert fundamental_unit(discriminant_of(34)).norm == 1
 
 
 def test_coords_over_radicand():
@@ -160,7 +159,7 @@ def test_sign_identity_prime_pairs_3_mod_4():
     ps = primes_3_mod_4(200)
     for i, p in enumerate(ps):
         for q in ps[i + 1:]:
-            dec = sqrt_unit_decomposition(unit_of_radicand(p * q))
+            dec = sqrt_unit_decomposition(fundamental_unit(discriminant_of(p * q)))
             assert set(dec.basis) == {p, q}
             s = dec.sign_identity(leading=p)
             assert s == kronecker(p, q) == -kronecker(q, p)
@@ -169,7 +168,7 @@ def test_sign_identity_prime_pairs_3_mod_4():
 def test_sign_identity_radicand_2p():
     # units of Q(sqrt(2p)), p = 3 mod 4: sqrt(eps) = a sqrt(2) + b sqrt(p)
     for p in primes_3_mod_4(200):
-        dec = sqrt_unit_decomposition(unit_of_radicand(2 * p))
+        dec = sqrt_unit_decomposition(fundamental_unit(discriminant_of(2 * p)))
         assert set(dec.basis) == {2, p}
         assert dec.a % 2 == 0 and dec.b % 2 == 0
         assert dec.sign_identity(leading=2) == kronecker(2, p) \
@@ -179,7 +178,7 @@ def test_sign_identity_radicand_2p():
 def test_sign_identity_radicand_p():
     # units of Q(sqrt(p)), p = 3 mod 4: sqrt(eps) = (a sqrt(2p) + b sqrt(2))/2
     for p in primes_3_mod_4(500):
-        dec = sqrt_unit_decomposition(unit_of_radicand(p))
+        dec = sqrt_unit_decomposition(fundamental_unit(discriminant_of(p)))
         assert set(dec.basis) == {2 * p, 2}
         assert dec.a % 2 == 1 and dec.b % 2 == 1
         assert dec.sign_identity(leading=2 * p) == -kronecker(-p, 2)
@@ -220,13 +219,13 @@ def test_conjugate_sign_table_field_27993():
     # genus field, embeddings fixing sqrt(31), columns ordered
     # s1, s2, s3, s1s2, s1s3, s2s3, s1s2s3 where s_i flips sqrt(p_i) only
     # for (p1, p2, p3) = (7, 3, 43).
-    e12 = unit_of_radicand(21)
-    e13 = unit_of_radicand(301)
-    e14 = unit_of_radicand(217)
-    e23 = unit_of_radicand(129)
-    e24 = unit_of_radicand(93)
-    e34 = unit_of_radicand(1333)
-    ek = unit_of_radicand(27993)
+    e12 = fundamental_unit(discriminant_of(21))
+    e13 = fundamental_unit(discriminant_of(301))
+    e14 = fundamental_unit(discriminant_of(217))
+    e23 = fundamental_unit(discriminant_of(129))
+    e24 = fundamental_unit(discriminant_of(93))
+    e34 = fundamental_unit(discriminant_of(1333))
+    ek = fundamental_unit(discriminant_of(27993))
 
     words = [
         [("sqrt", e12), ("sqrt", e13)],
@@ -256,7 +255,7 @@ def test_conjugate_sign_table_field_27993():
 
 def test_unit_genus_positivity_instance_27993():
     # all-negative factorization without -4: delta(eps) = p1*p3*p4
-    u = unit_of_radicand(27993)
+    u = fundamental_unit(discriminant_of(27993))
     assert int(delta_invariant(u)) == 7 * 43 * 31
     dec = sqrt_unit_decomposition(u)
     assert set(dec.basis) == {3, 7 * 43 * 31}
@@ -267,7 +266,7 @@ def test_unit_genus_positivity_instance_27993():
 def test_unit_genus_positivity_instance_3948():
     # all-negative factorization with -4: d = (-7)(-3)(-47)(-4),
     # radicand 987, delta(eps) = p1*p2 = 21
-    u = unit_of_radicand(987)
+    u = fundamental_unit(discriminant_of(987))
     assert int(delta_invariant(u)) == 21
     dec = sqrt_unit_decomposition(u)
     assert set(dec.basis) == {47, 21}
