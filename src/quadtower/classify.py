@@ -436,9 +436,7 @@ def _compute(d: int, column: str, fn):
         raise RowComputationError(d, column, e) from e
 
 
-def verify_invariant_row(
-    d: int | CaseRecord, max_steps: int = 10**6
-) -> InvariantRowReport:
+def verify_invariant_row(d: int | CaseRecord) -> InvariantRowReport:
     """Recompute the invariant-row quantities for d and diff them.
 
     Every value (delta of the three relevant units, the norm of eps over
@@ -475,7 +473,7 @@ def verify_invariant_row(
 
     def unit(disc: int) -> QuadUnit:
         if disc not in unit_of:
-            unit_of[disc] = fundamental_unit(disc, max_steps)
+            unit_of[disc] = fundamental_unit(disc)
         return unit_of[disc]
 
     eps12 = _compute(d, "n_eps12", lambda: unit(d1 * d2))

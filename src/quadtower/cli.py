@@ -357,7 +357,7 @@ def cmd_scan(args: argparse.Namespace) -> int:
 
 
 def cmd_verify_row(args: argparse.Namespace) -> int:
-    report = verify_invariant_row(args.d, max_steps=args.max_steps)
+    report = verify_invariant_row(args.d)
     print(
         f"d = {report.d}  case = {report.label}  "
         f"nu34 = {report.nu34}  N(eps12) = {report.eps_sign:+d}"
@@ -400,14 +400,20 @@ def _integer_unit_form(u) -> str | None:
 
 def cmd_unit(args: argparse.Namespace) -> int:
     u = fundamental_unit(args.d, max_steps=args.max_steps)
-    integer_form = _integer_unit_form(u)
-    rendered = f"{u}" if integer_form is None else f"{u} = {integer_form}"
-    print(f"epsilon = {rendered}")
-    print(f"norm = {u.norm:+d}")
+    # lift Python's int-to-str digit guard for this output only
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(0)
     try:
-        print(f"delta = {delta_invariant(u).delta}")
-    except NormMinusOneError:
-        print("delta = undefined (norm -1)")
+        integer_form = _integer_unit_form(u)
+        rendered = f"{u}" if integer_form is None else f"{u} = {integer_form}"
+        print(f"epsilon = {rendered}")
+        print(f"norm = {u.norm:+d}")
+        try:
+            print(f"delta = {delta_invariant(u).delta}")
+        except NormMinusOneError:
+            print("delta = undefined (norm -1)")
+    finally:
+        sys.set_int_max_str_digits(limit)
     return EXIT_OK
 
 
@@ -552,7 +558,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify-row", help="verify the invariant-table row")
     p.add_argument("d", type=_target)
-    p.add_argument("--max-steps", type=int, default=10**6)
     p.set_defaults(func=cmd_verify_row)
 
     p = sub.add_parser("conic", help="solve x^2 = d1 y^2 + d2 z^2")

@@ -4,8 +4,10 @@ Forms (a, b, c) of fundamental discriminant d = b^2 - 4ac are reduced either
 in the definite sense (d < 0) or onto cycles of reduced forms under the rho
 operator (d > 0).  For d > 0 the form class group is the *narrow* class
 group; the ordinary class group is its quotient by the class of the negated
-principal form.  Group structure is read off the number of solutions of
-x^(p^k) = 1 for each prime power p^k dividing the class number.
+principal form, which is trivial when the fundamental unit has norm -1.  The
+continued fraction of `units.fundamental_unit` decides that norm.  Group
+structure is read off the number of solutions of x^(p^k) = 1 for each prime
+power p^k dividing the class number.
 
 2-class numbers come from genus theory where it decides them: for t prime
 discriminant factors the narrow 2-rank is t - 1, and when the Redei 4-rank is
@@ -28,6 +30,7 @@ from .arith import (
     kronecker,
     prime_of,
 )
+from .units import fundamental_unit
 
 __all__ = [
     "BQForm",
@@ -264,14 +267,6 @@ def _negated_principal_form(d: int) -> BQForm:
     return BQForm(-one.a, one.b, -one.c)
 
 
-def _has_norm_minus_one_unit(d: int) -> bool:
-    """For d > 0: the negated principal form lies on the principal cycle, so
-    the fundamental unit has norm -1 and the narrow and ordinary groups agree.
-    """
-    one = reduce_form(principal_form(d))
-    return reduce_form(_negated_principal_form(d)) in cycle_of(one)
-
-
 def _check_bound(d: int, bound: int) -> None:
     if abs(d) > bound:
         raise BoundExceededError(f"|{d}| exceeds class group bound {bound}")
@@ -322,7 +317,7 @@ def _class_group(d: int, narrow: bool) -> FormClassGroup:
 
     # with a norm -1 unit the narrow and the ordinary group agree; otherwise
     # take the quotient by the class of the totally negative principal form
-    if d > 0 and not narrow and not _has_norm_minus_one_unit(d):
+    if d > 0 and not narrow and fundamental_unit(d).norm > 0:
         neg = canon(_negated_principal_form(d))
         orbit = {x: min(x, mul(x, neg)) for x in reps}
         reps = sorted(set(orbit.values()))
@@ -406,16 +401,16 @@ def two_class_number(d: int, narrow: bool = False) -> int:
     4-rank is 0 the 2-Sylow is elementary, so h2+ = 2^(t-1).  The ordinary
     group of d > 0 is the narrow one when the fundamental unit has norm -1
     and its half otherwise; a negative prime discriminant factor rules out
-    norm -1.  Genus theory has no size limit: only a positive 4-rank needs
-    the forms enumerated, and there it raises BoundExceededError for
-    |d| > DEFAULT_CLASS_BOUND, as `class_group` does.
+    norm -1, and `fundamental_unit` decides it for the other d.  Only a
+    positive 4-rank needs the forms enumerated, and there it raises
+    BoundExceededError for |d| > DEFAULT_CLASS_BOUND, as `class_group` does.
     """
     qs = factor_discriminant(d)  # raises unless d is fundamental
     if narrow_four_rank(character_matrix(qs)):
         _check_bound(d, DEFAULT_CLASS_BOUND)
         return _two_part(_class_group(d, narrow).h)
     h2 = 2 ** (len(qs) - 1)
-    if d < 0 or narrow or (min(qs) > 0 and _has_norm_minus_one_unit(d)):
+    if d < 0 or narrow or (min(qs) > 0 and fundamental_unit(d).norm < 0):
         return h2
     return h2 // 2
 

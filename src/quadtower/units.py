@@ -1,7 +1,10 @@
 """Fundamental units, the delta invariant, square-root decompositions.
 
 The fundamental unit of a real quadratic order is read off the continued
-fraction of the standard generator.  For norm +1 units, Hilbert 90 gives
+fraction of the standard generator (p0 + sqrt(m))/q0.  Its period ends where
+the complete quotient's denominator returns to q0, so the expansion keeps
+O(1) integers, and the parity of the period is the sign of N(eps), which
+`qform` reads from here too.  For norm +1 units, Hilbert 90 gives
 sqrt(eps) = (1 + eps)/sqrt(N(1 + eps)), so eps has a square root of the shape
 (a sqrt(m1) + b sqrt(m2))/2 with m1 the squarefree kernel delta of N(1+eps);
 the associated sign (a^2 m1 - b^2 m2)/4 = +-1 reproduces the classical
@@ -108,46 +111,37 @@ class QuadUnit:
 def fundamental_unit(d: int, max_steps: int = DEFAULT_CF_STEPS) -> QuadUnit:
     """Fundamental unit > 1 of the real quadratic field of discriminant d.
 
-    Runs the continued fraction of (1+sqrt(m))/2 resp. sqrt(m) until the
-    first repeated complete quotient, then extracts the automorph matrix;
-    its bottom row gives the unit, and its determinant the norm.
+    The continued fraction of omega = (p0 + sqrt(m))/q0, (1 + sqrt(m))/2
+    resp. sqrt(m), is purely periodic from its first complete quotient
+    (p + sqrt(m))/q, and its period k ends at the first step k >= 1 with
+    q = q0.  The last convergent r/s gives eps = r - s*conj(omega) and
+    N(eps) = (-1)^k; the loop keeps O(1) integers.  It needs
+    max_steps >= k + 1, or k when omega lies on the cycle (d = 5).
     """
     if d <= 0 or not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a positive fundamental discriminant")
     m = radicand(d)
-    if m % 4 == 1:
-        p_cur, q_cur = 1, 2
-    else:
-        p_cur, q_cur = 0, 1
+    p0, q0 = (1, 2) if m % 4 == 1 else (0, 1)
+    p, q = p0, q0
     sq = math.isqrt(m)
-    pm1, pm2, qm1, qm2 = 1, 0, 0, 1
-    seen: dict[tuple[int, int], tuple[int, int, int, int, int]] = {}
+    r, r1, s, s1 = 1, 0, 0, 1  # convergents r/s and the one before
     step = 0
     while step <= max_steps:
-        key = (p_cur, q_cur)
-        if key in seen:
-            k, ak11, ak12, ak21, ak22 = seen[key]
-            det_a = ak11 * ak22 - ak12 * ak21
-            # S = B * A^(-1) with A^(-1) = det(A) * adjugate(A)
-            s21 = det_a * (qm1 * ak22 - qm2 * ak21)
-            s22 = det_a * (qm2 * ak11 - qm1 * ak12)
-            norm = -1 if (step - k) % 2 else 1
-            if m % 4 == 1:
-                x, y = s21 + 2 * s22, s21
-            else:
-                x, y = 2 * s22, s21
-            unit = QuadUnit(d, abs(x), abs(y), norm)
-            return unit
-        seen[key] = (step, pm1, pm2, qm1, qm2)
-        a = (p_cur + sq) // q_cur
-        pm1, pm2 = a * pm1 + pm2, pm1
-        qm1, qm2 = a * qm1 + qm2, qm1
-        p_cur = a * q_cur - p_cur
-        q_cur = (m - p_cur * p_cur) // q_cur
         step += 1
-    raise BoundExceededError(
-        f"continued fraction of discriminant {d} exceeded {max_steps} steps"
-    )
+        a = (p + sq) // q
+        r, r1 = a * r + r1, r
+        s, s1 = a * s + s1, s
+        p = a * q - p
+        q = (m - p * p) // q
+        if q == q0:
+            break
+    if step + (p != p0) > max_steps:
+        raise BoundExceededError(
+            f"continued fraction of discriminant {d} exceeded {max_steps} steps"
+        )
+    # eps = r - s (p0 - sqrt(m))/q0, written as (x + y sqrt(d))/2
+    x = 2 * r - s if q0 == 2 else 2 * r
+    return QuadUnit(d, x, s, -1 if step % 2 else 1)
 
 
 @dataclass(frozen=True)
@@ -329,7 +323,8 @@ def _lowest_terms(coeffs: list[int], den: int) -> tuple[list[int], int]:
 
 
 class _MultiQuadField:
-    """Q(sqrt(m_1), ..., sqrt(m_r)) for multiplicatively independent m_i > 1.
+    """Q(sqrt(m_1), ..., sqrt(m_r)) for squarefree, multiplicatively
+    independent m_i > 1.
 
     An element is a pair (coeffs, den): 2^r integer coefficients over the
     product basis sqrt(m_S) = prod(sqrt(m_i) : i in S), indexed by the bit
@@ -343,11 +338,13 @@ class _MultiQuadField:
 
     def __init__(self, gens: Sequence[int]):
         self.gens = tuple(gens)
-        # w[S] = prod(m_i : i in S): sqrt(m_S) sqrt(m_T) = w[S & T] sqrt(m_{S ^ T})
-        self.w = [math.prod(m for i, m in enumerate(gens) if mask >> i & 1)
-                  for mask in range(2 ** len(gens))]
-        # kernel[S]: the squarefree m with Q(sqrt(m)) = Q(sqrt(w[S]))
-        self.kernel = [squarefree_kernel(x) for x in self.w]
+        # w[S] = prod(m_i : i in S): sqrt(m_S) sqrt(m_T) = w[S & T] sqrt(m_{S ^ T});
+        # kernel[S]: the squarefree m with Q(sqrt(m)) = Q(sqrt(w[S])), and
+        # for squarefree k and m the kernel of k m is k m / gcd(k, m)^2
+        self.w, self.kernel = [1], [1]
+        for m in gens:
+            self.w += [x * m for x in self.w]
+            self.kernel += [k * m // math.gcd(k, m) ** 2 for k in self.kernel]
         if len(set(self.kernel)) != len(self.w):
             raise ValueError(f"radicands {gens} are not independent")
 

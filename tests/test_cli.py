@@ -569,6 +569,22 @@ def test_unit_output(capsys):
     assert "delta = undefined" in out
 
 
+def test_unit_prints_more_digits_than_the_int_str_guard(capsys):
+    # x has 4315 digits, past Python's default limit of 4300 for str(int);
+    # the command lifts the limit for its output only
+    limit = sys.get_int_max_str_digits()
+    code, out, err = run(capsys, "unit", "2287489453")
+    assert (code, err) == (0, "")
+    epsilon, norm, delta = out.splitlines()
+    x = epsilon.removeprefix("epsilon = (").split(" ")[0]
+    assert len(x) == 4315 and x.isdigit()
+    assert (norm, delta) == ("norm = +1", "delta = 69257")
+    assert sys.get_int_max_str_digits() == limit
+    if limit:  # parsing keeps the guard
+        with pytest.raises(ValueError):
+            int(x)
+
+
 def test_classgroup_output(capsys):
     code, out, _ = run(capsys, "classgroup", "--", "-23")
     assert code == 0

@@ -219,6 +219,16 @@ def test_narrow_to_ordinary_ratio_tracks_unit_norm():
             assert ratio == 2, d
 
 
+def test_unit_norm_matches_the_principal_cycle():
+    # N(eps) = -1 exactly when the negated principal form lies on the cycle
+    # of the principal form
+    for d in fundamental_range(5, 10001):
+        one = principal_form(d)
+        negated = reduce_form(BQForm(-one.a, one.b, -one.c))
+        on_cycle = negated in cycle_of(reduce_form(one))
+        assert (fundamental_unit(d).norm == -1) == on_cycle, d
+
+
 def _prime_factors(n):
     n = abs(n)
     out = []

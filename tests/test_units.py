@@ -4,6 +4,7 @@ import functools
 import hashlib
 import json
 import math
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -17,6 +18,7 @@ from quadtower.arith import (
     is_fundamental_discriminant,
     is_prime,
     kronecker,
+    radicand,
     squarefree_kernel,
 )
 from quadtower.classify import classify
@@ -75,6 +77,66 @@ def test_fundamental_unit_rejects_bad_discriminants():
             fundamental_unit(d)
     with pytest.raises(BoundExceededError):
         fundamental_unit(19176, max_steps=2)
+
+
+def _reference_fundamental_unit(d, max_steps=10**6):
+    """(x, y, norm, steps) by the earlier continued fraction: it stores every
+    complete quotient with its convergents, stops at the first repeat, and
+    inverts the automorph matrix of the period.  steps is the least
+    max_steps it needs; past max_steps it raises BoundExceededError."""
+    m = radicand(d)
+    p_cur, q_cur = (1, 2) if m % 4 == 1 else (0, 1)
+    sq = math.isqrt(m)
+    pm1, pm2, qm1, qm2 = 1, 0, 0, 1
+    seen = {}
+    step = 0
+    while step <= max_steps:
+        key = (p_cur, q_cur)
+        if key in seen:
+            k, ak11, ak12, ak21, ak22 = seen[key]
+            det_a = ak11 * ak22 - ak12 * ak21
+            # S = B * A^(-1) with A^(-1) = det(A) * adjugate(A)
+            s21 = det_a * (qm1 * ak22 - qm2 * ak21)
+            s22 = det_a * (qm2 * ak11 - qm1 * ak12)
+            norm = -1 if (step - k) % 2 else 1
+            x = s21 + 2 * s22 if m % 4 == 1 else 2 * s22
+            return abs(x), abs(s21), norm, step
+        seen[key] = (step, pm1, pm2, qm1, qm2)
+        a = (p_cur + sq) // q_cur
+        pm1, pm2 = a * pm1 + pm2, pm1
+        qm1, qm2 = a * qm1 + qm2, qm1
+        p_cur = a * q_cur - p_cur
+        q_cur = (m - p_cur * p_cur) // q_cur
+        step += 1
+    raise BoundExceededError(f"{d} exceeded {max_steps} steps")
+
+
+def test_fundamental_unit_matches_reference_and_its_step_bound():
+    checked = 0
+    for d in range(5, 30001):
+        if not is_fundamental_discriminant(d):
+            continue
+        x, y, norm, steps = _reference_fundamental_unit(d)
+        with pytest.raises(BoundExceededError):
+            _reference_fundamental_unit(d, steps - 1)
+        u = fundamental_unit(d, steps)
+        assert (u.x, u.y, u.norm) == (x, y, norm), d
+        with pytest.raises(BoundExceededError, match=f"discriminant {d} exceeded"):
+            fundamental_unit(d, steps - 1)
+        checked += 1
+    assert checked == 9118
+
+
+def test_fundamental_unit_keeps_constant_state():
+    # x has 4315 digits; a table of every step's convergents peaked at 18 MB
+    tracemalloc.start()
+    try:
+        u = fundamental_unit(2287489453)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert u.norm == 1 and u.x.bit_length() > 14000
+    assert peak < 2**20
 
 
 def test_unit_identity_and_minimality_up_to_2000():
