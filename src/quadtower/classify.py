@@ -249,7 +249,8 @@ def classify(d: int, sieved: Sieved | None = None) -> CaseRecord:
     permutation search `_search` fills, on its first sight; later
     candidates with that signature cost one dict lookup.  A signature is
     four classes and sixteen signs, most of them tied by quadratic
-    reciprocity, so the memo stays small (at most 1472 entries) without an
+    reciprocity, and sorting by |q| lets an even factor follow only -3, 5
+    and -7, so the memo stays small (at most 768 entries) without an
     eviction rule.  `sieved`, the entry of d from `arith.sieve_factors`,
     spares factoring d again.
     """

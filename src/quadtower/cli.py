@@ -164,15 +164,20 @@ def _load_config(path: str | None) -> dict:
     return config
 
 
+def _positive(value, source: str) -> int:
+    """value if it is a positive int, else an error naming its source."""
+    if type(value) is not int or value < 1:  # rejects bool too
+        raise PreconditionError(f"{source} must be a positive integer, got {value!r}")
+    return value
+
+
 def _scan_setting(args_value, config: dict, path: str | None, key: str, default):
     """A positive int: flag (None when unset) beats config beats default."""
     value, source = args_value, f"--{key}"
     if value is None:
         value = config.get("scan", {}).get(key, default)
         source = f"scan.{key} in config {path}"
-    if type(value) is not int or value < 1:  # rejects bool too
-        raise PreconditionError(f"{source} must be a positive integer, got {value!r}")
-    return value
+    return _positive(value, source)
 
 
 def _checkpoint_path(raw: str) -> Path:
@@ -376,7 +381,8 @@ def cmd_verify_row(args: argparse.Namespace) -> int:
 
 def cmd_conic(args: argparse.Namespace) -> int:
     try:
-        sol = solve_conic(args.delta1, args.delta2, bound=args.bound)
+        sol = solve_conic(args.delta1, args.delta2,
+                          bound=_positive(args.bound, "--bound"))
     except ProvablyInsolubleError as exc:
         print(f"no solution exists: {exc}")
         return EXIT_OK
@@ -399,7 +405,7 @@ def _integer_unit_form(u) -> str | None:
 
 
 def cmd_unit(args: argparse.Namespace) -> int:
-    u = fundamental_unit(args.d, max_steps=args.max_steps)
+    u = fundamental_unit(args.d, max_steps=_positive(args.max_steps, "--max-steps"))
     # lift Python's int-to-str digit guard for this output only
     limit = sys.get_int_max_str_digits()
     sys.set_int_max_str_digits(0)

@@ -16,13 +16,11 @@ relative norms to Q, as in Wada's unit-group algorithm for multiquadratic
 fields.  Only products that pass a quadratic-character filter get a root
 tried, as in the number field sieve (Adleman 1991; Buhler-Lenstra-Pomerance
 1993): at an odd prime p dividing no m_i modulo which every m_i is a
-square, each choice of roots of the m_i mod p is a ring map from the
+square, the least roots of the m_i mod p define a ring map from the
 p-integral elements of K, units among them, onto F_p.  A square maps to a
 square, so a product whose image has Legendre symbol -1 is no square, and
-the exact root search still decides every other product.  The 2^r images
-above one prime are one Walsh-Hadamard transform of the element's terms
-under a single choice of roots (Tonelli-Shanks), and each Legendre symbol
-is read from a table of the non-squares mod p.
+the exact root search still decides every other product.  One table per
+prime gives the roots and the symbols.
 """
 
 from __future__ import annotations
@@ -61,13 +59,13 @@ __all__ = [
 ]
 
 DEFAULT_CF_STEPS = 10**6
-# Quadratic characters that filter the unit-index saturation.  A basis has at
-# most 7 units, so 127 products a round.  On the 151 fields of
-# bench/data/row_fields.json, 24 characters leave 189 of 1353 exact root
-# tries failing, and 32 and 48 leave 56 and 6; with the transform computing
-# all characters above a prime at once, 24 and 32 verify the rows equally
-# fast, and 16 and 48 are slower.
-CHARACTERS = 24
+# Quadratic characters that filter the unit-index saturation, one per prime.
+# A basis has at most 7 units, so 127 products a round.  On the 151 fields of
+# bench/data/row_fields.json, 10, 12, 16 and 24 characters leave 44, 7, 0
+# and 0 of about 1200 exact root tries failing, and verify the rows in 0.93,
+# 0.88, 0.98 and 1.12 times the time of 24 characters taken as 8 sign
+# choices above 3 primes (median ratio of 12 alternating passes).
+CHARACTERS = 12
 
 
 class NormMinusOneError(ValueError):
@@ -451,114 +449,70 @@ def _unit_basis(field: _MultiQuadField, unit: Callable[[int], QuadUnit]) -> list
     return basis
 
 
-def _sqrt_mod(a: int, p: int) -> int:
-    """The square root r of a mod p with 0 < r < p/2, for an odd prime p and
-    a nonzero square a mod p.
-
-    For p = 3 mod 4 it is a^((p+1)/4) up to sign; otherwise Tonelli-Shanks
-    with p - 1 = q 2^s, q odd, and z the least non-residue: r = a^((q+1)/2)
-    is corrected by powers of z^q until t = a^q, the error r^2/a, is 1.
-    """
-    a %= p
-    non_squares = _non_squares(p)
-    if non_squares[a]:  # Tonelli-Shanks would not end
-        raise ValueError(f"{a} is not a nonzero square mod {p}")
-    if p % 4 == 3:
-        r = pow(a, (p + 1) // 4, p)
-    else:
-        q, s = p - 1, 0
-        while q % 2 == 0:
-            q, s = q // 2, s + 1
-        z = non_squares.index(1, 2)
-        m, c, t, r = s, pow(z, q, p), pow(a, q, p), pow(a, (q + 1) // 2, p)
-        while t != 1:
-            # the order of t is 2^i, i < m
-            i, t2 = 0, t
-            while t2 != 1:
-                t2 = t2 * t2 % p
-                i += 1
-            b = pow(c, 1 << (m - i - 1), p)
-            m, c = i, b * b % p
-            t, r = t * c % p, r * b % p
-    return min(r, p - r)
-
-
 @functools.cache
-def _non_squares(p: int) -> bytes:
-    """Entry x is 1 unless x is a nonzero square mod the odd prime p.
+def _roots(p: int) -> tuple[int, ...]:
+    """Entry a is the square root r of a mod the odd prime p with
+    0 < r < p/2, or 0 when a is zero or no square mod p.
 
-    One table of p bytes for each prime any field's characters have looked
-    at; the characters of the row fields stop below p = 500.
+    One table of p entries for each prime any field's characters have
+    looked at, giving both the roots and the Legendre symbols mod p; the
+    characters of the row fields stop at p = 1019.
     """
-    table = bytearray(b"\x01") * p
-    for x in range(1, (p + 1) // 2):
-        table[x * x % p] = 0
-    return bytes(table)
+    table = [0] * p
+    for r in range(1, (p + 1) // 2):
+        table[r * r % p] = r
+    return tuple(table)
 
 
 def _characters(gens: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
-    """The primes of at least CHARACTERS quadratic characters of
-    Q(sqrt(m_1), ..., sqrt(m_r)).
+    """CHARACTERS quadratic characters of Q(sqrt(m_1), ..., sqrt(m_r)).
 
     Each is (p, rho) with rho[S] the image of sqrt(m_S) in F_p under the
-    least roots of the m_i mod p, for the odd primes p, taken in order, that
-    divide no m_i and modulo which every m_i is a nonzero square.  Each of
-    the 2^r sign choices of those roots is one degree-one prime above p and
-    one character, so ceil(CHARACTERS / 2^r) primes are listed.
+    least roots of the m_i mod p, for the first CHARACTERS odd primes p
+    that divide no m_i and modulo which every m_i is a square.  The roots
+    fix one degree-one prime of K above p, and the character is the
+    Legendre symbol of an element's image there.
     """
     chars = []
     lo = 2
-    while len(chars) << len(gens) < CHARACTERS:
+    while len(chars) < CHARACTERS:
         # the primes in (lo, 2 lo], from the shared table
         primes = _primes_upto(2 * lo)
         for p in primes[bisect.bisect_right(primes, lo):]:
-            non_squares = _non_squares(p)
-            if any(non_squares[m % p] for m in gens):
-                continue
+            roots = _roots(p)
             rho = [1]
             for m in gens:
-                r = _sqrt_mod(m, p)
+                r = roots[m % p]
+                if not r:
+                    break
                 rho += [x * r % p for x in rho]
-            chars.append((p, tuple(rho)))
-            if len(chars) << len(gens) >= CHARACTERS:
-                break
+            else:
+                chars.append((p, tuple(rho)))
+                if len(chars) == CHARACTERS:
+                    break
         lo *= 2
     return chars
 
 
 def _character_vector(chars: Sequence[tuple[int, tuple[int, ...]]], u) -> int:
-    """Bit k 2^r + s is set when the Legendre symbol of u's image at the
-    prime chars[k] with sign choice s is -1.
+    """Bit k is set when the Legendre symbol of u's image at the prime of
+    chars[k] is -1.
 
-    Sign choice s negates the roots of the m_i for the bits i of s, so it
-    sends sqrt(m_S) to (-1)^|S & s| rho[S] and u = (coeffs, den) to
-    den^-1 sum(coeffs[S] rho[S] (-1)^|S & s|) mod p: the Walsh-Hadamard
-    transform of the terms coeffs[S] rho[S] / den gives all 2^r images in
-    r 2^r additions.  A denominator divisible by p or a zero image raises:
-    neither occurs for a unit, since p is prime to 2 m_1 ... m_r and so the
-    unit and its inverse both have p-integral coefficients.
+    The image of u = (coeffs, den) is den^-1 sum(coeffs[S] rho[S]) mod p.  A
+    denominator divisible by p or a zero image raises: neither occurs for a
+    unit, since p is prime to 2 m_1 ... m_r and so the unit and its inverse
+    both have p-integral coefficients.
     """
     vector = 0
     coeffs, den = u
-    size = len(coeffs)
-    # the butterflies of the r generator axes, one pair of masks each
-    pairs = [(i, i | h) for h in (1 << k for k in range(size.bit_length() - 1))
-             for i in range(size) if not i & h]
     for k, (p, rho) in enumerate(chars):
         if den % p == 0:
             raise ArithmeticError(f"the denominator of {u} has no inverse mod {p}")
-        inv = pow(den, -1, p)
-        images = [c % p * r * inv for c, r in zip(coeffs, rho)]
-        for i, j in pairs:
-            a, b = images[i], images[j]
-            images[i], images[j] = a + b, a - b
-        non_squares = _non_squares(p)
-        for s, image in enumerate(images):
-            image %= p
-            if image == 0:
-                raise ArithmeticError(f"{u} vanishes at a prime above {p}")
-            if non_squares[image]:
-                vector |= 1 << (k * size + s)
+        image = sum(c * r for c, r in zip(coeffs, rho)) * pow(den, -1, p) % p
+        if image == 0:
+            raise ArithmeticError(f"{u} vanishes at a prime above {p}")
+        if not _roots(p)[image]:
+            vector |= 1 << k
     return vector
 
 

@@ -650,3 +650,43 @@ def test_scanned_signatures_are_in_the_audit(audit, lo, empty_memo):
     assert classify_mod._BY_SIGNATURE
     for key, outcome in classify_mod._BY_SIGNATURE.items():
         assert outcomes[key] == {outcome}, key
+
+
+def _sortable(factors, mat) -> bool:
+    """Whether factors sorted by |q| can have this audit case's signature.
+    The factors before an even one have smaller |q|, so they are among
+    -3, 5 and -7, the only primes of their classes mod 8 below 8; these
+    are the audit's own class primes, so the factors must be distinct and
+    their symbols must be the true ones."""
+    even = [i for i, q in enumerate(factors) if q in _EVEN_FACTORS]
+    if not even:
+        return True
+    small = factors[:even[0]]
+    return (all(abs(q) < abs(factors[even[0]]) for q in small)
+            and len(set(small)) == len(small)
+            and all(mat[i][j] == kronecker(small[i], prime_of(small[j]))
+                    for i, j in permutations(range(len(small)), 2)))
+
+
+def test_one_witness_per_sortable_signature(audit, empty_memo):
+    outcomes, _ = audit
+    sortable = {classify_mod._signature(factors, mat)
+                for factors, mat in _audit_cases() if _sortable(factors, mat)}
+    path = Path(__file__).resolve().parent / "data" / "signature_witnesses.json"
+    witnesses = json.loads(path.read_text())["witnesses"]
+    witnessed = set()
+    for d in witnesses:
+        assert 0 < d < 2 * 10**6
+        factors = factor_discriminant(d)
+        key = classify_mod._signature(factors, character_matrix(factors))
+        (expected,) = outcomes[key]
+        if isinstance(expected, classify_mod._Row):
+            rec = classify(d)
+            assert (rec.label, rec.assignment) == \
+                (expected.label, tuple(factors[i] for i in expected.at)), d
+        else:
+            with pytest.raises(PreconditionError, match=f"4-rank is {expected}, need 0$"):
+                classify(d)
+        witnessed.add(key)
+    assert len(witnesses) == len(witnessed) == 768
+    assert witnessed == sortable

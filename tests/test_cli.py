@@ -557,6 +557,18 @@ def test_conic_insoluble(capsys):
     assert "no solution exists" in out
 
 
+@pytest.mark.parametrize(
+    "argv, error",
+    [
+        (["unit", "12", "--max-steps", "-3"], "--max-steps must be a positive integer, got -3"),
+        (["conic", "8", "17", "--bound", "0"], "--bound must be a positive integer, got 0"),
+    ],
+    ids=["unit-max-steps", "conic-bound"],
+)
+def test_search_bounds_must_be_positive(capsys, argv, error):
+    assert run(capsys, *argv) == (2, "", f"error: {error}\n")
+
+
 def test_unit_output(capsys):
     code, out, _ = run(capsys, "unit", "12")
     assert code == 0
