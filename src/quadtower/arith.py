@@ -3,14 +3,14 @@
 Everything in this module is integer-exact; no floating point is used.
 Factoring is plain trial division by the primes up to DEFAULT_FACTOR_BOUND,
 which is all the desk-scale discriminants handled here require; a range of
-consecutive integers is factored with one segmented sieve by the same primes
-instead (`sieve_factors`).
+consecutive integers is factored with one segmented sieve (`sieve_factors`)
+that reads the same table of primes.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
-from itertools import compress
+from itertools import compress, islice
 import math
 
 __all__ = [
@@ -51,7 +51,7 @@ def is_prime(n: int) -> bool:
     """Deterministic primality test (Miller-Rabin, exact through 64 bits)."""
     if n < 2:
         return False
-    for p in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for p in _MR_WITNESSES:
         if n % p == 0:
             return n == p
     d = n - 1
@@ -73,8 +73,8 @@ def is_prime(n: int) -> bool:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Factor |n| by trial division up to DEFAULT_FACTOR_BOUND; returns
-    {prime: exponent}.
+    """Factor |n| by trial division by the primes up to
+    min(isqrt(|n|), DEFAULT_FACTOR_BOUND); returns {prime: exponent}.
 
     After the trial pass the remaining cofactor must be 1 or prime.  A
     composite cofactor means every missing prime exceeds the bound, so we
@@ -84,7 +84,7 @@ def factorize(n: int) -> dict[int, int]:
         raise ValueError("cannot factor 0")
     rest = abs(n)
     out: dict[int, int] = {}
-    for p in _trial_primes():
+    for p in _primes_upto(min(math.isqrt(rest), DEFAULT_FACTOR_BOUND)):
         if p * p > rest:
             break
         while rest % p == 0:
@@ -109,25 +109,14 @@ def _with_cofactor(n: int, found: dict[int, int], rest: int) -> dict[int, int]:
     return found
 
 
-def _trial_primes():
-    yield 2
-    yield 3
-    p = 5
-    step = 2
-    while p <= DEFAULT_FACTOR_BOUND:
-        yield p
-        p += step
-        step = 6 - step
-
-
 # (limit, the primes up to limit): a cache that only grows, so every caller
 # in the process may share it
 _sieve_primes: tuple[int, list[int]] = (1, [])
 
 
-def _primes_upto(limit: int) -> list[int]:
-    """The primes up to limit, ascending; the cached table at least doubles
-    whenever it is too short."""
+def _primes_upto(limit: int) -> islice[int]:
+    """The primes up to limit, ascending, read off the cached table without
+    a copy; the table at least doubles whenever it is too short."""
     global _sieve_primes
     covered, primes = _sieve_primes
     if limit > covered:
@@ -140,7 +129,7 @@ def _primes_upto(limit: int) -> list[int]:
                 odd[p * p // 2::p] = bytes(len(range(p * p // 2, len(odd), p)))
         primes = [2, *compress(range(1, covered + 1, 2), odd)]
         _sieve_primes = covered, primes
-    return primes[:bisect_right(primes, limit)]
+    return islice(primes, bisect_right(primes, limit))
 
 
 Sieved = tuple[dict[int, int], int]
@@ -233,18 +222,11 @@ def squarefree_kernel(n: int) -> int:
 
 def is_fundamental_discriminant(d: int) -> bool:
     """True when d is the discriminant of a quadratic field (so d != 1)."""
-    if d in (0, 1):
+    try:
+        factor_discriminant(d)
+    except NotFundamentalError:
         return False
-    if d % 4 == 1:
-        return _is_squarefree(d)
-    if d % 4 == 0:
-        m = d // 4
-        return m % 4 in (2, 3) and _is_squarefree(m)
-    return False
-
-
-def _is_squarefree(n: int) -> bool:
-    return all(e == 1 for e in factorize(n).values())
+    return True
 
 
 def radicand(d: int) -> int:

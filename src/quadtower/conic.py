@@ -194,9 +194,10 @@ def solve_h8(
     d1, d2 are positive prime discriminants and d3d4 the (positive) product
     of two negative ones; the four quaternion-embedding symbols
     (d1 d2 / p3) = (d1 d2 / p4) = (d2 d3 d4 / p1) = (d3 d4 d1 / p2) = 1
-    must hold, and Q(sqrt(d2)) must contain a norm -1 unit.  The stored u2
-    is the fundamental unit or its cube, whichever has integral coordinates
-    over sqrt(radicand) (for d2 = 5 that is the cube 2 + sqrt(5)).
+    must hold.  The fundamental unit of Q(sqrt(d2)) has norm -1, as for
+    every positive prime discriminant (Legendre).  The stored u2 is that
+    unit or its cube, whichever has integral coordinates over
+    sqrt(radicand) (for d2 = 5 that is the cube 2 + sqrt(5)).
     """
     for d in (d1, d2):
         if not (d > 0 and is_prime_discriminant(d)):
@@ -212,8 +213,6 @@ def solve_h8(
                 f"embedding symbol ({top} / {p}) = {kronecker(top, p)} != 1"
             )
     u2 = fundamental_unit(d2)
-    if u2.norm != -1:
-        raise H8HypothesisError(f"Q(sqrt({d2})) has no norm -1 unit")
     if u2.x % 2:
         u2 = _unit_cube(u2)  # (1 + sqrt(5))/2 -> 2 + sqrt(5)
 

@@ -4,16 +4,17 @@ Forms (a, b, c) of fundamental discriminant d = b^2 - 4ac are reduced either
 in the definite sense (d < 0) or onto cycles of reduced forms under the rho
 operator (d > 0).  For d > 0 the form class group is the *narrow* class
 group; the ordinary class group is its quotient by the class of the negated
-principal form, which is trivial when the fundamental unit has norm -1.  The
-continued fraction of `units.fundamental_unit` decides that norm.  Group
-structure is read off the number of solutions of x^(p^k) = 1 for each prime
-power p^k dividing the class number.
+principal form, which generates the kernel of the map onto it and is trivial
+exactly when the fundamental unit has norm -1.  The forms decide that on
+their own; this module runs no continued fraction.  Group structure is read
+off the number of solutions of x^(p^k) = 1 for each prime power p^k dividing
+the class number.
 
 2-class numbers come from genus theory where it decides them: for t prime
 discriminant factors the narrow 2-rank is t - 1, and when the Redei 4-rank is
 0 the narrow 2-class number is 2^(t-1), halved for the ordinary group of
-d > 0 unless the fundamental unit has norm -1.  Forms are enumerated only
-for a positive 4-rank.
+d > 0 exactly when some prime discriminant factor is negative.  Forms are
+enumerated only for a positive 4-rank.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .arith import (
     kronecker,
     prime_of,
 )
-from .units import fundamental_unit
 
 __all__ = [
     "BQForm",
@@ -60,12 +60,6 @@ class BQForm:
     @property
     def disc(self) -> int:
         return self.b * self.b - 4 * self.a * self.c
-
-    def content(self) -> int:
-        return math.gcd(math.gcd(self.a, self.b), self.c)
-
-    def inverse(self) -> "BQForm":
-        return BQForm(self.a, -self.b, self.c)
 
     def __str__(self) -> str:
         return f"({self.a}, {self.b}, {self.c})"
@@ -315,10 +309,11 @@ def _class_group(d: int, narrow: bool) -> FormClassGroup:
 
         ident = canon(principal_form(d))
 
-    # with a norm -1 unit the narrow and the ordinary group agree; otherwise
-    # take the quotient by the class of the totally negative principal form
-    if d > 0 and not narrow and fundamental_unit(d).norm > 0:
-        neg = canon(_negated_principal_form(d))
+    # the class of the totally negative principal form generates the kernel
+    # of the narrow group onto the ordinary one; when it is not trivial (no
+    # unit of norm -1), take the quotient by it
+    neg = canon(_negated_principal_form(d)) if d > 0 and not narrow else ident
+    if neg != ident:
         orbit = {x: min(x, mul(x, neg)) for x in reps}
         reps = sorted(set(orbit.values()))
         inner_mul = mul
@@ -400,8 +395,12 @@ def two_class_number(d: int, narrow: bool = False) -> int:
     rank t - 1, and its 4-rank is `narrow_four_rank` (Redei).  When the
     4-rank is 0 the 2-Sylow is elementary, so h2+ = 2^(t-1).  The ordinary
     group of d > 0 is the narrow one when the fundamental unit has norm -1
-    and its half otherwise; a negative prime discriminant factor rules out
-    norm -1, and `fundamental_unit` decides it for the other d.  Only a
+    and its half otherwise, and here the factors decide which.  A negative
+    prime discriminant factor rules out norm -1.  With every factor
+    positive, the class of the negated principal form takes the value +1
+    under every genus character, so it lies in the principal genus and is a
+    square; were it not trivial, its square root would have order 4 and the
+    4-rank would be positive.  So it is trivial and N(eps) = -1.  Only a
     positive 4-rank needs the forms enumerated, and there it raises
     BoundExceededError for |d| > DEFAULT_CLASS_BOUND, as `class_group` does.
     """
@@ -410,7 +409,7 @@ def two_class_number(d: int, narrow: bool = False) -> int:
         _check_bound(d, DEFAULT_CLASS_BOUND)
         return _two_part(_class_group(d, narrow).h)
     h2 = 2 ** (len(qs) - 1)
-    if d < 0 or narrow or (min(qs) > 0 and fundamental_unit(d).norm < 0):
+    if d < 0 or narrow or min(qs) > 0:
         return h2
     return h2 // 2
 

@@ -3,8 +3,8 @@
 The fundamental unit of a real quadratic order is read off the continued
 fraction of the standard generator (p0 + sqrt(m))/q0.  Its period ends where
 the complete quotient's denominator returns to q0, so the expansion keeps
-O(1) integers, and the parity of the period is the sign of N(eps), which
-`qform` reads from here too.  For norm +1 units, Hilbert 90 gives
+O(1) integers, and the parity of the period is the sign of N(eps).  It is
+the package's only continued fraction.  For norm +1 units, Hilbert 90 gives
 sqrt(eps) = (1 + eps)/sqrt(N(1 + eps)), so eps has a square root of the shape
 (a sqrt(m1) + b sqrt(m2))/2 with m1 the squarefree kernel delta of N(1+eps);
 the associated sign (a^2 m1 - b^2 m2)/4 = +-1 reproduces the classical
@@ -25,7 +25,6 @@ prime gives the roots and the symbols.
 
 from __future__ import annotations
 
-import bisect
 import functools
 import math
 from dataclasses import dataclass
@@ -477,8 +476,9 @@ def _characters(gens: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
     lo = 2
     while len(chars) < CHARACTERS:
         # the primes in (lo, 2 lo], from the shared table
-        primes = _primes_upto(2 * lo)
-        for p in primes[bisect.bisect_right(primes, lo):]:
+        for p in _primes_upto(2 * lo):
+            if p <= lo:
+                continue
             roots = _roots(p)
             rho = [1]
             for m in gens:

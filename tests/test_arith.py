@@ -121,23 +121,39 @@ def test_squarefree_kernel_properties():
     assert squarefree_kernel(7) == 7
 
 
-def test_fundamental_discriminant_recognition():
-    # oracle: definition d = 1 mod 4 squarefree, or 4m with m = 2,3 mod 4 squarefree
-    def brute(d):
-        if d in (0, 1):
-            return False
-        if d % 4 == 1:
-            m = abs(d)
-            return all(d % (p * p) for p in range(2, m + 1))
-        if d % 4 == 0:
-            m = d // 4
-            return m % 4 in (2, 3) and all(
-                abs(m) % (p * p) for p in range(2, abs(m) + 1)
-            )
-        return False
+def _is_squarefree_by_trial(n):
+    # trial division by every integer: a square factor shows as p dividing
+    # twice, before any larger factor is reached
+    n = abs(n)
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            n //= p
+            if n % p == 0:
+                return False
+        p += 1
+    return True
 
-    for d in range(-300, 300):
-        assert is_fundamental_discriminant(d) == brute(d), d
+
+def _is_fundamental_by_definition(d):
+    # d = 1 mod 4 squarefree, or 4m with m = 2, 3 mod 4 squarefree
+    if d in (0, 1):
+        return False
+    if d % 4 == 1:
+        return _is_squarefree_by_trial(d)
+    return d % 4 == 0 and d // 4 % 4 in (2, 3) and _is_squarefree_by_trial(d // 4)
+
+
+def test_fundamental_discriminant_recognition():
+    for d in range(-10**5 + 1, 10**5):
+        assert is_fundamental_discriminant(d) == _is_fundamental_by_definition(d), d
+
+
+def test_fundamental_discriminant_bound_failure_names_d():
+    # the cofactor of 4m is composite with both primes above the bound
+    d = 4 * 1000003 * 1000033
+    with pytest.raises(BoundExceededError, match=f"^cannot factor {d}: "):
+        is_fundamental_discriminant(d)
 
 
 def test_prime_discriminants():
@@ -155,7 +171,7 @@ def test_prime_discriminants():
 
 def test_factor_discriminant_roundtrip():
     for d in range(-9999, 10000):
-        if not is_fundamental_discriminant(d):
+        if not _is_fundamental_by_definition(d):
             with pytest.raises(NotFundamentalError):
                 factor_discriminant(d)
             continue
@@ -175,8 +191,8 @@ def test_factor_discriminant_roundtrip():
 
 
 def _factor_discriminant_two_step(d):
-    # the earlier path: a fundamentality test, then a second factorization
-    if not is_fundamental_discriminant(d):
+    # the earlier path: the definition, then a factorization
+    if not _is_fundamental_by_definition(d):
         raise NotFundamentalError(f"{d} is not a fundamental discriminant")
     parts = [p if p % 4 == 1 else -p for p in factorize(d) if p != 2]
     rest = d // math.prod(parts)

@@ -1,5 +1,6 @@
-"""Every name a quadtower module exports in __all__ exists in it, and the
-package imports nothing outside the standard library."""
+"""Every name a quadtower module exports in __all__ exists in it, the
+package imports nothing outside the standard library, and its modules
+import each other along one fixed graph."""
 
 import ast
 import importlib
@@ -40,3 +41,36 @@ def test_runtime_imports_only_the_standard_library(path):
             imported.append(node.module)
     outside = [m for m in imported if m.split(".")[0] not in sys.stdlib_module_names]
     assert outside == []
+
+
+# Each arithmetic fact has one owner: qform decides N(eps) from the forms, so
+# it needs no continued fraction from units, and arith owns factoring.
+IMPORT_GRAPH = {
+    "__init__": set(),
+    "arith": set(),
+    "formulas": set(),
+    "qform": {"arith"},
+    "units": {"arith"},
+    "conic": {"arith", "units"},
+    "group2": {"qform"},
+    "classify": {"arith", "conic", "qform", "units"},
+    "cli": {"arith", "classify", "conic", "group2", "qform", "units"},
+}
+
+
+def _package_imports(path):
+    # `from .x import ...` gives x; `from . import x, y` gives x and y
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    out = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.level > 0:
+            if node.module is None:
+                out |= {alias.name for alias in node.names}
+            else:
+                out.add(node.module.split(".")[0])
+    return out
+
+
+def test_package_import_graph_is_pinned():
+    paths = sorted(Path(quadtower.__path__[0]).glob("*.py"))
+    assert {p.stem: _package_imports(p) for p in paths} == IMPORT_GRAPH

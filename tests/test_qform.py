@@ -208,7 +208,8 @@ def test_abelian_structure_rejects_a_map_that_is_no_group():
 
 
 def test_narrow_to_ordinary_ratio_tracks_unit_norm():
-    for d in fundamental_range(2, 700):
+    # the forms take the quotient without the continued fraction
+    for d in fundamental_range(2, 5001):
         hp = class_group(d, narrow=True).h
         h = class_group(d, narrow=False).h
         ratio = hp // h
@@ -217,6 +218,18 @@ def test_narrow_to_ordinary_ratio_tracks_unit_norm():
         assert (ratio == 2) == (norm == 1), d
         if any(p % 4 == 3 for p in _prime_factors(d)):
             assert ratio == 2, d
+
+
+def test_unit_norm_is_minus_one_without_negative_factors_and_four_rank():
+    # genus theory, as two_class_number uses it: with every prime
+    # discriminant positive and narrow 4-rank 0, N(eps) = -1
+    fields = 0
+    for d in fundamental_range(5, 10**5):
+        qs = factor_discriminant(d)
+        if min(qs) > 0 and narrow_four_rank(character_matrix(qs)) == 0:
+            assert fundamental_unit(d).norm == -1, d
+            fields += 1
+    assert fields == 7688
 
 
 def test_unit_norm_matches_the_principal_cycle():
