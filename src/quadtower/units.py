@@ -10,17 +10,24 @@ sqrt(eps) = (1 + eps)/sqrt(N(1 + eps)), so eps has a square root of the shape
 the associated sign (a^2 m1 - b^2 m2)/4 = +-1 reproduces the classical
 Legendre-symbol identities.  Unit indices q(K/Q) of real multiquadratic
 fields are exact: K is saturated at 2 by testing which products of subfield
-fundamental units are squares in K, and each square root is found exactly,
-on integer coefficients over one common denominator, by descending through
-relative norms to Q, as in Wada's unit-group algorithm for multiquadratic
-fields.  Only products that pass a quadratic-character filter get a root
-tried, as in the number field sieve (Adleman 1991; Buhler-Lenstra-Pomerance
-1993): at an odd prime p dividing no m_i modulo which every m_i is a
-square, the least roots of the m_i mod p define a ring map from the
-p-integral elements of K, units among them, onto F_p.  A square maps to a
-square, so a product whose image has Legendre symbol -1 is no square, and
-the exact root search still decides every other product.  One table per
-prime gives the roots and the symbols.
+fundamental units are squares in K.  A product of original norm +1 units is
+decided from those radical forms, as in Kubota (1956) and Wada (1966): its
+root lies in K exactly when the squarefree kernel of the product of the
+deltas is 1 or the radicand of a quadratic subfield of K, and is then the
+product of the radical forms, expanded on K's basis with multiplications
+only.  Every other
+product, one with a norm -1 unit or a root swapped in earlier, gets its
+square root found exactly, on integer coefficients over one common
+denominator, by descending through relative norms to Q, as in Wada's
+unit-group algorithm for multiquadratic fields.  Only products that pass a
+quadratic-character filter are decided at all, as in the number field
+sieve (Adleman 1991; Buhler-Lenstra-Pomerance 1993): at an odd prime p
+dividing no m_i modulo which every m_i is a square, the least roots of the
+m_i mod p define a ring map from the p-integral elements of K, units among
+them, onto F_p.  A square maps to a square, so a product whose image has
+Legendre symbol -1 is no square, and the radicals or the exact root search
+still decide every other product.  One table per prime gives the roots and
+the symbols.
 """
 
 from __future__ import annotations
@@ -435,7 +442,12 @@ class _MultiQuadField:
 
 def _unit_basis(field: _MultiQuadField, unit: Callable[[int], QuadUnit]) -> list:
     """Fundamental units of the quadratic subfields, one per nonzero mask;
-    unit(D) is the fundamental unit of discriminant D."""
+    unit(D) is the fundamental unit of discriminant D.
+
+    Each entry is (element, radical): radical is the decomposition
+    sqrt(eps) = (a sqrt(m1) + b sqrt(m2))/2 of a norm +1 unit, which
+    _radical_root reads, and None for a norm -1 unit.
+    """
     basis = []
     for mask, w in enumerate(field.w[1:], start=1):
         # (x + y' sqrt(m))/2 = (x g + y' sqrt(m_mask))/2g, g^2 = w/m
@@ -444,8 +456,50 @@ def _unit_basis(field: _MultiQuadField, unit: Callable[[int], QuadUnit]) -> list
         g = math.isqrt(w // u.m)
         coeffs = [0] * len(field.w)
         coeffs[0], coeffs[mask] = x * g, ym
-        basis.append(_lowest_terms(coeffs, 2 * g))
+        radical = sqrt_unit_decomposition(u) if u.norm == 1 else None
+        basis.append((_lowest_terms(coeffs, 2 * g), radical))
     return basis
+
+
+def _radical_root(field: _MultiQuadField,
+                  radicals: Sequence[SqrtUnitDecomposition]):
+    """A square root in K of the product eta of the norm +1 units whose
+    roots are (a sqrt(m1) + b sqrt(m2))/2, or None when eta is no square.
+
+    With m the radicand of a unit, m1 m2 = m e^2 for an integer e.  An
+    automorphism of K(sqrt(m1) : all radicals) over K fixes sqrt(m), so it
+    negates the unit's root exactly when it negates sqrt(m1).  The root of
+    eta, the product of the units' roots, is fixed by all of them, and so
+    lies in K, exactly when sqrt(prod m1) does: when the squarefree kernel
+    of prod m1 is one of K's kernels, 1 among them (Kubota 1956, Wada
+    1966).  The product
+    then expands into terms c sqrt(r) with r squarefree; every r is one of
+    K's kernels, and sqrt(kernel[S]) = sqrt(w[S])/g with g^2 = w[S]/kernel[S]
+    places the term on the product basis.  The large a and b are only
+    multiplied, never put under a square root.  The root is in lowest
+    terms, of either sign.
+    """
+    k = 1
+    for radical in radicals:
+        k = k * radical.m1 // math.gcd(k, radical.m1) ** 2
+    if k not in field.kernel:
+        return None
+    # terms[r] = c: the partial product is the sum of c sqrt(r)
+    terms = {1: 1}
+    for radical in radicals:
+        product: dict[int, int] = {}
+        for r, c in terms.items():
+            for coeff, m in ((radical.a, radical.m1), (radical.b, radical.m2)):
+                g = math.gcd(r, m)
+                key = (r // g) * (m // g)
+                product[key] = product.get(key, 0) + c * coeff * g
+        terms = product
+    roots = {r: math.isqrt(field.w[field.kernel.index(r)] // r) for r in terms}
+    lcm = math.lcm(*roots.values())
+    coeffs = [0] * len(field.w)
+    for r, c in terms.items():
+        coeffs[field.kernel.index(r)] = c * (lcm // roots[r])
+    return _lowest_terms(coeffs, 2 ** len(radicals) * lcm)
 
 
 @functools.cache
@@ -519,15 +573,20 @@ def _character_vector(chars: Sequence[tuple[int, tuple[int, ...]]], u) -> int:
 def _saturate(field: _MultiQuadField, basis: Sequence) -> tuple[int, list]:
     """(q, saturated basis): the 2-saturation of the lattice spanned by basis.
 
-    Masks are visited in increasing order.  A mask whose characters do not
-    all cancel names a product with a character -1, which is no square, so
-    only the other masks get their product built and an exact sqrt tried.
-    The first square found replaces its highest basis element by the
-    positive root, and the root's character vector is computed afresh.
+    basis holds (element, radical) pairs as _unit_basis builds them.  Masks
+    are visited in increasing order.  A mask whose characters do not all
+    cancel names a product with a character -1, which is no square, so only
+    the other masks are decided.  A mask whose units all carry a radical
+    (original norm +1 units) is decided, and its root built, from the
+    radicals by _radical_root; any other mask, one with a norm -1 unit or a
+    swapped-in root, gets its product built and an exact sqrt tried.  The
+    first square found replaces its highest basis element by the positive
+    root, which carries no radical, and the root's character vector is
+    computed afresh.
     """
     basis = list(basis)
     chars = _characters(field.gens)
-    vectors = [_character_vector(chars, u) for u in basis]
+    vectors = [_character_vector(chars, u) for u, _ in basis]
     q = 1
     while True:
         xors = [0]  # xors[mask] = XOR of vectors[i] for the bits i of mask
@@ -536,18 +595,22 @@ def _saturate(field: _MultiQuadField, basis: Sequence) -> tuple[int, list]:
             xors.append(xors[mask ^ (1 << top)] ^ vectors[top])
             if xors[mask]:
                 continue
-            eta = functools.reduce(
-                field.mul, (u for i, u in enumerate(basis) if mask >> i & 1)
-            )
-            xi = field.sqrt(eta)
+            factors = [basis[i] for i in range(top + 1) if mask >> i & 1]
+            radicals = [radical for _, radical in factors]
+            if all(radical is not None for radical in radicals):
+                xi = _radical_root(field, radicals)
+            else:
+                xi = field.sqrt(functools.reduce(field.mul, (u for u, _ in factors)))
             if xi is not None:
                 break
         else:
             return q, basis
         # eta is no square of a lattice element (exponents are 0/1), so
         # swapping the root in genuinely doubles the lattice
-        basis[top] = xi if field.sign(xi) > 0 else ([-c for c in xi[0]], xi[1])
-        vectors[top] = _character_vector(chars, basis[top])
+        if field.sign(xi) < 0:
+            xi = [-c for c in xi[0]], xi[1]
+        basis[top] = (xi, None)
+        vectors[top] = _character_vector(chars, xi)
         q *= 2
 
 
@@ -557,19 +620,23 @@ def kubota_index(m1: int, m2: int, m3: int | None = None,
 
     K = Q(sqrt(m1), sqrt(m2)[, sqrt(m3)]) must be totally real.  Saturates
     the lattice spanned by the subfield fundamental units at 2: whenever a
-    product eta of basis elements has a square root in K (found exactly by
-    _MultiQuadField.sqrt), the root replaces a basis element and doubles
-    the index.  Every basis element is kept positive in one embedding, so
-    -eta, negative there, never needs testing.  Iterating until no product
-    is a square catches units that are fourth roots of unit products, which
-    occur from degree 8 on.  E_K modulo the lattice is a 2-group, so the
-    lattice that no square root extends is E_K itself and q is exact.
+    product eta of basis elements has a square root in K, the root replaces
+    a basis element and doubles the index.  When every factor of eta is an
+    original unit of norm +1, the radical forms sqrt(eps) = (a sqrt(delta)
+    + b sqrt(m2))/2 of sqrt_unit_decomposition decide the root and build it
+    (_radical_root); otherwise _MultiQuadField.sqrt finds it exactly.  A
+    DecompositionError from a norm +1 unit propagates.  Every basis element
+    is kept positive in one embedding, so -eta, negative there, never needs
+    testing.  Iterating until no product is a square catches units that are
+    fourth roots of unit products, which occur from degree 8 on.  E_K
+    modulo the lattice is a 2-group, so the lattice that no square root
+    extends is E_K itself and q is exact.
 
-    A product is tried only when the XOR of its factors' character vectors
-    is 0: a square has every quadratic character +1, so a skipped product
-    is certainly no square.  Masks keep the unfiltered search's order, so
-    the same first square is found, the same roots are swapped in and q is
-    the same.  Once the basis vectors are independent over F_2 no product
+    A product is decided only when the XOR of its factors' character
+    vectors is 0: a square has every quadratic character +1, so a skipped
+    product is certainly no square.  Masks keep the unfiltered search's
+    order, and both ways of deciding a product are exact, so the same first
+    square is found, the same roots are swapped in and q is the same.  Once the basis vectors are independent over F_2 no product
     passes, which certifies q without another root search.
 
     unit(D) gives the fundamental unit of the subfield of discriminant D;

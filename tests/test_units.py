@@ -29,6 +29,7 @@ from quadtower.units import (
     _character_vector,
     _characters,
     _MultiQuadField,
+    _radical_root,
     _roots,
     _saturate,
     _unit_basis,
@@ -205,6 +206,24 @@ def test_sqrt_decomposition_examples():
 
     with pytest.raises(NormMinusOneError):
         sqrt_unit_decomposition(fundamental_unit(8))
+
+
+def test_sqrt_decomposition_of_every_norm_plus_one_unit_below_2e4():
+    # _unit_basis decomposes every norm +1 subfield unit for the unit index,
+    # where a DecompositionError would stop verify_invariant_row; squaring
+    # (a sqrt(m1) + b sqrt(m2))/2 must give (x + y' sqrt(m))/2 back
+    decomposed = 0
+    for d in range(5, 20000):
+        if not is_fundamental_discriminant(d):
+            continue
+        u = fundamental_unit(d)
+        if u.norm == 1:
+            dec = sqrt_unit_decomposition(u)
+            x, ym = u.coords_over_radicand()
+            assert dec.a * dec.a * dec.m1 + dec.b * dec.b * dec.m2 == 2 * x
+            assert (dec.a * dec.b) ** 2 * dec.m1 * dec.m2 == ym * ym * u.m
+            decomposed += 1
+    assert decomposed == 4216
 
 
 def test_sqrt_decomposition_of_a_unit_square():
@@ -603,21 +622,22 @@ def _f2_rank(vectors):
 def _certified(gens, final) -> bool:
     """Whether the final basis's character matrix has full rank, in which
     case no product passes the filter and a rerun from that basis tries no
-    sqrt."""
+    sqrt; final holds _saturate's (element, radical) pairs."""
     chars = _characters(gens)
-    if _f2_rank(_character_vector(chars, u) for u in final) < len(final):
+    if _f2_rank(_character_vector(chars, u) for u, _ in final) < len(final):
         return False
     assert _saturate(_NoSqrtField(gens), final) == (1, final)
     return True
 
 
 def _check_saturation(gens) -> bool:
-    """q and the final basis equal the unfiltered loop's; returns whether
-    the final basis is certified."""
+    """q and the final basis, with roots from radicals where _saturate takes
+    them, equal the exact unfiltered loop's; returns whether the final basis
+    is certified."""
     field = _MultiQuadField(gens)
     basis = _unit_basis(field, fundamental_unit)
     q, final = _saturate(field, basis)
-    assert (q, final) == _reference_saturate(field, basis)
+    assert (q, [u for u, _ in final]) == _reference_saturate(field, [u for u, _ in basis])
     return _certified(gens, final)
 
 
@@ -678,6 +698,61 @@ def test_full_rank_characters_certify_the_genus_field_27993():
     assert _check_saturation((217, 93, 1333))
 
 
+class _CountingField(_MultiQuadField):
+    """Counts the top-level exact sqrt tries, and records the count each
+    time _saturate asks the sign of the root it swaps in."""
+
+    def __init__(self, gens):
+        super().__init__(gens)
+        self.tries, self.depth, self.tries_at_swap = 0, 0, []
+
+    def sqrt(self, eta):
+        self.tries += self.depth == 0
+        self.depth += 1
+        try:
+            return super().sqrt(eta)
+        finally:
+            self.depth -= 1
+
+    def sign(self, u):
+        self.tries_at_swap.append(self.tries)
+        return super().sign(u)
+
+
+def test_radicals_decide_the_first_round_of_the_genus_field_27993():
+    # all 7 subfield units have norm +1, so the first square comes from
+    # radicals; later rounds hold swapped-in roots and take the exact sqrt
+    field = _CountingField((217, 93, 1333))
+    basis = _unit_basis(field, fundamental_unit)
+    assert all(radical is not None for _, radical in basis)
+    q, _ = _saturate(field, basis)
+    assert (q, len(field.tries_at_swap)) == (2**7, 7)
+    assert field.tries_at_swap[0] == 0 < field.tries
+
+
+def test_radical_roots_match_exact_roots_on_the_row_corpus():
+    # every product of original norm +1 units in every kubota_index field of
+    # the row corpus, whether or not its characters pass: the radicals decide
+    # squareness as the exact sqrt does and give its root up to sign
+    masks = squares = 0
+    for d in _row_corpus():
+        for gens in _row_calls(d):
+            field = _MultiQuadField(gens)
+            units = [(u, radical) for u, radical in _unit_basis(field, fundamental_unit)
+                     if radical is not None]
+            for mask in range(1, 2 ** len(units)):
+                factors = [units[i] for i in range(len(units)) if mask >> i & 1]
+                root = _radical_root(field, [radical for _, radical in factors])
+                exact = field.sqrt(functools.reduce(field.mul, (u for u, _ in factors)))
+                assert (root is None) == (exact is None)
+                if root is not None:
+                    _assert_lowest_terms(root)
+                    assert root in (exact, _neg(exact))
+                    squares += 1
+                masks += 1
+    assert (masks, squares) == (5244, 2136)
+
+
 # sha256 of the compact JSON list [gens, q, final basis with each coefficient
 # as [numerator, denominator] in lowest terms], one entry per kubota_index
 # call of the row corpus, pinned from the Fraction-coefficient field of
@@ -692,7 +767,7 @@ def test_saturation_of_the_row_corpus_matches_pinned_digest():
             field = _MultiQuadField(gens)
             q, final = _saturate(field, _unit_basis(field, fundamental_unit))
             out.append([list(gens), q, [[[f.numerator, f.denominator] for f in _fractions(u)]
-                                        for u in final]])
+                                        for u, _ in final]])
     assert len(out) == 604
     digest = hashlib.sha256(json.dumps(out, separators=(",", ":")).encode()).hexdigest()
     assert digest == ROW_CORPUS_SATURATION_SHA256
