@@ -13,6 +13,7 @@ and character matrix); classify memoises its outcome.
 
 from __future__ import annotations
 
+import functools
 import json
 from dataclasses import dataclass
 from enum import Enum
@@ -38,7 +39,6 @@ from .qform import character_matrix, narrow_four_rank, two_class_number
 from .arith import is_sum_of_two_squares  # noqa: F401
 from .qform import class_group  # noqa: F401
 from .units import (
-    QuadUnit,
     delta_invariant,
     fundamental_unit,
     kubota_index,
@@ -445,7 +445,8 @@ def verify_invariant_row(d: int | CaseRecord) -> InvariantRowReport:
     the order 4*h2 of the degree-8 step) is computed from scratch via the
     unit and form modules, then matched against the encoded row patterns,
     resolving the nu34 and norm branches by computation.  Each subfield
-    fundamental unit and 2-class number is computed once per call.
+    fundamental unit, with the square root its delta and unit indices read,
+    and each 2-class number is computed once per call.
     Mismatches are report entries, not errors.  A CaseRecord of d skips
     classifying it again.
     """
@@ -470,12 +471,10 @@ def verify_invariant_row(d: int | CaseRecord) -> InvariantRowReport:
         RowEntry("nu", str(expected_nu), str(list(rec.symbol_matrix)), nu_ok)
     )
 
-    unit_of: dict[int, QuadUnit] = {}
-
-    def unit(disc: int) -> QuadUnit:
-        if disc not in unit_of:
-            unit_of[disc] = fundamental_unit(disc)
-        return unit_of[disc]
+    # per-call memos; each looks its function up in this module when the
+    # call starts, so a name replaced there still sees every computation
+    unit = functools.cache(fundamental_unit)
+    h2 = functools.cache(two_class_number)
 
     eps12 = _compute(d, "n_eps12", lambda: unit(d1 * d2))
     eps_sign = eps12.norm
@@ -497,18 +496,11 @@ def verify_invariant_row(d: int | CaseRecord) -> InvariantRowReport:
     for column, disc in deltas.items():
         value = _compute(
             d, column,
-            lambda disc=disc: delta_invariant(unit(disc)).delta,
+            lambda disc=disc: delta_invariant(unit(disc)),
         )
         pattern = _resolve(patterns[column], nu34, eps_sign)
         want = _atoms_value(pattern, a)
         entries.append(RowEntry(column, pattern, str(value), value == want))
-
-    h2_of: dict[int, int] = {}
-
-    def h2(disc: int) -> int:
-        if disc not in h2_of:
-            h2_of[disc] = two_class_number(disc)
-        return h2_of[disc]
 
     def check(column: str, spec, value: int) -> None:
         pattern = _resolve(spec, nu34, eps_sign)

@@ -415,7 +415,7 @@ def cmd_unit(args: argparse.Namespace) -> int:
         print(f"epsilon = {rendered}")
         print(f"norm = {u.norm:+d}")
         try:
-            print(f"delta = {delta_invariant(u).delta}")
+            print(f"delta = {delta_invariant(u)}")
         except NormMinusOneError:
             print("delta = undefined (norm -1)")
     finally:

@@ -5,29 +5,31 @@ fraction of the standard generator (p0 + sqrt(m))/q0.  Its period ends where
 the complete quotient's denominator returns to q0, so the expansion keeps
 O(1) integers, and the parity of the period is the sign of N(eps).  It is
 the package's only continued fraction.  For norm +1 units, Hilbert 90 gives
-sqrt(eps) = (1 + eps)/sqrt(N(1 + eps)), so eps has a square root of the shape
-(a sqrt(m1) + b sqrt(m2))/2 with m1 the squarefree kernel delta of N(1+eps);
-the associated sign (a^2 m1 - b^2 m2)/4 = +-1 reproduces the classical
-Legendre-symbol identities.  Unit indices q(K/Q) of real multiquadratic
-fields are exact: K is saturated at 2 by testing which products of subfield
-fundamental units are squares in K.  A product of original norm +1 units is
-decided from those radical forms, as in Kubota (1956) and Wada (1966): its
-root lies in K exactly when the squarefree kernel of the product of the
-deltas is 1 or the radicand of a quadratic subfield of K, and is then the
-product of the radical forms, expanded on K's basis with multiplications
-only.  Every other
-product, one with a norm -1 unit or a root swapped in earlier, gets its
-square root found exactly, on integer coefficients over one common
-denominator, by descending through relative norms to Q, as in Wada's
-unit-group algorithm for multiquadratic fields.  Only products that pass a
-quadratic-character filter are decided at all, as in the number field
-sieve (Adleman 1991; Buhler-Lenstra-Pomerance 1993): at an odd prime p
-dividing no m_i modulo which every m_i is a square, the least roots of the
-m_i mod p define a ring map from the p-integral elements of K, units among
-them, onto F_p.  A square maps to a square, so a product whose image has
-Legendre symbol -1 is no square, and the radicals or the exact root search
-still decide every other product.  One table per prime gives the roots and
-the symbols.
+sqrt(eps) = (1 + eps)/sqrt(N(1 + eps)), so eps has a square root of the
+shape (a sqrt(m1) + b sqrt(m2))/2 with m1 the squarefree kernel delta of
+N(1+eps); the associated sign (a^2 m1 - b^2 m2)/4 = +-1 reproduces the
+classical Legendre-symbol identities.  sqrt_unit_decomposition builds
+this radical form once per unit object and keeps it on the unit;
+delta_invariant reads delta off it, and the unit indices read the same
+radicals.  Unit
+indices q(K/Q) of real multiquadratic fields are exact: K is saturated at 2
+by testing which products of subfield fundamental units are squares in K.  A
+product of original norm +1 units is decided from those radical forms, as in
+Kubota (1956) and Wada (1966): its root lies in K exactly when the
+squarefree kernel of the product of the deltas is 1 or the radicand of a
+quadratic subfield of K, and is then the product of the radical forms,
+expanded on K's basis with multiplications only.  Every other product, one
+with a norm -1 unit or a root swapped in earlier, gets its square root found
+exactly, on integer coefficients over one common denominator, by descending
+through relative norms to Q, as in Wada's unit-group algorithm for
+multiquadratic fields.  Only products that pass a quadratic-character filter
+are decided at all, as in the number field sieve (Adleman 1991;
+Buhler-Lenstra-Pomerance 1993): at an odd prime p dividing no m_i modulo
+which every m_i is a square, the least roots of the m_i mod p define a ring
+map from the p-integral elements of K, units among them, onto F_p.  A square
+maps to a square, so a product whose image has Legendre symbol -1 is no
+square, and the radicals or the exact root search still decide every other
+product.  One table per prime gives the roots and the symbols.
 """
 
 from __future__ import annotations
@@ -49,7 +51,6 @@ from .arith import (
 
 __all__ = [
     "QuadUnit",
-    "DeltaInvariant",
     "SqrtUnitDecomposition",
     "NormMinusOneError",
     "DecompositionError",
@@ -92,8 +93,9 @@ class QuadUnit:
     norm: int
 
     def __post_init__(self):
-        assert self.x > 0 and self.y > 0 and self.norm in (1, -1)
-        assert self.x * self.x - self.d * self.y * self.y == 4 * self.norm
+        if not (self.x > 0 and self.y > 0 and self.norm in (1, -1)
+                and self.x * self.x - self.d * self.y * self.y == 4 * self.norm):
+            raise ValueError(f"{self!r} is not a unit > 1 of norm +-1")
 
     @property
     def m(self) -> int:
@@ -107,6 +109,58 @@ class QuadUnit:
 
     def trace(self) -> int:
         return self.x
+
+    @functools.cached_property
+    def _sqrt(self) -> SqrtUnitDecomposition:
+        # built by the first sqrt_unit_decomposition(self) and kept in the
+        # instance __dict__, which lies outside __eq__, __hash__ and __repr__
+        if self.norm != 1:
+            raise NormMinusOneError(
+                f"square-root decomposition needs norm +1 (discriminant {self.d})"
+            )
+        m = self.m
+        x, ym = self.coords_over_radicand()
+        # n = N(1 + eps) = 1 + Tr(eps) + N(eps) = x + 2 = delta * s^2.
+        # (x+2)(x-2) = d y^2 and gcd(x+2, x-2) | 4 force every odd prime that
+        # appears in x+2 to odd multiplicity to divide the field radicand, so
+        # delta is found on the primes of 2m, without factoring the
+        # (potentially huge) n itself
+        n, delta, s = x + 2, 1, 1
+        for p in factorize(2 * m):
+            v = 0
+            while n % p == 0:
+                n //= p
+                v += 1
+            if v % 2:
+                delta *= p
+            s *= p ** (v // 2)
+        root = math.isqrt(n)
+        if root * root != n:
+            raise DecompositionError(
+                f"norm of 1+eps is not delta times a square (stray factor {n})"
+            )
+        s *= root
+        g = math.gcd(m, delta)
+        if (delta // g) not in (1, 2):
+            # every odd prime of delta must divide the field radicand
+            raise DecompositionError(
+                f"delta {delta} does not split the discriminant {self.d}"
+            )
+        m2 = (m // g) * (delta // g)
+        num = ym * g
+        den = s * delta
+        if num % den:
+            raise DecompositionError(
+                f"no half-integral square root over ({delta}, {m2}) for {self}"
+            )
+        a, b = s, num // den
+        # exact checks: squaring (a sqrt(m1) + b sqrt(m2))/2 must return eps
+        if (a * a * delta + b * b * m2 != 2 * x or a * b * (delta // g) != ym
+                or a * a * delta - b * b * m2 not in (4, -4)):
+            raise DecompositionError(
+                f"square root of {self} over ({delta}, {m2}) fails the exact check"
+            )
+        return SqrtUnitDecomposition(a, b, (delta, m2))
 
     def __str__(self) -> str:
         return f"({self.x} + {self.y}*sqrt({self.d}))/2"
@@ -148,49 +202,16 @@ def fundamental_unit(d: int, max_steps: int = DEFAULT_CF_STEPS) -> QuadUnit:
     return QuadUnit(d, x, s, -1 if step % 2 else 1)
 
 
-@dataclass(frozen=True)
-class DeltaInvariant:
-    """Squarefree kernel of N(1 + eps) for a norm +1 unit eps."""
+def delta_invariant(u: QuadUnit) -> int:
+    """delta(eps) = squarefree kernel of N(1 + eps); needs norm +1.
 
-    delta: int
-    d: int  # discriminant of the unit's field
-
-    def __int__(self) -> int:
-        return self.delta
-
-
-def _delta_split(n: int, m: int) -> tuple[int, int]:
-    """n = delta * s^2 with delta squarefree supported on the primes of 2m.
-
-    (x+2)(x-2) = d y^2 and gcd(x+2, x-2) | 4 force every odd prime that
-    appears in x+2 to odd multiplicity to divide the field radicand, so the
-    kernel is found without factoring the (potentially huge) n itself.
+    It is the m1 of sqrt_unit_decomposition(u).
     """
-    delta, square = 1, 1
-    for p in sorted(factorize(2 * m)):
-        v = 0
-        while n % p == 0:
-            n //= p
-            v += 1
-        if v % 2:
-            delta *= p
-        square *= p ** (v // 2)
-    s = math.isqrt(n)
-    if s * s != n:
-        raise DecompositionError(
-            f"norm of 1+eps is not delta times a square (stray factor {n})"
-        )
-    return delta, square * s
-
-
-def delta_invariant(u: QuadUnit) -> DeltaInvariant:
-    """delta(eps) = squarefree kernel of N(1 + eps); needs norm +1."""
     if u.norm != 1:
         raise NormMinusOneError(
             f"delta is undefined for the norm -1 unit of {u.d}"
         )
-    # N(1 + eps) = 1 + Tr(eps) + N(eps) = x + 2
-    return DeltaInvariant(_delta_split(u.x + 2, u.m)[0], u.d)
+    return sqrt_unit_decomposition(u).m1
 
 
 @dataclass(frozen=True)
@@ -224,38 +245,11 @@ def sqrt_unit_decomposition(u: QuadUnit) -> SqrtUnitDecomposition:
 
     Follows sqrt(eps) = (1+eps)/sqrt(N(1+eps)): with n = x+2 = delta*s^2 the
     radical splits over delta and the complementary kernel of the field
-    radicand.  All identities are verified exactly before returning.
+    radicand.  All identities are verified exactly before returning.  The
+    decomposition is built once per QuadUnit object and kept on it, so
+    every later call on the same unit returns it without factoring again.
     """
-    if u.norm != 1:
-        raise NormMinusOneError(
-            f"square-root decomposition needs norm +1 (discriminant {u.d})"
-        )
-    m = u.m
-    x, ym = u.coords_over_radicand()
-    n = x + 2
-    delta, s = _delta_split(n, m)
-    assert delta * s * s == n
-    g = math.gcd(m, delta)
-    if (delta // g) not in (1, 2):
-        # every odd prime of delta must divide the field radicand
-        raise DecompositionError(
-            f"delta {delta} does not split the discriminant {u.d}"
-        )
-    m2 = (m // g) * (delta // g)
-    num = ym * g
-    den = s * delta
-    if num % den:
-        raise DecompositionError(
-            f"no half-integral square root over ({delta}, {m2}) for {u}"
-        )
-    a, b = s, num // den
-    # exact checks: squaring (a sqrt(m1) + b sqrt(m2))/2 must return eps
-    if (a * a * delta + b * b * m2 != 2 * x or a * b * (delta // g) != ym
-            or a * a * delta - b * b * m2 not in (4, -4)):
-        raise DecompositionError(
-            f"square root of {u} over ({delta}, {m2}) fails the exact check"
-        )
-    return SqrtUnitDecomposition(a, b, (delta, m2))
+    return u._sqrt
 
 
 def _radical_sign(m: int, signs: Mapping[int, int]) -> int:

@@ -279,6 +279,32 @@ def test_invariant_row_runs_each_continued_fraction_once(monkeypatch):
     assert set(calls.values()) == {2}
 
 
+def test_invariant_row_builds_each_square_root_once(monkeypatch):
+    # only the square-root decomposition calls units.factorize, once for
+    # each norm +1 unit it builds, on 2m for the unit's radicand m
+    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "row_fields.json"
+    fields = [f["d"] for f in json.loads(path.read_text())["fields"]][::30]
+    original = units.factorize
+    calls = Counter()
+
+    def counting(n, *args, **kwargs):
+        calls[n] += 1
+        return original(n, *args, **kwargs)
+
+    monkeypatch.setattr(units, "factorize", counting)
+    for d in fields:
+        calls.clear()
+        d1, d2, d3, d4 = verify_invariant_row(d).assignment
+        # the delta columns and the four unit indices read the units of the
+        # octic field's seven quadratic subfields
+        discs = {d1, d2, d3 * d4, d1 * d2, d1 * d3 * d4, d2 * d3 * d4, d}
+        plus = {2 * arith.radicand(D) for D in discs if units.fundamental_unit(D).norm == 1}
+        assert plus and calls == Counter(dict.fromkeys(plus, 1))
+        # the roots live for one call only
+        verify_invariant_row(d)
+        assert calls == Counter(dict.fromkeys(plus, 2))
+
+
 def test_invariant_row_two_class_number_failure_names_column(monkeypatch):
     def exhausted(disc):
         raise BoundExceededError(f"form bound exceeded at {disc}")

@@ -15,8 +15,10 @@ from hypothesis import strategies as st
 from quadtower.arith import (
     BoundExceededError,
     discriminant_of,
+    factorize,
     is_fundamental_discriminant,
     is_prime,
+    is_square,
     kronecker,
     radicand,
     squarefree_kernel,
@@ -142,8 +144,6 @@ def test_fundamental_unit_keeps_constant_state():
 
 def test_unit_identity_and_minimality_up_to_2000():
     # brute Pell check: no smaller y solves x^2 - d y^2 = +-4
-    from quadtower.arith import is_square
-
     checked = 0
     for d in range(5, 2001):
         if not is_fundamental_discriminant(d):
@@ -170,6 +170,14 @@ def test_norm_signs_follow_classical_splitting():
     assert fundamental_unit(discriminant_of(34)).norm == 1
 
 
+def test_unit_rejects_fields_that_are_no_unit_above_one():
+    # a raise, not an assert, so the check holds under python -O too
+    with pytest.raises(ValueError, match=r"QuadUnit\(d=5, x=3, y=2, norm=1\)"):
+        QuadUnit(5, 3, 2, 1)  # 9 - 5*4 != 4
+    with pytest.raises(ValueError, match=r"QuadUnit\(d=5, x=-1, y=1, norm=-1\)"):
+        QuadUnit(5, -1, 1, -1)  # a unit of norm -1, but below 1
+
+
 def test_coords_over_radicand():
     u = fundamental_unit(12)
     assert u.m == 3
@@ -183,6 +191,7 @@ def test_coords_over_radicand():
 
 
 def test_delta_invariant_examples():
+    assert type(delta_invariant(fundamental_unit(12))) is int
     assert int(delta_invariant(fundamental_unit(12))) == 6
     assert int(delta_invariant(fundamental_unit(21))) == 7
     assert int(delta_invariant(fundamental_unit(28))) == 2
@@ -222,8 +231,38 @@ def test_sqrt_decomposition_of_every_norm_plus_one_unit_below_2e4():
             x, ym = u.coords_over_radicand()
             assert dec.a * dec.a * dec.m1 + dec.b * dec.b * dec.m2 == 2 * x
             assert (dec.a * dec.b) ** 2 * dec.m1 * dec.m2 == ym * ym * u.m
+            # delta by its definition, the squarefree kernel of N(1 + eps)
+            # = x + 2, without the walk over the primes of 2m
+            delta = delta_invariant(u)
+            assert delta == dec.m1 == squarefree_kernel(delta)
+            assert (u.x + 2) % delta == 0 and is_square((u.x + 2) // delta)
             decomposed += 1
     assert decomposed == 4216
+
+
+def test_sqrt_decomposition_is_built_once_per_unit(monkeypatch):
+    import quadtower.units as units
+
+    calls = []
+
+    def counting(n):
+        calls.append(n)
+        return factorize(n)
+
+    monkeypatch.setattr(units, "factorize", counting)
+    u = fundamental_unit(19176)
+    dec = sqrt_unit_decomposition(u)
+    assert sqrt_unit_decomposition(u) is dec
+    assert delta_invariant(u) == dec.m1
+    assert calls == [2 * u.m]
+    # kept on this object only: an equal unit builds its own, and the
+    # cached root changes neither equality, hash nor repr
+    twin = fundamental_unit(19176)
+    assert (twin, hash(twin), repr(twin)) == (u, hash(u), repr(u))
+    assert sqrt_unit_decomposition(twin) == dec
+    assert calls == [2 * u.m] * 2
+    with pytest.raises(NormMinusOneError):
+        sqrt_unit_decomposition(fundamental_unit(8))
 
 
 def test_sqrt_decomposition_of_a_unit_square():
