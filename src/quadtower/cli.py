@@ -477,8 +477,7 @@ def _requested_checks(selected: list[str] | None) -> list[str] | None:
 
 def cmd_group(args: argparse.Namespace) -> int:
     if args.group_cmd == "build-64150":
-        G = build_64_150()
-        T = G.table_group()
+        T = build_64_150().table_group()
         gp = derived_subgroup(T)
         print(f"order = {T.order}")
         print(

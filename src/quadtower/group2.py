@@ -1,19 +1,19 @@
 """Finite 2-group engine backing the tower-length group theory.
 
-Two carriers: TableGroup, a validated multiplication table, and
+Every algorithm takes a TableGroup, a validated multiplication table.
 Class2Extension, a class-2 central extension of F2^r by F2^s given by a
-commutator map and a square map. The distinguished order-64 group with
-presentation a1^2 = c12, a2^2 = c23, a3^2 = c13 (commutators central and
-elementary) lives here as build_64_150, together with the three structural
-checkers used on it: derived collapse over maximal-subgroup triples, the
-power filtration of the lower central series, and metabelian descent under
-an 8-rank hypothesis.
+commutator map and a square map, only builds such tables. The
+distinguished order-64 group with presentation a1^2 = c12, a2^2 = c23,
+a3^2 = c13 (commutators central and elementary) lives here as
+build_64_150, together with the three structural checkers used on it:
+derived collapse over maximal-subgroup triples, the power filtration of the
+lower central series, and metabelian descent under an 8-rank hypothesis.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 from pathlib import Path
 from typing import Iterable
 
@@ -152,14 +152,25 @@ class TableGroup:
 
     @classmethod
     def from_string(cls, text: str) -> "TableGroup":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
+        """Parse the table file format; a malformed line is named by number."""
+        lines = [(k, ln) for k, ln in enumerate(text.splitlines(), start=1)
+                 if ln.strip()]
         if not lines:
             raise InvalidTableError("empty input")
-        n = int(lines[0])
-        if len(lines) != n + 1:
-            raise InvalidTableError(f"expected {n} table rows, got {len(lines) - 1}")
-        rows = tuple(tuple(int(v) for v in ln.split()) for ln in lines[1:])
-        return cls(rows)
+        numbers = []
+        for k, ln in lines:
+            try:
+                numbers.append(tuple(int(v) for v in ln.split()))
+            except ValueError:
+                raise InvalidTableError(
+                    f"line {k}: expected integers, got {ln.strip()!r}"
+                ) from None
+        (n, *extra), rows = numbers[0], numbers[1:]
+        if extra:
+            raise InvalidTableError(f"line {lines[0][0]}: expected the order alone")
+        if len(rows) != n:
+            raise InvalidTableError(f"expected {n} table rows, got {len(rows)}")
+        return cls(tuple(rows))
 
     def to_string(self) -> str:
         lines = [str(self.order)]
@@ -168,7 +179,10 @@ class TableGroup:
 
     @classmethod
     def from_file(cls, path: str | Path) -> "TableGroup":
-        return cls.from_string(Path(path).read_text(encoding="utf-8"))
+        try:
+            return cls.from_string(Path(path).read_text(encoding="utf-8"))
+        except (InvalidTableError, UnicodeDecodeError) as exc:
+            raise InvalidTableError(f"{path}: {exc}") from None
 
     def to_file(self, path: str | Path) -> None:
         Path(path).write_text(self.to_string(), encoding="utf-8")
@@ -185,9 +199,9 @@ class Class2Extension:
         (x, y)(x', y') = (x ^ x', y ^ y' ^ f(x, x'))
 
     with f summing commutator_map[i][j] over bit pairs i > j set in (x, x')
-    and square_map[i] over bits set in both. Associativity of the induced
-    product is equivalent to the 2-cocycle identity for f, validated on
-    construction.
+    and square_map[i] over bits set in both. The product is associative
+    exactly when f satisfies the 2-cocycle identity, and table_group()
+    validates the table it builds.
     """
 
     rank: int
@@ -215,12 +229,9 @@ class Class2Extension:
         for v in self.square_map:
             if not 0 <= v < (1 << s):
                 raise ValueError("square values exceed the center")
-        for x, xp, xpp in product(range(1 << r), repeat=3):
-            if (
-                self._cocycle(x, xp) ^ self._cocycle(x ^ xp, xpp)
-                != self._cocycle(xp, xpp) ^ self._cocycle(x, xp ^ xpp)
-            ):
-                raise ValueError("cocycle identity fails: product not associative")
+        # No cocycle check is needed: _cocycle is F2-bilinear for any maps,
+        # and every bilinear f satisfies f(x, x') + f(x + x', x'') =
+        # f(x', x'') + f(x, x' + x''). TableGroup re-checks associativity.
 
     def _cocycle(self, x: int, xp: int) -> int:
         carry = 0
@@ -244,28 +255,19 @@ class Class2Extension:
     def generator(self, i: int) -> tuple[int, int]:
         return (1 << i, 0)
 
-    def central(self, y: int) -> tuple[int, int]:
-        return (0, y)
-
     def commutator(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         return (0, self._cocycle(a[0], b[0]) ^ self._cocycle(b[0], a[0]))
 
     def square(self, a: tuple[int, int]) -> tuple[int, int]:
         return self.mul(a, a)
 
-    def index_of(self, a: tuple[int, int]) -> int:
-        return a[0] | (a[1] << self.rank)
-
     def table_group(self) -> TableGroup:
-        n = self.order
+        """The table on indices x | (y << rank)."""
         r = self.rank
-
-        def unpack(i: int) -> tuple[int, int]:
-            return (i & ((1 << r) - 1), i >> r)
-
+        elements = [(i & ((1 << r) - 1), i >> r) for i in range(self.order)]
         rows = tuple(
-            tuple(self.index_of(self.mul(unpack(i), unpack(j))) for j in range(n))
-            for i in range(n)
+            tuple(x | (y << r) for x, y in (self.mul(a, b) for b in elements))
+            for a in elements
         )
         return TableGroup(rows)
 
@@ -285,12 +287,6 @@ def build_64_150() -> Class2Extension:
     )
     squares = (c12, c23, c13)
     return Class2Extension(3, 3, commutators, squares)
-
-
-def _as_table(G) -> TableGroup:
-    if isinstance(G, Class2Extension):
-        return G.table_group()
-    return G
 
 
 # -- subgroup machinery -------------------------------------------------------
@@ -314,30 +310,23 @@ def closure(G: TableGroup, gens: Iterable[int]) -> Subgroup:
 
 def derived_subgroup(G: TableGroup, members: Iterable[int] | None = None) -> Subgroup:
     """Derived subgroup of G, or of the subgroup on the given members."""
-    G = _as_table(G)
     members = list(members) if members is not None else list(range(G.order))
     comms = {G.commutator(a, b) for a in members for b in members}
     return closure(G, comms)
 
 
-def lower_central_series(G) -> list[Subgroup]:
+def lower_central_series(G: TableGroup) -> list[Subgroup]:
     """[G, G2, G3, ...] down to and including the trivial subgroup."""
-    G = _as_table(G)
     series = [frozenset(range(G.order))]
-    while True:
+    while series[-1] != {0}:
         current = series[-1]
+        # [G_i, G] lies in the normal subgroup G_i: each step shrinks or stalls
         nxt = closure(
             G, {G.commutator(x, g) for x in current for g in range(G.order)}
         )
         if nxt == current:
-            if current != {0}:
-                raise ValueError("lower central series stalled: not nilpotent")
-            break
-        if not nxt < current:
-            raise ValueError("lower central series failed to decrease")
+            raise ValueError("lower central series stalled: not nilpotent")
         series.append(nxt)
-        if nxt == frozenset({0}):
-            break
     return series
 
 
@@ -365,9 +354,8 @@ def _frattini_quotient(G: TableGroup) -> tuple[Subgroup, list[int], dict[int, in
     return phi, basis, coords
 
 
-def maximal_subgroups(G) -> list[Subgroup]:
+def maximal_subgroups(G: TableGroup) -> list[Subgroup]:
     """All index-2 subgroups, as kernels of the nonzero maps G -> C2."""
-    G = _as_table(G)
     _, basis, coords = _frattini_quotient(G)
     k = len(basis)
     result = []
@@ -382,7 +370,6 @@ def maximal_subgroups(G) -> list[Subgroup]:
 
 def quotient(G: TableGroup, N: Subgroup) -> tuple[TableGroup, dict[int, int]]:
     """Quotient by a normal subgroup; returns (G/N, element -> coset index)."""
-    G = _as_table(G)
     for n in N:
         for g in range(G.order):
             if G.conj(n, g) not in N:
@@ -409,7 +396,6 @@ def abelian_invariants(G: TableGroup, members: Iterable[int] | None = None) -> t
     The divisor chain comes from qform.abelian_structure, which counts the
     solutions of x^(p^k) = 1 and also gives form class group structure.
     """
-    G = _as_table(G)
     sub = set(members) if members is not None else set(range(G.order))
     for a in sub:
         for b in sub:
@@ -434,7 +420,7 @@ class CollapseReport:
         return self.applicable and not self.counterexample
 
 
-def check_derived_collapse(G) -> CollapseReport:
+def check_derived_collapse(G: TableGroup) -> CollapseReport:
     """Search maximal-subgroup triples that would force a trivial derived group.
 
     For a 2-group with rank-3 Frattini quotient: if three distinct maximal
@@ -443,7 +429,6 @@ def check_derived_collapse(G) -> CollapseReport:
     G' != 1 would be a counterexample; the expectation is zero over any
     library of groups.
     """
-    G = _as_table(G)
     _, basis, _ = _frattini_quotient(G)
     if len(basis) != 3:
         return CollapseReport(
@@ -527,13 +512,12 @@ class FiltrationReport:
         )
 
 
-def check_power_filtration(G) -> FiltrationReport:
+def check_power_filtration(G: TableGroup) -> FiltrationReport:
     """Verify G_j = <a_i^(2^(j-1))> = G_2^(2^(j-2)) down the central series.
 
     Applicable when some generating triple satisfies the square-commutator
     presentation modulo G3 and |G/G3| = 64; the triple is found by search.
     """
-    G = _as_table(G)
     triple = _find_presentation_triple(G)
     if triple is None:
         return FiltrationReport(
@@ -544,14 +528,12 @@ def check_power_filtration(G) -> FiltrationReport:
     gen_ok: list[bool] = []
     pow_ok: list[bool] = []
     g2 = series[1]
-    for j in range(2, len(series) + 1):
-        gj = series[j - 1] if j - 1 < len(series) else frozenset({0})
+    # the series ends at the trivial subgroup, so the chains stop there
+    for j, gj in enumerate(series[1:], start=2):
         from_gens = closure(G, [G.power(a, 1 << (j - 1)) for a in triple])
         gen_ok.append(from_gens == gj)
         from_powers = closure(G, [G.power(h, 1 << (j - 2)) for h in g2])
         pow_ok.append(from_powers == gj)
-        if gj == frozenset({0}):
-            break
     return FiltrationReport(True, "presentation triple found", triple,
                             tuple(gen_ok), tuple(pow_ok))
 
@@ -567,14 +549,11 @@ class DescentReport:
 
     @property
     def holds(self) -> bool:
-        if not (self.applicable and self.hypothesis_met):
-            return False
-        return self.second_derived_order == 1
+        return self.applicable and self.hypothesis_met and self.second_derived_order == 1
 
 
-def check_metabelian_descent(G) -> DescentReport:
+def check_metabelian_descent(G: TableGroup) -> DescentReport:
     """When G'/G'' has 8-rank 0 (all factors <= 4), G'' must vanish."""
-    G = _as_table(G)
     if _find_presentation_triple(G) is None:
         return DescentReport(
             False, "no generating triple matches the presentation mod G3",
@@ -582,13 +561,9 @@ def check_metabelian_descent(G) -> DescentReport:
         )
     gprime = derived_subgroup(G)
     gsecond = derived_subgroup(G, gprime)
-    elems = sorted(gprime, key=lambda g: (g != 0, g))
-    index = {g: i for i, g in enumerate(elems)}
-    sub = TableGroup(
-        tuple(tuple(index[G.mul(a, b)] for b in elems) for a in elems)
-    )
-    q, _ = quotient(sub, frozenset(index[g] for g in gsecond))
-    invariants = abelian_invariants(q)
+    # G'' is characteristic, so normal in G; G'/G'' is the image of G' in G/G''
+    q, coset_of = quotient(G, gsecond)
+    invariants = abelian_invariants(q, {coset_of[g] for g in gprime})
     eight_rank = sum(1 for m in invariants if m % 8 == 0)
     if eight_rank > 0:
         return DescentReport(
@@ -610,35 +585,36 @@ def cyclic(n: int) -> TableGroup:
     return TableGroup(tuple(tuple((i + j) % n for j in range(n)) for i in range(n)))
 
 
-def dihedral(order: int) -> TableGroup:
-    """Dihedral group of the given (even, >= 4) order."""
-    if order < 4 or order % 2:
-        raise ValueError("dihedral groups here have even order >= 4")
+def _metacyclic(order: int, twist: int, square: int) -> TableGroup:
+    """<a, b | a^m, b a b^-1 = a^twist, b^2 = a^square> with m = order / 2.
+
+    Element e*m + i is a^i b^e, so (a^i b^e)(a^j b^f) = a^(i + twist^e j) b^(e+f).
+    """
     m = order // 2
 
     def mul(a: int, b: int) -> int:
         e, i = divmod(a, m)
         f, j = divmod(b, m)
-        return ((e + f) % 2) * m + (i + (j if e == 0 else -j)) % m
+        k = i + (j if e == 0 else twist * j)
+        if e and f:
+            return (k + square) % m
+        return (e + f) * m + k % m
 
     return TableGroup(tuple(tuple(mul(a, b) for b in range(order)) for a in range(order)))
+
+
+def dihedral(order: int) -> TableGroup:
+    """Dihedral group of the given (even, >= 4) order."""
+    if order < 4 or order % 2:
+        raise ValueError("dihedral groups here have even order >= 4")
+    return _metacyclic(order, -1, 0)
 
 
 def generalized_quaternion(order: int) -> TableGroup:
     """Generalized quaternion group of order 2^n >= 8."""
     if order < 8 or order & (order - 1):
         raise ValueError("order must be a power of 2, at least 8")
-    m = order // 2
-
-    def mul(a: int, b: int) -> int:
-        e, i = divmod(a, m)
-        f, j = divmod(b, m)
-        i = (i + (j if e == 0 else -j)) % m
-        if e and f:
-            return (i + m // 2) % m
-        return ((e + f) % 2) * m + i
-
-    return TableGroup(tuple(tuple(mul(a, b) for b in range(order)) for a in range(order)))
+    return _metacyclic(order, -1, order // 4)
 
 
 def quaternion() -> TableGroup:
@@ -649,19 +625,10 @@ def semidihedral(order: int) -> TableGroup:
     """Semidihedral group of order 2^n >= 16."""
     if order < 16 or order & (order - 1):
         raise ValueError("order must be a power of 2, at least 16")
-    m = order // 2
-    t = m // 2 - 1
-
-    def mul(a: int, b: int) -> int:
-        e, i = divmod(a, m)
-        f, j = divmod(b, m)
-        return ((e + f) % 2) * m + (i + (j if e == 0 else t * j)) % m
-
-    return TableGroup(tuple(tuple(mul(a, b) for b in range(order)) for a in range(order)))
+    return _metacyclic(order, order // 4 - 1, 0)
 
 
 def direct_product(A: TableGroup, B: TableGroup) -> TableGroup:
-    A, B = _as_table(A), _as_table(B)
     nb = B.order
 
     def mul(a: int, b: int) -> int:
@@ -680,9 +647,8 @@ def abelian(*invariants: int) -> TableGroup:
     return group
 
 
-def central_quotients(G) -> list[TableGroup]:
+def central_quotients(G: TableGroup) -> list[TableGroup]:
     """Quotients of G by every nontrivial subgroup of its center."""
-    G = _as_table(G)
     center = sorted(G.center())
     max_gens = max(1, (len(center) - 1).bit_length())
     normal: set[Subgroup] = set()
@@ -715,8 +681,8 @@ def collapse_library() -> list[tuple[str, TableGroup]]:
         ("D8xC2", direct_product(dihedral(16), cyclic(2))),
         ("SD16xC2", direct_product(semidihedral(16), cyclic(2))),
     ]
-    big = build_64_150()
-    groups.append(("64.150", big.table_group()))
+    big = build_64_150().table_group()
+    groups.append(("64.150", big))
     for i, q in enumerate(central_quotients(big), start=1):
         groups.append((f"64.150/Z{i}(order {q.order})", q))
     return groups

@@ -65,24 +65,12 @@ class BQForm:
         return f"({self.a}, {self.b}, {self.c})"
 
 
-def _xgcd(a: int, b: int) -> tuple[int, int, int]:
-    # returns (g, x, y) with a*x + b*y = g >= 0
-    x0, x1, y0, y1 = 1, 0, 0, 1
-    while b:
-        q, a, b = a // b, b, a % b
-        x0, x1 = x1, x0 - q * x1
-        y0, y1 = y1, y0 - q * y1
-    if a < 0:
-        return -a, -x0, -y0
-    return a, x0, y0
-
-
 def _solve_linmod(a: int, b: int, m: int) -> tuple[int, int]:
     # solve a*x = b (mod m); return (x0, step) parametrizing all solutions
-    g, d, _ = _xgcd(a, m)
+    g = math.gcd(a, m)
     if b % g != 0:
         raise ValueError(f"no solution to {a} x = {b} mod {m}")
-    return (b // g) * d % m, m // g
+    return (b // g) * pow(a // g, -1, m // g) % m, m // g
 
 
 def principal_form(d: int) -> BQForm:

@@ -1,5 +1,6 @@
 """CLI tests: subcommands, exit codes, scan persistence, determinism."""
 
+import hashlib
 import json
 import os
 import signal
@@ -657,6 +658,30 @@ def test_group_bad_table_file(tmp_path, capsys):
     code, _, err = run(capsys, "group", "table", str(path))
     assert code == 2
     assert "inverse" in err
+
+
+def test_group_table_file_errors_name_file_and_line(tmp_path, capsys):
+    path = tmp_path / "token.tbl"
+    path.write_text("2\n0 1\n1 x\n")
+    code, _, err = run(capsys, "group", "table", str(path))
+    assert code == 2
+    assert f"{path}: line 3:" in err
+    assert "'1 x'" in err
+    path = tmp_path / "bytes.tbl"
+    path.write_bytes(b"2\n0 1\n1 \xff\n")
+    code, _, err = run(capsys, "group", "table", str(path))
+    assert code == 2
+    assert f"{path}: " in err
+    assert "utf-8" in err
+
+
+def test_group_dump_file_is_pinned(tmp_path, capsys):
+    path = tmp_path / "big.tbl"
+    code, _, _ = run(capsys, "group", "build-64150", "--dump", str(path))
+    assert code == 0
+    assert hashlib.sha256(path.read_bytes()).hexdigest() == (
+        "94bca7b716dce829f9c4748e906245b99340a2554bfcde6ce6b0cdb6e0d05d2c"
+    )
 
 
 def test_missing_file_reports_path(capsys):

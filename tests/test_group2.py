@@ -1,5 +1,6 @@
 """Group engine tests: tables, class-2 extensions, and the three checkers."""
 
+import hashlib
 import math
 
 import pytest
@@ -142,12 +143,18 @@ def test_lower_central_series_commutator_grading():
                 assert closure(G, comms) <= target
 
 
+def test_lower_central_series_ends_or_stalls():
+    assert lower_central_series(cyclic(1)) == [frozenset({0})]
+    with pytest.raises(ValueError, match="not nilpotent"):
+        lower_central_series(dihedral(6))
+
+
 @pytest.mark.parametrize(
     "group,count",
     [
         (abelian(2, 2), 3),
         (quaternion(), 3),
-        (build_64_150(), 7),
+        (build_64_150().table_group(), 7),
         (dihedral(16), 3),
         (cyclic(8), 1),
     ],
@@ -202,7 +209,7 @@ def test_abelian_invariants_recovers_construction(chain):
 
 
 def test_derived_collapse_on_64_150():
-    r = check_derived_collapse(build_64_150())
+    r = check_derived_collapse(build_64_150().table_group())
     assert r.applicable
     assert r.derived_order == 8
     assert r.qualifying_triple is None
@@ -240,14 +247,14 @@ def test_derived_collapse_library_sweep():
 
 
 def test_central_quotients_of_64_150():
-    quotients = central_quotients(build_64_150())
+    quotients = central_quotients(build_64_150().table_group())
     assert sorted(q.order for q in quotients) == [8] + [16] * 7 + [32] * 7
     smallest = min(quotients, key=lambda q: q.order)
     assert abelian_invariants(smallest) == (2, 2, 2)
 
 
 def test_power_filtration_on_64_150():
-    r = check_power_filtration(build_64_150())
+    r = check_power_filtration(build_64_150().table_group())
     assert r.applicable
     assert r.generators is not None
     assert r.generator_chain == (True, True)
@@ -276,7 +283,7 @@ def test_power_filtration_not_applicable(group):
 
 
 def test_metabelian_descent_on_64_150():
-    r = check_metabelian_descent(build_64_150())
+    r = check_metabelian_descent(build_64_150().table_group())
     assert r.applicable
     assert r.invariants == (2, 2, 2)
     assert r.eight_rank == 0
@@ -316,3 +323,98 @@ def test_table_group_power():
         for e in range(1, 9):
             acc = T.mul(acc, g)
             assert T.power(g, e) == acc
+
+
+# sha256 of to_string(), taken before the three constructors shared one builder
+PINNED_TABLES = {
+    ("dihedral", 8): "96a5a4672f20870227ffd72f083007d926cc65757708fde6898f5f494dfa004c",
+    ("dihedral", 12): "e41af8c142cf14a19460ae05739802cfe368c70b0a332e9f81e518185c3c5288",
+    ("dihedral", 16): "63a98757828f3d52c2b99142c7523a71045291d08876d1668822ad42396ea6ee",
+    ("generalized_quaternion", 8): (
+        "eaa288d0edce9e4e69c64509f53d1d9504c4d1f04eb41adb6781e44daeb9e054"),
+    ("generalized_quaternion", 16): (
+        "7bb358d34cf90c7df1e5e67fcae9cf0448c723a640fa8dea5254895222787470"),
+    ("generalized_quaternion", 32): (
+        "33415c72d63f9a04b5dfcaaf7a707129c9a48dda31e3acbef135f74bf6b53c69"),
+    ("semidihedral", 16): "dd7c5b628934e609b927921da0e0152dd9c2d338d844190c316a30f3e8c775eb",
+    ("semidihedral", 32): "ce3ba3d9642b556221a272795e500decc73ee23d423d58632591f6df95335741",
+}
+
+
+def _sha(text: str) -> str:
+    return hashlib.sha256(text.encode()).hexdigest()
+
+
+@pytest.mark.parametrize("name,order", sorted(PINNED_TABLES))
+def test_metacyclic_tables_are_pinned(name, order):
+    build = {"dihedral": dihedral, "generalized_quaternion": generalized_quaternion,
+             "semidihedral": semidihedral}[name]
+    assert _sha(build(order).to_string()) == PINNED_TABLES[name, order]
+
+
+def test_collapse_library_tables_are_pinned():
+    tables = "".join(T.to_string() for _, T in collapse_library())
+    assert _sha(tables) == (
+        "01301ca8bb40f216cf43af77d3e693e369a7d9fde455cbb7d217aabbf414d4ca"
+    )
+
+
+@st.composite
+def extensions(draw):
+    """Class2Extension maps: symmetric, zero diagonal, any squares."""
+    r, s = draw(st.integers(1, 3)), draw(st.integers(0, 3))
+    value = st.integers(0, (1 << s) - 1)
+    comm = [[0] * r for _ in range(r)]
+    for i in range(r):
+        for j in range(i):
+            comm[i][j] = comm[j][i] = draw(value)
+    squares = tuple(draw(value) for _ in range(r))
+    return Class2Extension(r, s, tuple(map(tuple, comm)), squares)
+
+
+@settings(max_examples=60, deadline=None)
+@given(extensions())
+def test_every_valid_extension_is_a_group(E):
+    T = E.table_group()  # validates the table, associativity included
+    r = E.rank
+    elements = [(i & ((1 << r) - 1), i >> r) for i in range(E.order)]
+    for a in elements:
+        for b in elements:
+            x, y = E.mul(a, b)
+            assert T.mul(a[0] | (a[1] << r), b[0] | (b[1] << r)) == x | (y << r)
+    # the 2-cocycle identity holds for every map: the product is associative
+    top = [(x, 0) for x in range(1 << r)]
+    for a in top:
+        for b in top:
+            for c in top:
+                assert E.mul(E.mul(a, b), c) == E.mul(a, E.mul(b, c))
+
+
+def _derived_quotient_by_subtable(G):
+    """Invariants of G'/G'' from a hand-built table of G' (reference)."""
+    gprime = derived_subgroup(G)
+    gsecond = derived_subgroup(G, gprime)
+    elems = sorted(gprime, key=lambda g: (g != 0, g))
+    index = {g: i for i, g in enumerate(elems)}
+    sub = TableGroup(tuple(tuple(index[G.mul(a, b)] for b in elems) for a in elems))
+    q, _ = quotient(sub, frozenset(index[g] for g in gsecond))
+    return abelian_invariants(q)
+
+
+@pytest.mark.parametrize(
+    "name,G",
+    collapse_library() + [
+        ("D16", dihedral(16)),
+        ("Q16", generalized_quaternion(16)),
+        ("SD16", semidihedral(16)),
+        ("Q8xC2", direct_product(quaternion(), cyclic(2))),
+    ],
+)
+def test_derived_quotient_image_matches_subtable(name, G):
+    expected = _derived_quotient_by_subtable(G)
+    gprime = derived_subgroup(G)
+    q, coset_of = quotient(G, derived_subgroup(G, gprime))
+    assert abelian_invariants(q, {coset_of[g] for g in gprime}) == expected
+    r = check_metabelian_descent(G)
+    if r.applicable:
+        assert r.invariants == expected
