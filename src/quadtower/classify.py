@@ -27,13 +27,11 @@ from .arith import (
     Sieved,
     discriminant_of,
     factor_discriminant,
-    kronecker,
     prime_of,
     radicand,
     sieve_factors,
     squarefree_kernel,
 )
-from .conic import h8_symbols
 from .qform import character_matrix, narrow_four_rank, two_class_number
 # neither is called here; bench/spans.py hooks both names on this module
 from .arith import is_sum_of_two_squares  # noqa: F401
@@ -57,7 +55,6 @@ __all__ = [
     "RowPatternsUnavailableError",
     "RowComputationError",
     "classify",
-    "h8_predicate",
     "tower_verdict",
     "verify_invariant_row",
     "family_member",
@@ -299,13 +296,6 @@ def classify(d: int, sieved: Sieved | None = None) -> CaseRecord:
     raise InternalConsistencyError(f"{d} matches several rows: {list(found)}")
 
 
-def h8_predicate(assignment: Sequence[int] | CaseRecord) -> bool:
-    """Whether the four quaternion-embedding symbols all equal +1."""
-    if isinstance(assignment, CaseRecord):
-        assignment = assignment.assignment
-    return all(kronecker(top, p) == 1 for top, p in h8_symbols(*assignment))
-
-
 def tower_verdict(
     rec: CaseRecord, external_octic_cl2: Sequence[int] | None = None
 ) -> TowerVerdict:
@@ -430,13 +420,6 @@ class InvariantRowReport:
         return [e for e in self.entries if not e.matched]
 
 
-def _compute(d: int, column: str, fn):
-    try:
-        return fn()
-    except Exception as e:  # surfaced with the field and blocked column attached
-        raise RowComputationError(d, column, e) from e
-
-
 def verify_invariant_row(d: int | CaseRecord) -> InvariantRowReport:
     """Recompute the invariant-row quantities for d and diff them.
 
@@ -447,8 +430,9 @@ def verify_invariant_row(d: int | CaseRecord) -> InvariantRowReport:
     resolving the nu34 and norm branches by computation.  Each subfield
     fundamental unit, with the square root its delta and unit indices read,
     and each 2-class number is computed once per call.
-    Mismatches are report entries, not errors.  A CaseRecord of d skips
-    classifying it again.
+    Mismatches are report entries, not errors; a failed computation, or a
+    failed evaluation of a pattern, raises RowComputationError naming the
+    column it stopped.  A CaseRecord of d skips classifying it again.
     """
     rec = d if isinstance(d, CaseRecord) else classify(d)
     d = rec.d
@@ -460,82 +444,55 @@ def verify_invariant_row(d: int | CaseRecord) -> InvariantRowReport:
     a = rec.assignment
     d1, d2, d3, d4 = a
     nu34 = rec.symbol_matrix[5]
-    entries: list[RowEntry] = []
-
     expected_nu = patterns["nu"]
     nu_ok = all(
         want == "*" or want == got
         for want, got in zip(expected_nu, rec.symbol_matrix)
     )
-    entries.append(
-        RowEntry("nu", str(expected_nu), str(list(rec.symbol_matrix)), nu_ok)
-    )
+    entries = [RowEntry("nu", str(expected_nu), str(list(rec.symbol_matrix)), nu_ok)]
 
     # per-call memos; each looks its function up in this module when the
     # call starts, so a name replaced there still sees every computation
     unit = functools.cache(fundamental_unit)
     h2 = functools.cache(two_class_number)
 
-    eps12 = _compute(d, "n_eps12", lambda: unit(d1 * d2))
-    eps_sign = eps12.norm
-    allowed = patterns["n_eps12"]
-    entries.append(
-        RowEntry(
-            "n_eps12",
-            " | ".join(allowed),
-            f"{eps_sign:+d}",
-            f"{eps_sign:+d}" in allowed,
-        )
-    )
-
-    deltas = {
-        "delta": d,
-        "delta1": d2 * d3 * d4,
-        "delta2": d1 * d3 * d4,
-    }
-    for column, disc in deltas.items():
-        value = _compute(
-            d, column,
-            lambda disc=disc: delta_invariant(unit(disc)),
-        )
-        pattern = _resolve(patterns[column], nu34, eps_sign)
-        want = _atoms_value(pattern, a)
+    def check(spec, value: int) -> None:
+        pattern = _resolve(spec, nu34, eps_sign)
+        if column.startswith("delta"):
+            want = _atoms_value(pattern, a)
+        else:
+            want = _pattern_value(pattern, a, h2)
         entries.append(RowEntry(column, pattern, str(value), value == want))
 
-    def check(column: str, spec, value: int) -> None:
-        pattern = _resolve(spec, nu34, eps_sign)
-        entries.append(RowEntry(
-            column, pattern, str(value), value == _pattern_value(pattern, a, h2)
-        ))
-
-    subfield_discs = (
-        (d1, d, d2 * d3 * d4),
-        (d2, d, d1 * d3 * d4),
-        (d1 * d2, d, d3 * d4),
-    )
-    for i, discs in enumerate(subfield_discs, start=1):
-        q_i = _compute(
-            d, f"q{i}",
-            lambda discs=discs: kubota_index(
-                radicand(discs[0]), radicand(discs[2]), unit=unit
-            ),
+    column = "n_eps12"
+    try:
+        eps_sign = unit(d1 * d2).norm
+        allowed = patterns["n_eps12"]
+        computed = f"{eps_sign:+d}"
+        entries.append(
+            RowEntry(column, " | ".join(allowed), computed, computed in allowed)
         )
-        check(f"q{i}", patterns["q"][i - 1], q_i)
-        h2_i = _compute(
-            d, f"h2_{i}",
-            lambda discs=discs, q_i=q_i: multiquadratic_h2(
-                [h2(x) for x in discs], q_i, 4
-            ),
-        )
-        check(f"h2_{i}", patterns["h2"][i - 1], h2_i)
-
-    def octic_order() -> int:
-        gens = (radicand(d1), radicand(d2), radicand(d3 * d4))
-        q = kubota_index(*gens, unit=unit)
-        discs = (d1, d2, d3 * d4, d1 * d2, d1 * d3 * d4, d2 * d3 * d4, d)
-        return 4 * multiquadratic_h2([h2(x) for x in discs], q, 8)
-
-    check("order", patterns["order"], _compute(d, "order", octic_order))
+        for column, disc in (("delta", d), ("delta1", d // d1), ("delta2", d // d2)):
+            check(patterns[column], delta_invariant(unit(disc)))
+        # the quartic field Q(sqrt d, sqrt x) has the quadratic subfields of
+        # discriminants x, d and d/x
+        for i, x in enumerate((d1, d2, d1 * d2), start=1):
+            column = f"q{i}"
+            q_i = kubota_index(radicand(x), radicand(d // x), unit=unit)
+            check(patterns["q"][i - 1], q_i)
+            column = f"h2_{i}"
+            check(
+                patterns["h2"][i - 1],
+                multiquadratic_h2([h2(x), h2(d), h2(d // x)], q_i, 4),
+            )
+        # their compositum Q(sqrt d1, sqrt d2, sqrt d3d4) has seven quadratic
+        # subfields
+        column = "order"
+        q = kubota_index(radicand(d1), radicand(d2), radicand(d3 * d4), unit=unit)
+        discs = (d1, d2, d3 * d4, d1 * d2, d // d2, d // d1, d)
+        check(patterns["order"], 4 * multiquadratic_h2([h2(x) for x in discs], q, 8))
+    except Exception as e:  # surfaced with the field and blocked column attached
+        raise RowComputationError(d, column, e) from e
 
     return InvariantRowReport(d, rec.label, a, nu34, eps_sign, tuple(entries))
 

@@ -16,7 +16,7 @@ import os
 import sys
 import time
 from collections import Counter
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 
 from . import arith, qform
@@ -73,42 +73,27 @@ class ScanRecord:
     ms: float | None = None
 
     def to_json(self) -> str:
-        payload = {
-            "d": self.d,
-            "factors": list(self.factors),
-            "case_type": self.case_type,
-            "label": self.label,
-            "gplus": self.gplus,
-            "verdict": self.verdict,
-            "verification": self.verification,
-        }
-        if self.ms is not None:
-            payload["ms"] = self.ms
+        payload = dict(vars(self))
+        if self.ms is None:
+            del payload["ms"]
         return json.dumps(payload, sort_keys=True, separators=(",", ":"))
 
     @classmethod
     def from_json(cls, line: str) -> "ScanRecord":
         raw = json.loads(line)
-        return cls(
-            d=raw["d"],
-            factors=tuple(raw["factors"]),
-            case_type=raw["case_type"],
-            label=raw["label"],
-            gplus=raw["gplus"],
-            verdict=raw["verdict"],
-            verification=raw["verification"],
-            ms=raw.get("ms"),
-        )
+        raw["factors"] = tuple(raw["factors"])
+        return cls(**{name: raw[name] for name in _SCAN_FIELDS if name in raw})
 
     def to_csv(self) -> str:
-        ms = "" if self.ms is None else repr(self.ms)
-        factors = "*".join(str(f) for f in self.factors)
-        return (
-            f"{self.d},{factors},{self.case_type},{self.label},"
-            f"{self.gplus},{self.verdict},{self.verification},{ms}"
-        )
+        values = dict(vars(self),
+                      factors="*".join(str(f) for f in self.factors),
+                      ms="" if self.ms is None else repr(self.ms))
+        return ",".join(str(values[name]) for name in _SCAN_FIELDS)
 
-    CSV_HEADER = "d,factors,case_type,label,gplus,verdict,verification,ms"
+
+# the JSON keys and CSV columns, in CSV order
+_SCAN_FIELDS = tuple(f.name for f in fields(ScanRecord))
+ScanRecord.CSV_HEADER = ",".join(_SCAN_FIELDS)
 
 
 def _record_for(rec: CaseRecord, verdict: str, verification: str,
@@ -614,7 +599,13 @@ def main(argv: list[str] | None = None) -> int:
     except InternalConsistencyError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
-    except (RowComputationError, arith.BoundExceededError) as exc:
+    except RowComputationError as exc:
+        # a column exits as resource-bound only when a bound stopped it
+        print(f"error: {exc}", file=sys.stderr)
+        if isinstance(exc.cause, arith.BoundExceededError):
+            return EXIT_BOUND
+        return EXIT_INTERNAL
+    except arith.BoundExceededError as exc:
         # NoSolutionWithinBoundError is a BoundExceededError
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_BOUND

@@ -170,6 +170,9 @@ class TableGroup:
             raise InvalidTableError(f"line {lines[0][0]}: expected the order alone")
         if len(rows) != n:
             raise InvalidTableError(f"expected {n} table rows, got {len(rows)}")
+        for (k, _), row in zip(lines[1:], rows):
+            if len(row) != n:
+                raise InvalidTableError(f"line {k}: expected {n} entries, got {len(row)}")
         return cls(tuple(rows))
 
     def to_string(self) -> str:

@@ -31,13 +31,13 @@ from quadtower.classify import (
     RowPatternsUnavailableError,
     Verdict,
     classify,
-    h8_predicate,
     iter_family,
     load_tables,
     tower_verdict,
     verify_invariant_row,
 )
 from quadtower.cli import _target
+from quadtower.conic import h8_symbols
 from quadtower.qform import character_matrix, narrow_four_rank
 
 from strategies import four_factor_discriminants
@@ -153,6 +153,12 @@ def test_preconditions():
 
 
 def test_h8_predicate():
+    def h8_predicate(assignment):
+        """Whether the four quaternion-embedding symbols all equal +1."""
+        if isinstance(assignment, CaseRecord):
+            assignment = assignment.assignment
+        return all(kronecker(top, p) == 1 for top, p in h8_symbols(*assignment))
+
     assert h8_predicate(classify(59605))  # a9
     assert h8_predicate(classify(8520))  # a9
     assert h8_predicate(classify(3720))  # a10
@@ -311,6 +317,16 @@ def test_invariant_row_two_class_number_failure_names_column(monkeypatch):
 
     monkeypatch.setattr(classify_mod, "two_class_number", exhausted)
     with pytest.raises(RowComputationError, match=r"^d = 19176, column h2_1: "):
+        verify_invariant_row(19176)
+
+
+def test_invariant_row_pattern_failure_names_column(monkeypatch):
+    def exhausted(pattern, assignment, h2):
+        raise BoundExceededError(f"pattern {pattern} exceeded its bound")
+
+    # q1 is the first column whose expected value is a class-number pattern
+    monkeypatch.setattr(classify_mod, "_pattern_value", exhausted)
+    with pytest.raises(RowComputationError, match=r"^d = 19176, column q1: "):
         verify_invariant_row(19176)
 
 
@@ -571,7 +587,7 @@ def test_classify_factors_once_and_builds_one_matrix(d, monkeypatch):
         return wrapper
 
     monkeypatch.setattr(arith, "factorize", counting("factorize", arith.factorize))
-    for module in (arith, qform, classify_mod):
+    for module in (arith, qform):
         monkeypatch.setattr(module, "kronecker", counting("kronecker", module.kronecker))
     _classify_outcome(classify, d)
     assert calls["factorize"] == 1

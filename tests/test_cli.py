@@ -29,6 +29,7 @@ from quadtower.cli import ScanRecord, main
 from quadtower.conic import NoSolutionWithinBoundError
 from quadtower.group2 import InvalidTableError
 from quadtower.qform import character_matrix
+from quadtower.units import DecompositionError
 
 
 def run(capsys, *argv):
@@ -93,6 +94,8 @@ def test_classify_exit_codes(capsys):
         (NoRowMatchError("no row"), 3),
         (InternalConsistencyError("two rows"), 4),
         (RowComputationError(19176, "q1", BoundExceededError("cf")), 5),
+        (RowComputationError(19176, "delta", DecompositionError("stray factor 3")), 4),
+        (RowComputationError(19176, "order", ZeroDivisionError("division by zero")), 4),
         (NoSolutionWithinBoundError("x^2 = 5 y^2", 7), 5),
         (RowPatternsUnavailableError("no patterns"), 2),
         (InvalidTableError("bad table"), 2),
@@ -393,6 +396,22 @@ def test_scan_verify_rows_bound_failure_names_d(capsys, monkeypatch):
         )
 
 
+def test_scan_verify_rows_internal_failure_exits_4(capsys, monkeypatch):
+    def stray(unit):
+        raise DecompositionError("stray factor 3")
+
+    argv = ["scan", "19170", "19180", "--verify-rows"]
+    before_failure = run(capsys, *argv)[1].splitlines(keepends=True)[0]  # 19173
+    monkeypatch.setattr(classify_mod, "delta_invariant", stray)
+    # a column stopped by anything but a bound is an internal failure
+    for jobs in ("1", "2"):
+        assert run(capsys, *argv, "--jobs", jobs) == (
+            4,
+            before_failure,
+            "error: d = 19176, column delta: stray factor 3\n",
+        )
+
+
 def test_scan_trial_divides_only_blocks_too_narrow_to_sieve(capsys, monkeypatch):
     calls = Counter()
     original = arith.factorize
@@ -673,6 +692,15 @@ def test_group_table_file_errors_name_file_and_line(tmp_path, capsys):
     assert code == 2
     assert f"{path}: " in err
     assert "utf-8" in err
+    for name, text, message in [
+        ("short.tbl", "2\n0 1\n1\n", "line 3: expected 2 entries, got 1"),
+        ("long.tbl", "2\n0 1 0\n1 0\n", "line 2: expected 2 entries, got 3"),
+    ]:
+        path = tmp_path / name
+        path.write_text(text)
+        assert run(capsys, "group", "table", str(path)) == (
+            2, "", f"error: {path}: {message}\n"
+        )
 
 
 def test_group_dump_file_is_pinned(tmp_path, capsys):

@@ -54,7 +54,7 @@ IMPORT_GRAPH = {
     "units": {"arith"},
     "conic": {"arith", "units"},
     "group2": {"qform"},
-    "classify": {"arith", "conic", "qform", "units"},
+    "classify": {"arith", "qform", "units"},
     "cli": {"arith", "classify", "conic", "group2", "qform", "units"},
 }
 
