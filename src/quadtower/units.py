@@ -29,7 +29,10 @@ which every m_i is a square, the least roots of the m_i mod p define a ring
 map from the p-integral elements of K, units among them, onto F_p.  A square
 maps to a square, so a product whose image has Legendre symbol -1 is no
 square, and the radicals or the exact root search still decide every other
-product.  One table per prime gives the roots and the symbols.
+product.  One table per prime gives the roots and the symbols.  A field and
+its subfields read one CharacterTable, the characters of the largest field
+restricted to each subfield, so the primes are walked once and each
+subfield unit's character vector is computed once.
 """
 
 from __future__ import annotations
@@ -61,6 +64,7 @@ __all__ = [
     "unit_conjugate_sign",
     "word_conjugate_sign",
     "conjugate_sign_table",
+    "CharacterTable",
     "kubota_index",
     "multiquadratic_h2",
 ]
@@ -68,10 +72,13 @@ __all__ = [
 DEFAULT_CF_STEPS = 10**6
 # Quadratic characters that filter the unit-index saturation, one per prime.
 # A basis has at most 7 units, so 127 products a round.  On the 151 fields of
-# bench/data/row_fields.json, 10, 12, 16 and 24 characters leave 44, 7, 0
-# and 0 of about 1200 exact root tries failing, and verify the rows in 0.93,
-# 0.88, 0.98 and 1.12 times the time of 24 characters taken as 8 sign
-# choices above 3 primes (median ratio of 12 alternating passes).
+# bench/data/row_fields.json, with each field's quartic subfields reading the
+# octic field's characters, 8, 10, 12, 16 and 24 characters leave 94, 20, 2,
+# 0 and 0 exact root tries failing (201 tries at 12), and verify the rows in
+# 0.96, 0.99, 1, 1.08 and 1.23 times the time at 12 (median ratio of 10
+# alternating passes).  The 235 radical tries that fail at every count are
+# quartic products that become squares in the octic field, where its
+# characters cannot tell them from squares.
 CHARACTERS = 12
 
 
@@ -546,45 +553,113 @@ def _character_vector(chars: Sequence[tuple[int, tuple[int, ...]]], u) -> int:
     """Bit k is set when the Legendre symbol of u's image at the prime of
     chars[k] is -1.
 
-    The image of u = (coeffs, den) is den^-1 sum(coeffs[S] rho[S]) mod p.  A
-    denominator divisible by p or a zero image raises: neither occurs for a
-    unit, since p is prime to 2 m_1 ... m_r and so the unit and its inverse
-    both have p-integral coefficients.
+    The image of u = (coeffs, den) is den^-1 sum(coeffs[S] rho[S]) mod p,
+    and its symbol is the product of the symbols of the sum and of den; the
+    sum runs over the nonzero coefficients only, two for an original unit.
+    A denominator divisible by p or a zero image raises: neither occurs for
+    a unit, since p is prime to 2 m_1 ... m_r and so the unit and its
+    inverse both have p-integral coefficients.
     """
     vector = 0
     coeffs, den = u
+    terms = [(s, c) for s, c in enumerate(coeffs) if c]
     for k, (p, rho) in enumerate(chars):
-        if den % p == 0:
+        roots = _roots(p)
+        den_p = den % p
+        if den_p == 0:
             raise ArithmeticError(f"the denominator of {u} has no inverse mod {p}")
-        image = sum(c * r for c, r in zip(coeffs, rho)) * pow(den, -1, p) % p
+        image = sum(c * rho[s] for s, c in terms) % p
         if image == 0:
             raise ArithmeticError(f"{u} vanishes at a prime above {p}")
-        if not _roots(p)[image]:
+        if (roots[image] == 0) != (roots[den_p] == 0):
             vector |= 1 << k
     return vector
 
 
-def _saturate(field: _MultiQuadField, basis: Sequence) -> tuple[int, list]:
+class CharacterTable:
+    """The CHARACTERS quadratic characters of a totally real multiquadratic
+    field K = Q(sqrt(m_1), ..., sqrt(m_r)), shared by the unit indices of K
+    and of its subfields.
+
+    A subfield L = Q(sqrt(n_1), ..., sqrt(n_s)) has each n_j among K's
+    kernels, n_j = kernel[S_j], and reads its characters at K's primes: the
+    root of n_j mod p is rho[S_j] / g_j with g_j^2 = w[S_j] / n_j, not a
+    fresh least root.  So every element of L has the image it has as an
+    element of K, at the same degree-one prime, and a unit's character
+    vector is the same in every field that contains it.  vectors[S] keeps
+    the vector of the fundamental unit of Q(sqrt(kernel[S])), computed by
+    the first unit index that reads it; the characters are walked on first
+    use.  One table serves one K, and its unit indices must take their
+    units from one unit function.  K's characters are +1 on every element
+    of L that is a square in K, so a subfield's filter lets through the
+    products that become squares only in K; the radicals or the exact root
+    search reject them.
+    """
+
+    def __init__(self, gens: Sequence[int]):
+        if any(m <= 1 for m in gens):
+            raise ValueError(f"radicands {list(gens)} do not span a totally real field")
+        self.field = _MultiQuadField(gens)
+        self.vectors: dict[int, int] = {}
+
+    @functools.cached_property
+    def chars(self) -> list[tuple[int, tuple[int, ...]]]:
+        return _characters(self.field.gens)
+
+    def subfield(self, gens: Sequence[int], unit: Callable[[int], QuadUnit]):
+        """(L, basis, chars, vectors), _saturate's arguments, for the
+        subfield L of K on the radicands gens; unit(D) is the fundamental
+        unit of discriminant D.  A radicand that is none of K's kernels
+        raises ValueError."""
+        k = self.field
+        if not all(m in k.kernel[1:] for m in gens):
+            raise ValueError(f"radicands {list(gens)} do not all lie in the field "
+                             f"on the radicands {list(k.gens)}")
+        masks = [k.kernel.index(m) for m in gens]
+        field = _MultiQuadField(gens)
+        scales = [math.isqrt(k.w[s] // m) for s, m in zip(masks, gens)]
+        chars = []
+        for p, rho in self.chars:
+            sub = [1]
+            for s, g in zip(masks, scales):
+                r = rho[s] * pow(g, -1, p) % p
+                sub += [x * r % p for x in sub]
+            chars.append((p, tuple(sub)))
+        basis = _unit_basis(field, unit)
+        # K's mask of each subfield mask, in the order of field.w
+        at = [0]
+        for s in masks:
+            at += [x ^ s for x in at]
+        for s, (u, _) in zip(at[1:], basis):
+            if s not in self.vectors:
+                self.vectors[s] = _character_vector(chars, u)
+        return field, basis, chars, [self.vectors[s] for s in at[1:]]
+
+
+def _saturate(field: _MultiQuadField, basis: Sequence,
+              chars: Sequence[tuple[int, tuple[int, ...]]],
+              vectors: Sequence[int]) -> tuple[int, list]:
     """(q, saturated basis): the 2-saturation of the lattice spanned by basis.
 
-    basis holds (element, radical) pairs as _unit_basis builds them.  Masks
-    are visited in increasing order.  A mask whose characters do not all
-    cancel names a product with a character -1, which is no square, so only
-    the other masks are decided.  A mask whose units all carry a radical
-    (original norm +1 units) is decided, and its root built, from the
-    radicals by _radical_root; any other mask, one with a norm -1 unit or a
-    swapped-in root, gets its product built and an exact sqrt tried.  The
-    first square found replaces its highest basis element by the positive
+    basis holds (element, radical) pairs as _unit_basis builds them, and
+    vectors their character vectors under chars.  Masks are visited in
+    increasing order.  A mask whose characters do not all cancel names a
+    product with a character -1, which is no square, so only the other
+    masks are decided.  A mask whose units all carry a radical (original
+    norm +1 units) is decided, and its root built, from the radicals by
+    _radical_root; any other mask, one with a norm -1 unit or a swapped-in
+    root, gets its product built and an exact sqrt tried.  The first square
+    found replaces its highest basis element, basis[top], by the positive
     root, which carries no radical, and the root's character vector is
-    computed afresh.
+    computed afresh.  The next round starts at mask 1 << top: the masks
+    below it multiply elements that did not change, and this round found
+    none of them a square.
     """
-    basis = list(basis)
-    chars = _characters(field.gens)
-    vectors = [_character_vector(chars, u) for u, _ in basis]
+    basis, vectors = list(basis), list(vectors)
+    xors = [0]  # xors[mask] = XOR of vectors[i] for the bits i of mask
     q = 1
     while True:
-        xors = [0]  # xors[mask] = XOR of vectors[i] for the bits i of mask
-        for mask in range(1, 2 ** len(basis)):
+        for mask in range(len(xors), 2 ** len(basis)):
             top = mask.bit_length() - 1
             xors.append(xors[mask ^ (1 << top)] ^ vectors[top])
             if xors[mask]:
@@ -605,11 +680,13 @@ def _saturate(field: _MultiQuadField, basis: Sequence) -> tuple[int, list]:
             xi = [-c for c in xi[0]], xi[1]
         basis[top] = (xi, None)
         vectors[top] = _character_vector(chars, xi)
+        del xors[1 << top:]
         q *= 2
 
 
 def kubota_index(m1: int, m2: int, m3: int | None = None,
-                 unit: Callable[[int], QuadUnit] = fundamental_unit) -> int:
+                 unit: Callable[[int], QuadUnit] = fundamental_unit,
+                 table: CharacterTable | None = None) -> int:
     """Unit index q(K/Q) = (E_K : <subfield fundamental units, -1>).
 
     K = Q(sqrt(m1), sqrt(m2)[, sqrt(m3)]) must be totally real.  Saturates
@@ -630,18 +707,25 @@ def kubota_index(m1: int, m2: int, m3: int | None = None,
     vectors is 0: a square has every quadratic character +1, so a skipped
     product is certainly no square.  Masks keep the unfiltered search's
     order, and both ways of deciding a product are exact, so the same first
-    square is found, the same roots are swapped in and q is the same.  Once the basis vectors are independent over F_2 no product
-    passes, which certifies q without another root search.
+    square is found, the same roots are swapped in and q is the same.  Once
+    the basis vectors are independent over F_2 no product passes, which
+    certifies q without another root search.
 
     unit(D) gives the fundamental unit of the subfield of discriminant D;
-    it defaults to fundamental_unit.  A caller that indexes several fields
-    with common subfields passes one memo to all of them.
+    it defaults to fundamental_unit.  table, a CharacterTable of a field K
+    that contains this one, gives the characters: a caller that indexes K
+    and its subfields passes one table and one unit memo to all of them,
+    so K's characters are walked once and each subfield unit's character
+    vector is computed once.  The radicands must then be among K's
+    kernels, which makes them squarefree.  Without a table the radicands
+    are reduced to their squarefree kernels and the call builds the table
+    of its own field.
     """
-    gens = [squarefree_kernel(m) for m in (m1, m2, m3) if m is not None]
-    if any(m <= 1 for m in gens):
-        raise ValueError(f"radicands {gens} do not span a totally real field")
-    field = _MultiQuadField(gens)
-    return _saturate(field, _unit_basis(field, unit))[0]
+    gens = [m for m in (m1, m2, m3) if m is not None]
+    if table is None:
+        gens = [squarefree_kernel(m) for m in gens]
+        table = CharacterTable(gens)
+    return _saturate(*table.subfield(gens, unit))[0]
 
 
 def multiquadratic_h2(subfield_h2: Sequence[int], q: int, degree: int) -> int:

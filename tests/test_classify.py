@@ -285,6 +285,29 @@ def test_invariant_row_runs_each_continued_fraction_once(monkeypatch):
     assert set(calls.values()) == {2}
 
 
+def test_invariant_row_walks_one_character_table(monkeypatch):
+    calls = Counter()
+
+    def counting(name, fn):
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+        return wrapper
+
+    monkeypatch.setattr(units, "_characters", counting("walks", units._characters))
+    monkeypatch.setattr(units, "_character_vector",
+                        counting("vectors", units._character_vector))
+    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "row_fields.json"
+    for n, d in enumerate(f["d"] for f in json.loads(path.read_text())["fields"]):
+        # the octic field's characters serve its three quartic subfields too
+        assert calls["walks"] == n
+        verify_invariant_row(d)
+    assert calls["walks"] == 151
+    # one vector for each of a field's seven subfield units, 1057 in all,
+    # and one for each root swapped into a basis
+    assert calls["vectors"] == 2221
+
+
 def test_invariant_row_builds_each_square_root_once(monkeypatch):
     # only the square-root decomposition calls units.factorize, once for
     # each norm +1 unit it builds, on 2m for the unit's radicand m

@@ -5,6 +5,7 @@ import hashlib
 import json
 import math
 import tracemalloc
+from collections import Counter
 from fractions import Fraction
 from pathlib import Path
 
@@ -12,6 +13,7 @@ import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from quadtower import units
 from quadtower.arith import (
     BoundExceededError,
     discriminant_of,
@@ -27,6 +29,7 @@ from quadtower.classify import classify
 from quadtower.qform import genus_positivity, two_class_number
 from quadtower.units import (
     CHARACTERS,
+    CharacterTable,
     NormMinusOneError,
     _character_vector,
     _characters,
@@ -409,6 +412,13 @@ def test_kubota_index_quartic():
         kubota_index(-3, 5)
     with pytest.raises(ValueError):
         kubota_index(4, 5)
+    # with a table, the radicands are K's kernels as they stand
+    table = CharacterTable([2, 5, 3])
+    assert kubota_index(2, 5, table=table) == 2
+    assert kubota_index(10, 3, table=table) == kubota_index(10, 3)
+    for radicands in ((8, 5), (1, 5), (7, 5)):
+        with pytest.raises(ValueError, match="do not all lie in"):
+            kubota_index(*radicands, table=table)
 
 
 def test_kubota_index_feeds_quartic_class_numbers():
@@ -642,6 +652,13 @@ def _reference_saturate(field, basis):
         q *= 2
 
 
+def _saturate_alone(field, basis):
+    """_saturate with the field's own characters, which a kubota_index call
+    without a table reads."""
+    chars = _characters(field.gens)
+    return _saturate(field, basis, chars, [_character_vector(chars, u) for u, _ in basis])
+
+
 class _NoSqrtField(_MultiQuadField):
     def sqrt(self, eta):
         raise AssertionError(f"sqrt tried on {eta}")
@@ -665,7 +682,7 @@ def _certified(gens, final) -> bool:
     chars = _characters(gens)
     if _f2_rank(_character_vector(chars, u) for u, _ in final) < len(final):
         return False
-    assert _saturate(_NoSqrtField(gens), final) == (1, final)
+    assert _saturate_alone(_NoSqrtField(gens), final) == (1, final)
     return True
 
 
@@ -675,7 +692,7 @@ def _check_saturation(gens) -> bool:
     is certified."""
     field = _MultiQuadField(gens)
     basis = _unit_basis(field, fundamental_unit)
-    q, final = _saturate(field, basis)
+    q, final = _saturate_alone(field, basis)
     assert (q, [u for u, _ in final]) == _reference_saturate(field, [u for u, _ in basis])
     return _certified(gens, final)
 
@@ -727,7 +744,8 @@ def test_characters_certify_the_octic_row_corpus():
     for d in _row_corpus():
         gens = _row_calls(d)[3]
         field = _MultiQuadField(gens)
-        certified += _certified(gens, _saturate(field, _unit_basis(field, fundamental_unit))[1])
+        final = _saturate_alone(field, _unit_basis(field, fundamental_unit))[1]
+        certified += _certified(gens, final)
     assert (CHARACTERS, certified) == (12, OCTIC_ROW_CORPUS_CERTIFIED)
 
 
@@ -764,7 +782,7 @@ def test_radicals_decide_the_first_round_of_the_genus_field_27993():
     field = _CountingField((217, 93, 1333))
     basis = _unit_basis(field, fundamental_unit)
     assert all(radical is not None for _, radical in basis)
-    q, _ = _saturate(field, basis)
+    q, _ = _saturate_alone(field, basis)
     assert (q, len(field.tries_at_swap)) == (2**7, 7)
     assert field.tries_at_swap[0] == 0 < field.tries
 
@@ -799,17 +817,105 @@ def test_radical_roots_match_exact_roots_on_the_row_corpus():
 ROW_CORPUS_SATURATION_SHA256 = "bfa00f645d9538ee7e75cc9babf69de3fc3040dd7d94b4340581006632f6b629"
 
 
+def _saturation_digest(calls):
+    """The digest of (gens, (q, final basis)) for each call."""
+    out = [[list(gens), q, [[[f.numerator, f.denominator] for f in _fractions(u)]
+                            for u, _ in final]]
+           for gens, (q, final) in calls]
+    assert len(out) == 604
+    return hashlib.sha256(json.dumps(out, separators=(",", ":")).encode()).hexdigest()
+
+
 def test_saturation_of_the_row_corpus_matches_pinned_digest():
-    out = []
+    calls = []
     for d in _row_corpus():
         for gens in _row_calls(d):
             field = _MultiQuadField(gens)
-            q, final = _saturate(field, _unit_basis(field, fundamental_unit))
-            out.append([list(gens), q, [[[f.numerator, f.denominator] for f in _fractions(u)]
-                                        for u, _ in final]])
-    assert len(out) == 604
-    digest = hashlib.sha256(json.dumps(out, separators=(",", ":")).encode()).hexdigest()
-    assert digest == ROW_CORPUS_SATURATION_SHA256
+            basis = _unit_basis(field, fundamental_unit)
+            calls.append((gens, _saturate_alone(field, basis)))
+    assert _saturation_digest(calls) == ROW_CORPUS_SATURATION_SHA256
+
+
+def test_saturation_through_the_shared_table_matches_pinned_digest(monkeypatch):
+    tries = Counter()
+    exact_sqrt, radical_root = _MultiQuadField.sqrt, units._radical_root
+
+    def counting_sqrt(field, eta):
+        # the descent recurses through sqrt; count the tries _saturate makes
+        top = not tries["depth"]
+        tries["depth"] += 1
+        try:
+            root = exact_sqrt(field, eta)
+        finally:
+            tries["depth"] -= 1
+        tries["exact", root is None] += top
+        return root
+
+    def counting_radical_root(field, radicals):
+        root = radical_root(field, radicals)
+        tries["radical", root is None] += 1
+        return root
+
+    monkeypatch.setattr(_MultiQuadField, "sqrt", counting_sqrt)
+    monkeypatch.setattr(units, "_radical_root", counting_radical_root)
+    # each row field's four calls read the characters of the octic field,
+    # restricted to the quartic ones, and share the units' vectors
+    calls = []
+    for d in _row_corpus():
+        octic = _row_calls(d)[3]
+        table, unit = CharacterTable(octic), functools.cache(fundamental_unit)
+        calls += [(gens, _saturate(*table.subfield(gens, unit))) for gens in _row_calls(d)]
+        assert sorted(table.vectors) == list(range(1, 8))
+    assert _saturation_digest(calls) == ROW_CORPUS_SATURATION_SHA256
+    # a round after a swap into basis[top] starts at mask 1 << top; from
+    # mask 1 the tries would be 206 exact (7 failed) and 1323 radical (358)
+    assert tries == {"depth": 0, ("exact", False): 199, ("exact", True): 2,
+                     ("radical", False): 965, ("radical", True): 235}
+
+
+@settings(deadline=None, max_examples=25)
+@given(st.lists(st.sampled_from(RADICANDS), min_size=3, max_size=3, unique=True),
+       st.lists(st.integers(1, 7), min_size=1, max_size=3), st.data())
+def test_restricted_characters_are_characters_of_the_subfield(gens, masks, data):
+    try:
+        table = CharacterTable(gens)
+        radicands = [table.field.kernel[s] for s in masks]
+        field, basis, chars, vectors = table.subfield(radicands, fundamental_unit)
+    except ValueError:
+        assume(False)
+    assert [p for p, _ in chars] == [p for p, _ in table.chars]
+    for p, rho in chars:
+        roots = [rho[1 << i] for i in range(len(radicands))]
+        assert all((r * r - m) % p == 0 for r, m in zip(roots, radicands))
+        assert all(rho[s] == math.prod(r for i, r in enumerate(roots) if s >> i & 1) % p
+                   for s in range(len(rho)))
+    # a subfield unit has the vector it has in K, where K's own characters
+    # read it
+    k_vectors = [_character_vector(table.chars, u)
+                 for u, _ in _unit_basis(table.field, fundamental_unit)]
+    assert vectors == [_character_vector(chars, u) for u, _ in basis]
+    k_mask = table.field.kernel.index
+    assert vectors == [k_vectors[k_mask(m) - 1] for m in field.kernel[1:]]
+    # the vector of a product is the XOR of the factors' vectors
+    def element():
+        coeffs = data.draw(st.lists(st.integers(-6, 6), min_size=len(field.w),
+                                    max_size=len(field.w)))
+        assume(any(coeffs))
+        den = data.draw(st.integers(1, 6))
+        return _element([Fraction(c, den) for c in coeffs])
+
+    u, v = element(), element()
+
+    def nonzero(char, x):
+        try:
+            _character_vector([char], x)
+        except ArithmeticError:
+            return False
+        return True
+
+    kept = [c for c in chars if nonzero(c, u) and nonzero(c, v)]
+    assert _character_vector(kept, field.mul(u, v)) == \
+        _character_vector(kept, u) ^ _character_vector(kept, v)
 
 
 def test_multiquadratic_h2_validation():
