@@ -14,7 +14,9 @@ the class number.
 discriminant factors the narrow 2-rank is t - 1, and when the Redei 4-rank is
 0 the narrow 2-class number is 2^(t-1), halved for the ordinary group of
 d > 0 exactly when some prime discriminant factor is negative.  Forms are
-enumerated only for a positive 4-rank.
+enumerated only for a positive 4-rank, and there the class number is counted,
+one class per reduced form (d < 0) or per rho-cycle (d > 0), with no form
+composed.
 """
 
 from __future__ import annotations
@@ -101,20 +103,21 @@ def is_reduced(f: BQForm) -> bool:
     return t <= b or (t - b) ** 2 < d
 
 
+def _rho_b(b: int, c: int, s: int) -> int:
+    # middle coefficient of rho(a, b, c) for s = isqrt(d): r = -b mod 2|c|,
+    # in (sqrt(d) - 2|c|, sqrt(d)] when |c| <= s, as on a reduced cycle
+    cc = abs(c)
+    r = (-b) % (2 * cc)
+    if cc > s:
+        return r - 2 * cc if r > cc else r
+    return r + 2 * cc * ((s - r) // (2 * cc))
+
+
 def _rho(f: BQForm) -> BQForm:
     # one step along the reduction orbit / cycle of an indefinite form
     d = f.disc
-    c = f.c
-    cc = abs(c)
-    r = (-f.b) % (2 * cc)
-    s = math.isqrt(d)
-    if cc > s:
-        if r > cc:
-            r -= 2 * cc
-    else:
-        # shift r into (sqrt(d) - 2|c|, sqrt(d)]
-        r += 2 * cc * ((s - r) // (2 * cc))
-    return BQForm(c, r, (r * r - d) // (4 * c))
+    r = _rho_b(f.b, f.c, math.isqrt(d))
+    return BQForm(f.c, r, (r * r - d) // (4 * f.c))
 
 
 def reduce_form(f: BQForm) -> BQForm:
@@ -186,8 +189,9 @@ def compose(f1: BQForm, f2: BQForm) -> BQForm:
     return out
 
 
-def _reduced_forms(d: int) -> list[BQForm]:
-    # all reduced forms of fundamental discriminant d
+def _reduced_forms(d: int) -> list[tuple[int, int]]:
+    """(a, b) of every reduced form (a, b, (b^2 - d) / 4a) of the
+    fundamental discriminant d."""
     out = []
     if d < 0:
         for a in range(1, math.isqrt(-d // 3) + 1):
@@ -198,25 +202,22 @@ def _reduced_forms(d: int) -> list[BQForm]:
                 c = num // (4 * a)
                 if c < a:
                     continue
-                out.append(BQForm(a, b, c))
+                out.append((a, b))
                 if 0 < b < a < c:
-                    out.append(BQForm(a, -b, c))
+                    out.append((a, -b))
         return out
+    # reduced: |sqrt(d) - 2|a|| < b < sqrt(d), and then |c| lies in the same
+    # range; |a c| = m = (d - b^2) / 4, so each divisor a <= sqrt(m) past the
+    # range's start pairs with m / a, and the signs of a and c are opposite
     s = math.isqrt(d)
     for b in range(2 - (d % 2), s + 1, 2):
         m = (d - b * b) // 4
-        for a in _divisors(m):
-            if (2 * a + b) ** 2 > d and (2 * a <= b or (2 * a - b) ** 2 < d):
-                out.append(BQForm(a, b, -(m // a)))
-                out.append(BQForm(-a, b, m // a))
+        for a in range((s - b) // 2 + 1, math.isqrt(m) + 1):
+            if m % a == 0:
+                out += [(a, b), (-a, b)]
+                if a * a != m:
+                    out += [(m // a, b), (-(m // a), b)]
     return out
-
-
-def _divisors(n: int) -> list[int]:
-    divs = [1]
-    for p, e in factorize(n).items():
-        divs = [q * p**k for q in divs for k in range(e + 1)]
-    return sorted(divs)
 
 
 @dataclass(frozen=True, eq=False)
@@ -260,13 +261,9 @@ def class_group(d: int, narrow: bool = True,
     _check_bound(d, bound)
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
-    return _class_group(d, narrow)
-
-
-def _class_group(d: int, narrow: bool) -> FormClassGroup:
-    """class_group for a d already known to be fundamental and in bound."""
+    forms = [BQForm(a, b, (b * b - d) // (4 * a)) for a, b in _reduced_forms(d)]
     if d < 0:
-        reps = sorted(_reduced_forms(d))
+        reps = sorted(forms)
         canon = reduce_form
 
         def mul(x, y):
@@ -274,7 +271,6 @@ def _class_group(d: int, narrow: bool) -> FormClassGroup:
 
         ident = reduce_form(principal_form(d))
     else:
-        forms = _reduced_forms(d)
         cycle_index: dict[BQForm, BQForm] = {}
         reps = []
         for f in forms:
@@ -376,6 +372,35 @@ def two_sylow(cg: FormClassGroup) -> list[int]:
     return sorted(t for t in map(_two_part, cg.elementary_divisors) if t > 1)
 
 
+def _class_numbers(d: int) -> tuple[int, int]:
+    """(narrow, ordinary) class numbers of the fundamental discriminant d,
+    counted without building the group.
+
+    For d < 0 each reduced form is one class.  For d > 0 each rho-cycle of
+    reduced forms is one narrow class; the negated principal form (-1, b0)
+    lies on the principal cycle exactly when N(eps) = -1, and otherwise its
+    class has order 2 and the ordinary group is the quotient by it.
+    """
+    forms = _reduced_forms(d)
+    if d < 0:
+        return len(forms), len(forms)
+    s = math.isqrt(d)
+    one = (1, s - (s - d) % 2)
+    unseen = set(forms)
+    cycles = 0
+    for a, b in [one, *forms]:  # the principal cycle first
+        if (a, b) not in unseen:
+            continue
+        cycles += 1
+        while (a, b) in unseen:
+            unseen.remove((a, b))
+            c = (b * b - d) // (4 * a)
+            a, b = c, _rho_b(b, c, s)
+        if cycles == 1:
+            halved = (-1, one[1]) in unseen
+    return cycles, cycles // 2 if halved else cycles
+
+
 def two_class_number(d: int, narrow: bool = False) -> int:
     """Order of the 2-Sylow subgroup of the class group of discriminant d.
 
@@ -389,13 +414,16 @@ def two_class_number(d: int, narrow: bool = False) -> int:
     under every genus character, so it lies in the principal genus and is a
     square; were it not trivial, its square root would have order 4 and the
     4-rank would be positive.  So it is trivial and N(eps) = -1.  Only a
-    positive 4-rank needs the forms enumerated, and there it raises
-    BoundExceededError for |d| > DEFAULT_CLASS_BOUND, as `class_group` does.
+    positive 4-rank needs the forms: the class number is counted, one class
+    per reduced form for d < 0 and per rho-cycle for d > 0, halved when the
+    negated principal form is off the principal cycle, and no form is
+    composed.  There |d| > DEFAULT_CLASS_BOUND raises BoundExceededError, as
+    in `class_group`.
     """
     qs = factor_discriminant(d)  # raises unless d is fundamental
     if narrow_four_rank(character_matrix(qs)):
         _check_bound(d, DEFAULT_CLASS_BOUND)
-        return _two_part(_class_group(d, narrow).h)
+        return _two_part(_class_numbers(d)[0 if narrow else 1])
     h2 = 2 ** (len(qs) - 1)
     if d < 0 or narrow or min(qs) > 0:
         return h2
@@ -405,14 +433,25 @@ def two_class_number(d: int, narrow: bool = False) -> int:
 def character_matrix(qs: Sequence[int]) -> list[list[int]]:
     """Symbols (q_i / p_j) of the prime discriminants qs, by position.
 
-    One Kronecker evaluation per entry off the diagonal; the diagonal
+    Reciprocity leaves one Kronecker evaluation per pair of odd factors:
+    (q_j / p_i) = (q_i / p_j), negated when both are negative.  Against the
+    even factor q_e none is needed: (q / 2) = +1 exactly when q = 1 mod 8,
+    and (q_e / p) is (q / 2) when 8 | q_e and 1 when q_e = -4, again
+    negated when q_e and q are both negative.  The diagonal
     (q_i / p_i) = prod_{l != i} (q_l / p_i) is the product of its column.
     """
     n = len(qs)
-    mat = [
-        [1 if i == j else kronecker(qs[i], prime_of(qs[j])) for j in range(n)]
-        for i in range(n)
-    ]
+    mat = [[1] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(i + 1, n):
+            sign = -1 if qs[i] < 0 and qs[j] < 0 else 1
+            if qs[i] % 2 and qs[j] % 2:
+                mat[i][j] = kronecker(qs[i], prime_of(qs[j]))
+                mat[j][i] = sign * mat[i][j]
+            else:
+                e, o = (i, j) if qs[j] % 2 else (j, i)
+                mat[o][e] = 1 if qs[o] % 8 == 1 else -1
+                mat[e][o] = sign * (mat[o][e] if qs[e] % 8 == 0 else 1)
     for i in range(n):
         for l in range(n):
             if l != i:

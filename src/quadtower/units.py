@@ -40,7 +40,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
-from typing import Callable, Iterable, Mapping, Sequence
+from typing import Callable, Sequence
 
 from .arith import (
     BoundExceededError,
@@ -60,10 +60,6 @@ __all__ = [
     "fundamental_unit",
     "delta_invariant",
     "sqrt_unit_decomposition",
-    "sqrt_conjugate_sign",
-    "unit_conjugate_sign",
-    "word_conjugate_sign",
-    "conjugate_sign_table",
     "CharacterTable",
     "kubota_index",
     "multiquadratic_h2",
@@ -257,63 +253,6 @@ def sqrt_unit_decomposition(u: QuadUnit) -> SqrtUnitDecomposition:
     every later call on the same unit returns it without factoring again.
     """
     return u._sqrt
-
-
-def _radical_sign(m: int, signs: Mapping[int, int]) -> int:
-    """Sign assigned to sqrt(m) by an embedding given on prime radicals."""
-    out = 1
-    rest = m
-    for p, s in signs.items():
-        if rest % p == 0:
-            out *= s
-            rest //= p
-    if rest != 1:
-        raise ValueError(f"embedding does not cover all primes of {m}")
-    return out
-
-
-def sqrt_conjugate_sign(dec: SqrtUnitDecomposition,
-                        signs: Mapping[int, int]) -> int:
-    """Sign of the conjugate of sqrt(eps) under the given radical signs."""
-    s1 = _radical_sign(dec.m1, signs)
-    s2 = _radical_sign(dec.m2, signs)
-    if s1 == s2:
-        return s1
-    dominant = 1 if dec.a**2 * dec.m1 > dec.b**2 * dec.m2 else -1
-    return s1 * dominant
-
-
-def unit_conjugate_sign(u: QuadUnit, signs: Mapping[int, int]) -> int:
-    """Sign of the conjugate of a (positive) fundamental unit itself."""
-    if _radical_sign(u.m, signs) == 1:
-        return 1
-    return u.norm
-
-
-# A unit word is a product of square roots of units and plain units:
-# word = prod sqrt(eps_i) * prod eps_j, encoded ("sqrt"|"plain", QuadUnit).
-Word = Sequence[tuple[str, QuadUnit]]
-
-
-def word_conjugate_sign(word: Word, signs: Mapping[int, int]) -> int:
-    out = 1
-    for kind, u in word:
-        if kind == "sqrt":
-            out *= sqrt_conjugate_sign(sqrt_unit_decomposition(u), signs)
-        elif kind == "plain":
-            out *= unit_conjugate_sign(u, signs)
-        else:
-            raise ValueError(f"unknown word factor kind {kind!r}")
-    return out
-
-
-def conjugate_sign_table(words: Iterable[Word],
-                         embeddings: Sequence[Mapping[int, int]]
-                         ) -> list[list[int]]:
-    """Matrix of conjugate signs, one row per word, one column per embedding."""
-    if not embeddings:
-        raise ValueError("need at least one embedding")
-    return [[word_conjugate_sign(w, e) for e in embeddings] for w in words]
 
 
 # ---------------------------------------------------------------------------
@@ -609,22 +548,26 @@ class CharacterTable:
     def subfield(self, gens: Sequence[int], unit: Callable[[int], QuadUnit]):
         """(L, basis, chars, vectors), _saturate's arguments, for the
         subfield L of K on the radicands gens; unit(D) is the fundamental
-        unit of discriminant D.  A radicand that is none of K's kernels
+        unit of discriminant D.  On K's own radicands L is K and reads K's
+        characters as they are.  A radicand that is none of K's kernels
         raises ValueError."""
         k = self.field
         if not all(m in k.kernel[1:] for m in gens):
             raise ValueError(f"radicands {list(gens)} do not all lie in the field "
                              f"on the radicands {list(k.gens)}")
         masks = [k.kernel.index(m) for m in gens]
-        field = _MultiQuadField(gens)
-        scales = [math.isqrt(k.w[s] // m) for s, m in zip(masks, gens)]
-        chars = []
-        for p, rho in self.chars:
-            sub = [1]
-            for s, g in zip(masks, scales):
-                r = rho[s] * pow(g, -1, p) % p
-                sub += [x * r % p for x in sub]
-            chars.append((p, tuple(sub)))
+        if tuple(gens) == k.gens:  # masks 1, 2, 4 with every g = 1
+            field, chars = k, self.chars
+        else:
+            field = _MultiQuadField(gens)
+            scales = [math.isqrt(k.w[s] // m) for s, m in zip(masks, gens)]
+            chars = []
+            for p, rho in self.chars:
+                sub = [1]
+                for s, g in zip(masks, scales):
+                    r = rho[s] * pow(g, -1, p) % p
+                    sub += [x * r % p for x in sub]
+                chars.append((p, tuple(sub)))
         basis = _unit_basis(field, unit)
         # K's mask of each subfield mask, in the order of field.w
         at = [0]

@@ -369,6 +369,75 @@ def test_invariant_reports_of_the_row_corpus_match_pinned_digest():
     assert digest == ROW_CORPUS_REPORTS_SHA256
 
 
+# Every row field below 10^6, pinned by range of 10^5 and as a whole: the
+# count of fields, the sha256 of their compact JSON list, and the sha256 of
+# their reports hashed as ROW_CORPUS_REPORTS_SHA256 is, all taken from the
+# form enumeration that built each class group (commit a750521).  Their
+# subfields reach 10^6, where the 151 fields above reach 60000.
+WIDE_ROW_RANGES = {
+    (5, 100000): (277, "3c2486967a5c7aa6a0319b71508de812e25883e79ca55a4de8684f82f5818290",
+                  "8ee649fc1a5c61440a54d40b31d8920a7d8c2ee951900b5bfc1f65eba2ad98bc"),
+    (100000, 200000): (337, "fef57910e5b8cec1a0e34d2b0d85f08da57148df1334c68db53a42cb59adac4d",
+                       "0b9e20d7129604646bc63fd76a255be9821f6de05160856038272fa1e6ff0083"),
+    (200000, 300000): (321, "4ef6294a0188a8038146df6d5e691a5644168e325ad199a2812f13b956b918aa",
+                       "1f3a36c027337e7e0da0886d8d6b5e6f613f7139c9b935e21f0bf76caed6ecab"),
+    (300000, 400000): (361, "eb8f31ecb84f41dff5a6ef89235f28358bcc74c6d169fa11321d604636916f46",
+                       "f8216f2dfc2d66a031f8a777c60af3b212517d454a131246d285b83a41d4d802"),
+    (400000, 500000): (356, "b20c6d2a45f4c2fa97743c04aa48d32e148a7e186ebc37ad6efec23b26f99687",
+                       "d96eecfccb66eff693a2848b8974196f2b51b9a6aa30b4a0c1799b08e86e681a"),
+    (500000, 600000): (368, "9c07f8ef5e761a5712ad01c72c81ff7923d7ba41a7300ba4cef29044c6fd38ce",
+                       "e5d165399703cdca5c81b775acb368056ed64fec7df9e42fc8b0f6723b728028"),
+    (600000, 700000): (385, "f77e8992f13d4462c7c4e2f57530e6e449b03ee94e089ae9d45160ed8138a0e5",
+                       "b485d003807c15d62950f6e3c55b3c46ddaf13bb9448c77efcc9eb4c0b2bfc34"),
+    (700000, 800000): (357, "8b976d0a14727b3788d7d9bd0f9152b2421b474f99c3eb5812030fbae0608f59",
+                       "60d31718c5840b6d539e72ce7e72d67c57e88f8978ba95f28a25515aba218c98"),
+    (800000, 900000): (419, "08ee0fe51936930f6e4bfdbaf19614613dc420c9612b6a761f1f3f8a1d9953e8",
+                       "7adaa00d70243190badd663efb6d76408cc9c1b6cc1fcc5929ea0bafb3d98739"),
+    (900000, 1000000): (386, "be988995fb163324f16311842c6073540e4fb2bb456de405161fc8b2fd2b6a20",
+                        "6edc5dc573740afc94ad1f2da1f3d5fbbd6e44b263b4230951cc22bb703ec59a"),
+}
+WIDE_ROW_CORPUS = (3567, "1c37047afd9319dc9581c96cc45383a3e735bb6df24e1bd1672f071450084aa4",
+                   "5ad8fbd63a8103ec6d8c97074c3e8a8e2f10fcc710169525dd2935010dc57623")
+
+
+def _sha256_json(value) -> str:
+    return hashlib.sha256(json.dumps(value, separators=(",", ":")).encode()).hexdigest()
+
+
+@pytest.fixture(scope="module")
+def wide_rows():
+    """(lo, hi) -> (row fields in [lo, hi), their reports as tuples),
+    each range verified once per module."""
+    labelled = load_tables()["invariant_rows"]
+    done = {}
+
+    def rows(lo, hi):
+        if (lo, hi) not in done:
+            fields = [rec.d for rec in iter_family(lo, hi) if rec.label in labelled]
+            reports = [verify_invariant_row(d) for d in fields]
+            assert all(r.matched for r in reports), [r.d for r in reports if not r.matched]
+            done[lo, hi] = fields, [dataclasses.astuple(r) for r in reports]
+        return done[lo, hi]
+
+    return rows
+
+
+@pytest.mark.parametrize("lo, hi", list(WIDE_ROW_RANGES))
+def test_row_fields_below_1e6_match_pinned_digests_by_range(wide_rows, lo, hi):
+    fields, reports = wide_rows(lo, hi)
+    assert (len(fields), _sha256_json(fields), _sha256_json(reports)) == \
+        WIDE_ROW_RANGES[lo, hi]
+
+
+def test_row_fields_below_1e6_match_pinned_digests(wide_rows):
+    fields, reports = [], []
+    for lo, hi in WIDE_ROW_RANGES:
+        more_fields, more_reports = wide_rows(lo, hi)
+        fields += more_fields
+        reports += more_reports
+    assert (len(fields), _sha256_json(fields), _sha256_json(reports)) == WIDE_ROW_CORPUS
+
+
 def test_invariant_row_unavailable():
     with pytest.raises(RowPatternsUnavailableError, match="a3"):
         verify_invariant_row(22120)
@@ -614,7 +683,8 @@ def test_classify_factors_once_and_builds_one_matrix(d, monkeypatch):
         monkeypatch.setattr(module, "kronecker", counting("kronecker", module.kronecker))
     _classify_outcome(classify, d)
     assert calls["factorize"] == 1
-    assert calls["kronecker"] <= 12
+    # reciprocity: one symbol for each of the at most six odd pairs
+    assert calls["kronecker"] <= 6
 
 
 # -- audit: every symbol signature, classified by the uncached search ----------
@@ -663,6 +733,37 @@ def _audit_cases():
             for i in range(4):
                 mat[i][i] = math.prod(mat[l][i] for l in range(4) if l != i)
             yield tuple(factors), mat
+
+
+def _direct_character_matrix(qs):
+    """One Kronecker symbol (q_i / p_j) per entry off the diagonal; the
+    diagonal is the product of its column."""
+    n = len(qs)
+    mat = [[1 if i == j else kronecker(qs[i], prime_of(qs[j])) for j in range(n)]
+           for i in range(n)]
+    for i in range(n):
+        mat[i][i] = math.prod(mat[l][i] for l in range(n) if l != i)
+    return mat
+
+
+def test_character_matrix_by_reciprocity_on_four_factor_discriminants():
+    seen = 0
+    for d in range(-10**5 + 1, 10**5):
+        try:
+            factors = factor_discriminant(d)
+        except NotFundamentalError:
+            continue
+        if len(factors) == 4:
+            assert character_matrix(factors) == _direct_character_matrix(factors), d
+            seen += 1
+    assert seen == 6463
+
+
+def test_character_matrix_by_reciprocity_on_the_audit_classes():
+    classes = {factors for factors, _ in _audit_cases()}
+    assert len(classes) == 464
+    for factors in classes:
+        assert character_matrix(factors) == _direct_character_matrix(factors), factors
 
 
 @pytest.fixture(scope="module")

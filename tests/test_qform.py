@@ -234,12 +234,16 @@ def test_unit_norm_is_minus_one_without_negative_factors_and_four_rank():
 
 def test_unit_norm_matches_the_principal_cycle():
     # N(eps) = -1 exactly when the negated principal form lies on the cycle
-    # of the principal form
+    # of the principal form; the cycle count two_class_number reads is the
+    # narrow class number, and it keeps the ordinary one equal exactly then
     for d in fundamental_range(5, 10001):
         one = principal_form(d)
         negated = reduce_form(BQForm(-one.a, one.b, -one.c))
         on_cycle = negated in cycle_of(reduce_form(one))
         assert (fundamental_unit(d).norm == -1) == on_cycle, d
+        narrow, ordinary = qform_mod._class_numbers(d)
+        assert narrow == class_group(d, narrow=True).h, d
+        assert (ordinary == narrow) == on_cycle, d
 
 
 def _prime_factors(n):
@@ -419,16 +423,24 @@ def test_two_class_number_enumerates_forms_only_for_positive_four_rank(
     row_h2_calls, monkeypatch
 ):
     enumerated = []
-    original = qform_mod._class_group
+    original = qform_mod._class_numbers
 
-    def counting(d, *args, **kwargs):
+    def counting(d):
         enumerated.append(d)
-        return original(d, *args, **kwargs)
+        return original(d)
+
+    def refused(name):
+        def call(*args):
+            raise AssertionError(f"{name} builds the group")
+        return call
 
     def refactoring(d):
         raise AssertionError(f"{d} is factored again")
 
-    monkeypatch.setattr(qform_mod, "_class_group", counting)
+    monkeypatch.setattr(qform_mod, "_class_numbers", counting)
+    # the forms are counted, never composed into a group
+    for name in ("abelian_structure", "compose", "class_group"):
+        monkeypatch.setattr(qform_mod, name, refused(name))
     # factor_discriminant has already found d fundamental
     monkeypatch.setattr(qform_mod, "is_fundamental_discriminant", refactoring)
     for d in row_h2_calls:

@@ -39,15 +39,11 @@ from quadtower.units import (
     _saturate,
     _unit_basis,
     QuadUnit,
-    conjugate_sign_table,
     delta_invariant,
     fundamental_unit,
     kubota_index,
     multiquadratic_h2,
-    sqrt_conjugate_sign,
     sqrt_unit_decomposition,
-    unit_conjugate_sign,
-    word_conjugate_sign,
 )
 
 
@@ -308,72 +304,7 @@ def test_sign_identity_radicand_p():
 
 
 # ---------------------------------------------------------------------------
-# conjugate signs
-
-
-def test_conjugate_sign_basics():
-    u12 = fundamental_unit(12)
-    dec = sqrt_unit_decomposition(u12)
-    assert sqrt_conjugate_sign(dec, {3: -1, 2: 1}) == -1
-    assert sqrt_conjugate_sign(dec, {3: 1, 2: 1}) == 1
-    assert sqrt_conjugate_sign(dec, {3: 1, 2: -1}) == -1
-    assert unit_conjugate_sign(u12, {3: -1, 2: 1}) == 1  # norm +1
-    u8 = fundamental_unit(8)
-    assert unit_conjugate_sign(u8, {2: -1}) == -1  # norm -1
-    assert unit_conjugate_sign(u8, {2: 1}) == 1
-    with pytest.raises(ValueError):
-        sqrt_conjugate_sign(dec, {3: -1})  # prime 2 not covered
-    with pytest.raises(ValueError):
-        word_conjugate_sign([("cube", u12)], {3: 1, 2: 1})
-
-
-def test_word_signs_multiply():
-    u12 = fundamental_unit(12)
-    u8 = fundamental_unit(8)
-    signs = {3: -1, 2: -1}
-    w = [("sqrt", u12), ("plain", u8)]
-    assert word_conjugate_sign(w, signs) == \
-        sqrt_conjugate_sign(sqrt_unit_decomposition(u12), signs) * \
-        unit_conjugate_sign(u8, signs)
-
-
-def test_conjugate_sign_table_field_27993():
-    # d = 27993 = (-7)(-3)(-43)(-31): unit signatures over the real octic
-    # genus field, embeddings fixing sqrt(31), columns ordered
-    # s1, s2, s3, s1s2, s1s3, s2s3, s1s2s3 where s_i flips sqrt(p_i) only
-    # for (p1, p2, p3) = (7, 3, 43).
-    e12 = fundamental_unit(discriminant_of(21))
-    e13 = fundamental_unit(discriminant_of(301))
-    e14 = fundamental_unit(discriminant_of(217))
-    e23 = fundamental_unit(discriminant_of(129))
-    e24 = fundamental_unit(discriminant_of(93))
-    e34 = fundamental_unit(discriminant_of(1333))
-    ek = fundamental_unit(discriminant_of(27993))
-
-    words = [
-        [("sqrt", e12), ("sqrt", e13)],
-        [("sqrt", e12), ("sqrt", e14)],
-        [("sqrt", e12), ("sqrt", e23)],
-        [("sqrt", e12), ("sqrt", e24)],
-        [("sqrt", e12), ("sqrt", e34)],
-        [("sqrt", e12), ("sqrt", ek)],
-        [("plain", ek)],
-    ]
-    flips = [(7,), (3,), (43,), (7, 3), (7, 43), (3, 43), (7, 3, 43)]
-    embeddings = [
-        {p: (-1 if p in flip else 1) for p in (7, 3, 43, 31)}
-        for flip in flips
-    ]
-    table = conjugate_sign_table(words, embeddings)
-    assert table == [
-        [-1, 1, -1, -1, 1, -1, 1],
-        [1, 1, 1, 1, 1, 1, 1],
-        [-1, 1, -1, -1, 1, -1, 1],
-        [-1, 1, 1, -1, -1, 1, -1],
-        [-1, 1, 1, -1, -1, 1, -1],
-        [1, 1, -1, 1, -1, -1, -1],
-        [1, 1, 1, 1, 1, 1, 1],
-    ]
+# genus positivity of delta
 
 
 def test_unit_genus_positivity_instance_27993():
