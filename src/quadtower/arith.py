@@ -90,23 +90,22 @@ def factorize(n: int) -> dict[int, int]:
         while rest % p == 0:
             out[p] = out.get(p, 0) + 1
             rest //= p
-    return _with_cofactor(n, out, rest)
-
-
-def _with_cofactor(n: int, found: dict[int, int], rest: int) -> dict[int, int]:
-    """`found` completed by the cofactor `rest` that dividing n by primes
-    left; rest has no prime factor up to
-    min(isqrt(rest), DEFAULT_FACTOR_BOUND)."""
     if rest > 1:
-        if rest <= DEFAULT_FACTOR_BOUND**2 or is_prime(rest):
-            # cofactor below bound^2 has no two factors > bound, so prime
-            found[rest] = found.get(rest, 0) + 1
-        else:
-            raise BoundExceededError(
-                f"cannot factor {n}: cofactor {rest} is composite with all "
-                f"prime factors > {DEFAULT_FACTOR_BOUND}"
-            )
-    return found
+        if rest > DEFAULT_FACTOR_BOUND**2 and not is_prime(rest):
+            raise _composite_cofactor(n, rest)
+        out[rest] = 1
+    return out
+
+
+def _composite_cofactor(n: int, rest: int) -> BoundExceededError:
+    """The bound failure for n, whose cofactor `rest` is not prime.  Dividing
+    n by primes leaves a rest with no prime factor up to
+    min(isqrt(rest), DEFAULT_FACTOR_BOUND): one up to DEFAULT_FACTOR_BOUND^2
+    has no two factors, so is prime, and only a larger one can fail."""
+    return BoundExceededError(
+        f"cannot factor {n}: cofactor {rest} is composite with all "
+        f"prime factors > {DEFAULT_FACTOR_BOUND}"
+    )
 
 
 # (limit, the primes up to limit): a cache that only grows, so every caller
@@ -262,29 +261,37 @@ def factor_discriminant(d: int, sieved: Sieved | None = None) -> tuple[int, ...]
 
     The factorization d = d_1 * ... * d_t into prime discriminants is unique;
     factors are returned sorted by increasing |d_i|.  Raises
-    NotFundamentalError when d is not a quadratic field discriminant.
-    `sieved`, the entry of d from `sieve_factors`, replaces the trial
-    division of d.  Both leave a cofactor with no prime factor up to
+    NotFundamentalError when d is not a quadratic field discriminant.  The
+    shape of d mod 16 is checked before any factoring.  `sieved`, the entry
+    of d from `sieve_factors`, replaces the trial division of d: its dict is
+    read in place, never copied or changed, and its cofactor is checked on
+    its own.  Both leave a cofactor with no prime factor up to
     min(isqrt(cofactor), DEFAULT_FACTOR_BOUND), so they decide d alike and
     word a bound failure alike.
     """
-    # d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree; the
-    # one factorization decides the odd part and yields the factors
-    shaped = d not in (0, 1) and (d % 4 == 1 or d % 4 == 0 and d // 4 % 4 in (2, 3))
-    if not shaped:
-        odd = {}
-    elif sieved is None:
-        odd = factorize(d)
-    else:
-        odd = _with_cofactor(d, dict(sieved[0]), sieved[1])
-    odd.pop(2, None)
-    if not shaped or any(e > 1 for e in odd.values()):
+    # d = 1 mod 4 squarefree, or d = 4m with m = 2, 3 mod 4 squarefree: the
+    # shape d = 1 mod 4 or d = 8, 12 mod 16 is checked before any factoring
+    if d == 1 or d % 4 != 1 and d % 16 not in (8, 12):
         raise NotFundamentalError(f"{d} is not a fundamental discriminant")
-    parts = [p if p % 4 == 1 else -p for p in odd]
-    rest = d // math.prod(parts)
-    if rest != 1:  # the even prime discriminant
-        assert rest in (-4, 8, -8), f"invalid even part {rest} of {d}"
-        parts.append(rest)
+    if sieved is None:
+        found, rest = factorize(d), 1
+    else:
+        found, rest = sieved
+        if rest > DEFAULT_FACTOR_BOUND**2 and not is_prime(rest):
+            raise _composite_cofactor(d, rest)
+    # the shape fixed the power of 2; every odd prime must divide d once
+    parts = []
+    for p, e in found.items():
+        if p != 2:
+            if e > 1:
+                raise NotFundamentalError(f"{d} is not a fundamental discriminant")
+            parts.append(p if p % 4 == 1 else -p)
+    if rest > 1:
+        parts.append(rest if rest % 4 == 1 else -rest)
+    even = d // math.prod(parts)
+    if even != 1:  # the even prime discriminant
+        assert even in (-4, 8, -8), f"invalid even part {even} of {d}"
+        parts.append(even)
     parts.sort(key=abs)
     return tuple(parts)
 

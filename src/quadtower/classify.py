@@ -265,7 +265,7 @@ def classify(d: int, sieved: Sieved | None = None) -> CaseRecord:
     # d > 0 is a sum of two squares iff no prime p = 3 mod 4 divides it to an
     # odd power; in a fundamental d such a p is the negative factor -p, and a
     # -4 or -8 never comes alone, as the negative factors of d > 0 pair up
-    if all(q > 0 for q in factors):
+    if min(factors) > 0:
         raise PreconditionError(f"{d} is a sum of two squares")
     # every symbol below is read off this one matrix, by factor position
     mat = character_matrix(factors)

@@ -433,12 +433,14 @@ def two_class_number(d: int, narrow: bool = False) -> int:
 def character_matrix(qs: Sequence[int]) -> list[list[int]]:
     """Symbols (q_i / p_j) of the prime discriminants qs, by position.
 
-    Reciprocity leaves one Kronecker evaluation per pair of odd factors:
-    (q_j / p_i) = (q_i / p_j), negated when both are negative.  Against the
-    even factor q_e none is needed: (q / 2) = +1 exactly when q = 1 mod 8,
-    and (q_e / p) is (q / 2) when 8 | q_e and 1 when q_e = -4, again
-    negated when q_e and q are both negative.  The diagonal
-    (q_i / p_i) = prod_{l != i} (q_l / p_i) is the product of its column.
+    Reciprocity leaves one symbol per pair of odd factors:
+    (q_j / p_i) = (q_i / p_j), negated when both are negative.  That one is
+    a single power by Euler's criterion, q_i^((p_j - 1) / 2) mod p_j, which
+    is 1, p_j - 1 or, for a repeated prime, 0.  Against the even factor q_e
+    none is needed: (q / 2) = +1 exactly when q = 1 mod 8, and (q_e / p) is
+    (q / 2) when 8 | q_e and 1 when q_e = -4, again negated when q_e and q
+    are both negative.  The diagonal (q_i / p_i) = prod_{l != i} (q_l / p_i)
+    is the product of its column.
     """
     n = len(qs)
     mat = [[1] * n for _ in range(n)]
@@ -446,7 +448,9 @@ def character_matrix(qs: Sequence[int]) -> list[list[int]]:
         for j in range(i + 1, n):
             sign = -1 if qs[i] < 0 and qs[j] < 0 else 1
             if qs[i] % 2 and qs[j] % 2:
-                mat[i][j] = kronecker(qs[i], prime_of(qs[j]))
+                p = abs(qs[j])
+                r = pow(qs[i], (p - 1) // 2, p)
+                mat[i][j] = -1 if r > 1 else r
                 mat[j][i] = sign * mat[i][j]
             else:
                 e, o = (i, j) if qs[j] % 2 else (j, i)

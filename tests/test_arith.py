@@ -1,5 +1,6 @@
 """Oracle tests for the exact integer layer."""
 
+import copy
 import math
 import os
 import subprocess
@@ -275,6 +276,17 @@ def test_factor_discriminant_from_sieve_matches_trial_division():
     assert entry == ({3: 1, 5: 1}, 67)
     assert factor_discriminant(1005, sieved=entry) == (-3, 5, -67)
     assert factor_discriminant(1005, sieved=entry) == (-3, 5, -67)
+
+
+@pytest.mark.parametrize("lo, hi", [(5, 1005), (2000000, 2001000)])
+def test_factor_discriminant_never_changes_a_sieve_entry(lo, hi):
+    # every d, even ones among them, against trial division; the entry is
+    # read in place, so it must come back as it went in
+    for d, entry in zip(range(lo, hi), sieve_factors(lo, hi)):
+        before = copy.deepcopy(entry)
+        got = _outcome(lambda d: factor_discriminant(d, sieved=entry), d)
+        assert entry == before, d
+        assert got == _outcome(factor_discriminant, d), d
 
 
 def test_factor_discriminant_from_sieve_checks_the_bound():

@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from quadtower import arith, qform, units
 from quadtower import classify as classify_mod
@@ -757,6 +758,39 @@ def test_character_matrix_by_reciprocity_on_four_factor_discriminants():
             assert character_matrix(factors) == _direct_character_matrix(factors), d
             seen += 1
     assert seen == 6463
+
+
+_PRIMES_BELOW_10_6 = list(arith._primes_upto(10**6 - 1))
+
+
+@st.composite
+def _prime_discriminant_tuples(draw):
+    """2 to 5 prime discriminants of distinct primes below 10^6, in draw
+    order; small primes are drawn often enough to meet 2 and each other."""
+    prime = st.one_of(st.sampled_from(_PRIMES_BELOW_10_6[:12]),
+                      st.sampled_from(_PRIMES_BELOW_10_6))
+    primes = draw(st.lists(prime, min_size=2, max_size=5, unique=True))
+    return [draw(st.sampled_from((-4, 8, -8))) if p == 2 else p if p % 4 == 1 else -p
+            for p in primes]
+
+
+@settings(max_examples=400, deadline=None)
+@given(_prime_discriminant_tuples())
+def test_character_matrix_by_euler_criterion_on_primes_below_10_6(qs):
+    assert character_matrix(qs) == _direct_character_matrix(qs), qs
+
+
+@settings(max_examples=200, deadline=None)
+@given(_prime_discriminant_tuples(), st.data())
+def test_character_matrix_gives_0_for_a_repeated_prime(qs, data):
+    odd = [i for i, q in enumerate(qs) if q % 2]
+    k = data.draw(st.sampled_from(odd))
+    at = data.draw(st.integers(0, len(qs)))
+    qs = qs[:at] + [qs[k]] + qs[at:]
+    k += k >= at
+    mat = character_matrix(qs)
+    assert mat == _direct_character_matrix(qs), qs
+    assert mat[k][at] == mat[at][k] == mat[k][k] == mat[at][at] == 0, qs
 
 
 def test_character_matrix_by_reciprocity_on_the_audit_classes():

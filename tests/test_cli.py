@@ -3,6 +3,7 @@
 import hashlib
 import json
 import os
+import re
 import signal
 import subprocess
 import sys
@@ -14,7 +15,7 @@ import pytest
 
 from quadtower import arith
 from quadtower import classify as classify_mod
-from quadtower import cli
+from quadtower import cli, qform
 from quadtower.arith import BoundExceededError, NotFundamentalError, factor_discriminant
 from quadtower.classify import (
     InternalConsistencyError,
@@ -154,6 +155,26 @@ def test_scan_is_deterministic(capsys):
     _, first, _ = run(capsys, "scan", "5", "5000")
     _, second, _ = run(capsys, "scan", "5", "5000")
     assert first == second
+
+
+@pytest.mark.parametrize("lo, hi, records, stdout_sha, stderr_sha", [
+    ("5", "20004", 372,
+     "d357a33b0a94ef06699985054781224a9bc575e75cd2dd5d08f5e5ec5ca8933e",
+     "62d404dbee501fdb0df41ed4ade646d5edc55afe413f3afaf0e939ef7507a70a"),
+    ("2000000", "2019999", 737,
+     "ae67638f39a8415e88e88a45f6f9a0b26ca651593bb3367cb8042c3bce02770e",
+     "5a01ad78af7ec5c5f9e4ac71b63dfb45fba29481681a109e99498b71b9d685cd"),
+])
+def test_scan_output_is_pinned(capsys, lo, hi, records, stdout_sha, stderr_sha):
+    # the record stream and the histogram, the elapsed time stripped from
+    # its last line, byte for byte
+    code, out, err = run(capsys, "scan", lo, hi)
+    assert code == 0
+    assert len(out.splitlines()) == records
+    assert hashlib.sha256(out.encode()).hexdigest() == stdout_sha
+    histogram = re.sub(r", [0-9.]+s\n$", "\n", err)
+    assert histogram.endswith(f"scanned [{lo}, {hi}], {records} records\n")
+    assert hashlib.sha256(histogram.encode()).hexdigest() == stderr_sha
 
 
 def test_scan_reads_the_clock_per_record_only_with_timing(capsys, monkeypatch):
@@ -431,6 +452,23 @@ def test_scan_trial_divides_only_blocks_too_narrow_to_sieve(capsys, monkeypatch)
     assert calls == {2000001: 1}
     calls.clear()
     assert run(capsys, "scan", "2000000", "2000003")[0] == 0
+    assert not calls
+
+
+def test_scan_evaluates_no_kronecker_symbol(capsys, monkeypatch):
+    calls = Counter()
+    original = qform.kronecker
+
+    def counting(a, n):
+        calls["n"] += 1
+        return original(a, n)
+
+    monkeypatch.setattr(qform, "kronecker", counting)
+    # the counter is live: a genus check still reads its symbols this way
+    assert qform.c4_splittings(1596) and calls["n"] > 0
+    calls.clear()
+    code, out, _ = run(capsys, "scan", "2000000", "2001999")
+    assert code == 0 and out
     assert not calls
 
 
