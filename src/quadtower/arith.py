@@ -5,6 +5,10 @@ Factoring is plain trial division by the primes up to DEFAULT_FACTOR_BOUND,
 which is all the desk-scale discriminants handled here require; a range of
 consecutive integers is factored with one segmented sieve (`sieve_factors`)
 that reads the same table of primes.
+
+`NotFundamentalError` is a `PreconditionError`, the error of an input
+outside the classified family: a candidate that is not a field discriminant
+raises once, here, with the message that `classify` reports.
 """
 
 from __future__ import annotations
@@ -15,6 +19,7 @@ import math
 
 __all__ = [
     "BoundExceededError",
+    "PreconditionError",
     "NotFundamentalError",
     "is_prime",
     "factorize",
@@ -38,7 +43,11 @@ class BoundExceededError(RuntimeError):
     """A search loop or factoring pass hit its configured bound."""
 
 
-class NotFundamentalError(ValueError):
+class PreconditionError(ValueError):
+    """The discriminant is outside the classified family."""
+
+
+class NotFundamentalError(PreconditionError):
     """The integer is not the discriminant of a quadratic field."""
 
 
@@ -156,10 +165,15 @@ def sieve_factors(lo: int, hi: int) -> list[Sieved | None]:
         return [None] * max(width, 0)
     rest = list(range(lo, hi))
     found: list[dict[int, int]] = [{} for _ in rest]
+    # the power of 2 in an even n is its lowest set bit, n & -n
+    for i in range(lo % 2, width, 2):
+        e = (rest[i] & -rest[i]).bit_length() - 1
+        rest[i] >>= e
+        found[i][2] = e
     primes = _primes_upto(min(math.isqrt(hi - 1), DEFAULT_FACTOR_BOUND))
     # most primes of a block high up divide none of its integers: skip those
     # with one remainder each before any loop over multiples
-    for p in [p for p in primes if -lo % p < width]:
+    for p in [p for p in primes if p > 2 and -lo % p < width]:
         for i in range(-lo % p, width, p):
             r = rest[i] // p
             e = 1

@@ -7,8 +7,8 @@ many Kronecker-symbol rows.  The rows, their Galois-type sets, their
 order-32/64 quotient labels, and the per-case unit/class-number invariant
 patterns ship in case_tables.json; this module searches the factor
 assignment, recomputes every symbol, and never copies a computed quantity
-out of the table.  The search runs once per symbol signature (factor signs
-and character matrix); classify memoises its outcome.
+out of the table.  The search runs once per symbol signature (factor classes
+and the six pair symbols); classify memoises its outcome.
 """
 
 from __future__ import annotations
@@ -18,12 +18,12 @@ import json
 from dataclasses import dataclass
 from enum import Enum
 from importlib import resources
-from itertools import permutations
+from itertools import combinations, permutations
 import re
 from typing import Iterator, Sequence
 
 from .arith import (
-    NotFundamentalError,
+    PreconditionError,
     Sieved,
     discriminant_of,
     factor_discriminant,
@@ -63,10 +63,6 @@ __all__ = [
     "SCAN_BLOCK",
     "load_tables",
 ]
-
-
-class PreconditionError(ValueError):
-    """The discriminant is outside the classified family."""
 
 
 class NoRowMatchError(LookupError):
@@ -181,11 +177,46 @@ class _Row:
     g_order_formula: str | None
 
 
+# the pairs i < j of factor positions, one symbol each in a signature
+_PAIRS = tuple(combinations(range(4), 2))
+
+
 def _signature(factors: Sequence[int], mat) -> tuple:
-    """Each factor's class (-4, positive or negative), then the character
-    matrix by rows: all that the Redei test and the row search read."""
+    """Each factor's class (-4, positive or negative), then for each pair
+    i < j the symbol (q_i / p_j) of the character matrix, or (q_j / 2) when
+    q_i = -4: all that the Redei test and the row search read.
+
+    The rest of the matrix follows.  (q_j / p_i) is (q_i / p_j), negated
+    when both factors are negative, as reciprocity gives it for odd factors
+    and the supplementary laws for 8 and -8; the row of -4 is
+    (-1 / p_j) = -1 exactly when q_j < 0; the diagonal is the product of
+    its column.
+    """
     classes = [-4 if q == -4 else q > 0 for q in factors]
-    return (*classes, *mat[0], *mat[1], *mat[2], *mat[3])
+    symbols = [mat[j][i] if factors[i] == -4 else mat[i][j] for i, j in _PAIRS]
+    return (*classes, *symbols)
+
+
+def _signature_of(factors: Sequence[int]) -> tuple:
+    """_signature(factors, character_matrix(factors)) of four prime
+    discriminants, computed from the factors alone: one Euler power
+    q_i^((p_j - 1) / 2) mod p_j per odd pair, and q mod 8 against the even
+    factor, since (q / 2) = +1 exactly when q = 1 mod 8."""
+    key = [-4 if q == -4 else q > 0 for q in factors]
+    for i, j in _PAIRS:
+        q, r = factors[i], factors[j]
+        if q & r & 1:
+            p = -r if r < 0 else r
+            s = pow(q, p >> 1, p)
+            key.append(-1 if s > 1 else s)
+        elif q == -4:
+            key.append(1 if r % 8 == 1 else -1)
+        elif r & 1:  # (q / p) for q = 8 or -8 is (r / 2), negated if both < 0
+            s = 1 if r % 8 == 1 else -1
+            key.append(-s if q < 0 and r < 0 else s)
+        else:
+            key.append(1 if q % 8 == 1 else -1)
+    return tuple(key)
 
 
 def _search(factors: Sequence[int], mat) -> _Row | int | tuple[str, ...] | None:
@@ -239,25 +270,25 @@ _BY_SIGNATURE: dict[tuple, _Row | int | tuple[str, ...] | None] = {}
 def classify(d: int, sieved: Sieved | None = None) -> CaseRecord:
     """Find the unique case row for the discriminant d.
 
-    d is factored once into prime discriminants, sorted by |q|, and their
-    `character_matrix` is built once.  Past the factor checks, the Redei
-    4-rank test and the row search depend only on the signature: each
-    factor's class (-4, positive or negative) and the matrix.  Each
-    signature's outcome is memoised in `_BY_SIGNATURE`, which only the
-    permutation search `_search` fills, on its first sight; later
-    candidates with that signature cost one dict lookup.  A signature is
-    four classes and sixteen signs, most of them tied by quadratic
-    reciprocity, and sorting by |q| lets an even factor follow only -3, 5
-    and -7, so the memo stays small (at most 768 entries) without an
-    eviction rule.  `sieved`, the entry of d from `arith.sieve_factors`,
-    spares factoring d again.
+    d is factored once into prime discriminants, sorted by |q|; a d that
+    is not a field discriminant raises `arith.NotFundamentalError`, a
+    PreconditionError, from there, the one raise of that rejection.  Past
+    the factor checks, the Redei 4-rank test and the row search depend only
+    on the signature: each factor's class (-4, positive or negative) and
+    the six pair symbols (q_i / p_j) for i < j, or (q_j / 2) when q_i = -4.
+    `_signature_of` computes it straight from the factors, with one Euler
+    power per odd pair.  Each signature's outcome is memoised in
+    `_BY_SIGNATURE`, which only the permutation search `_search` fills, on
+    its first sight; only then is the `character_matrix` built, for the
+    search.  Later candidates with that signature cost one dict lookup.
+    Sorting by |q| lets an even factor follow only -3, 5 and -7, so the
+    memo stays small (at most 768 entries) without an eviction rule.
+    `sieved`, the entry of d from `arith.sieve_factors`, spares factoring d
+    again.
     """
     if d <= 0:
         raise PreconditionError(f"{d} is not positive")
-    try:
-        factors = factor_discriminant(d, sieved=sieved)
-    except NotFundamentalError as e:
-        raise PreconditionError(str(e)) from None
+    factors = factor_discriminant(d, sieved=sieved)
     if len(factors) != 4:
         raise PreconditionError(
             f"{d} has {len(factors)} prime discriminant factors, need 4"
@@ -267,13 +298,12 @@ def classify(d: int, sieved: Sieved | None = None) -> CaseRecord:
     # -4 or -8 never comes alone, as the negative factors of d > 0 pair up
     if min(factors) > 0:
         raise PreconditionError(f"{d} is a sum of two squares")
-    # every symbol below is read off this one matrix, by factor position
-    mat = character_matrix(factors)
-    key = _signature(factors, mat)
+    key = _signature_of(factors)
     try:
         found = _BY_SIGNATURE[key]
     except KeyError:
-        found = _BY_SIGNATURE[key] = _search(factors, mat)
+        # every symbol of the search is read off this one matrix
+        found = _BY_SIGNATURE[key] = _search(factors, character_matrix(factors))
     if isinstance(found, _Row):
         return CaseRecord(
             d=d,
@@ -307,21 +337,33 @@ def tower_verdict(
     the order-64 quotients except 64.150 force length >= 3; 64.150 is
     undecided unless the supplied Cl2 structure of the octic step has
     8-rank 0.  Supplied invariants are checked whatever the quotient.
+    Without them the verdict depends on the label alone and is memoised
+    per label.
     """
-    structure = None if external_octic_cl2 is None else tuple(external_octic_cl2)
+    if external_octic_cl2 is None:
+        return _label_verdict(rec.gplus_label)
+    return _verdict(rec.gplus_label, tuple(external_octic_cl2))
+
+
+@functools.cache
+def _label_verdict(label: str) -> TowerVerdict:
+    return _verdict(label, None)
+
+
+def _verdict(label: str, structure: tuple[int, ...] | None) -> TowerVerdict:
     if structure is not None and any(n < 1 for n in structure):
         raise ValueError(f"invalid abelian invariants {structure}")
-    name = _TABLES["verdicts"][rec.gplus_label]
+    name = _TABLES["verdicts"][label]
     if name == "Exactly2":
         return TowerVerdict(
             Verdict.EXACTLY_2,
-            f"quotient {rec.gplus_label} has order 32 and is not 32.033, "
+            f"quotient {label} has order 32 and is not 32.033, "
             "so the narrow tower stops at length 2",
         )
     if name == "AtLeast3":
         return TowerVerdict(
             Verdict.AT_LEAST_3,
-            f"quotient {rec.gplus_label} forces narrow tower length >= 3",
+            f"quotient {label} forces narrow tower length >= 3",
         )
     if structure is not None:
         eight_rank = sum(1 for n in structure if n % 8 == 0)

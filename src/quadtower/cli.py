@@ -33,19 +33,6 @@ from .classify import (
     tower_verdict,
     verify_invariant_row,
 )
-from .conic import ProvablyInsolubleError, solve_conic
-from .group2 import (
-    TableGroup,
-    abelian_invariants,
-    build_64_150,
-    check_derived_collapse,
-    check_metabelian_descent,
-    check_power_filtration,
-    collapse_library,
-    derived_subgroup,
-    lower_central_series,
-    maximal_subgroups,
-)
 from .units import NormMinusOneError, delta_invariant, fundamental_unit
 
 EXIT_OK = 0
@@ -73,10 +60,11 @@ class ScanRecord:
     ms: float | None = None
 
     def to_json(self) -> str:
-        payload = dict(vars(self))
-        if self.ms is None:
-            del payload["ms"]
-        return json.dumps(payload, sort_keys=True, separators=(",", ":"))
+        if self.ms is not None:
+            return json.dumps(vars(self), sort_keys=True, separators=(",", ":"))
+        head, tail = _json_template(self.case_type, self.gplus, self.label,
+                                    self.verdict, self.verification)
+        return f"{head}{self.d},\"factors\":[{','.join(map(str, self.factors))}]{tail}"
 
     @classmethod
     def from_json(cls, line: str) -> "ScanRecord":
@@ -94,6 +82,21 @@ class ScanRecord:
 # the JSON keys and CSV columns, in CSV order
 _SCAN_FIELDS = tuple(f.name for f in fields(ScanRecord))
 ScanRecord.CSV_HEADER = ",".join(_SCAN_FIELDS)
+
+
+@functools.cache
+def _json_template(case_type: str, gplus: str, label: str, verdict: str,
+                   verification: str) -> tuple[str, str]:
+    """The JSON line of a record without ms, split where its d and factors
+    go: sorted keys put them between case_type and gplus, and json.dumps
+    writes an int as str() does."""
+    text = json.dumps(
+        {"case_type": case_type, "d": 0, "factors": [], "gplus": gplus,
+         "label": label, "verdict": verdict, "verification": verification},
+        sort_keys=True, separators=(",", ":"),
+    )
+    head, _, tail = text.partition('0,"factors":[]')
+    return head, tail
 
 
 def _record_for(rec: CaseRecord, verdict: str, verification: str,
@@ -207,6 +210,8 @@ def _scan_block(
     records = []
     try:
         for d, sieved in zip(range(lo, hi), arith.sieve_factors(lo, hi)):
+            if d % 4 > 1:  # d = 2, 3 mod 4 is no discriminant
+                continue
             start = time.perf_counter() if timing else None
             rec = family_member(d, sieved)
             if rec is None:
@@ -365,6 +370,8 @@ def cmd_verify_row(args: argparse.Namespace) -> int:
 
 
 def cmd_conic(args: argparse.Namespace) -> int:
+    from .conic import ProvablyInsolubleError, solve_conic
+
     try:
         sol = solve_conic(args.delta1, args.delta2,
                           bound=_positive(args.bound, "--bound"))
@@ -423,17 +430,21 @@ def cmd_classgroup(args: argparse.Namespace) -> int:
 
 # -- group subcommands ---------------------------------------------------------
 
+# the group2 checker behind each --check name; group2 is imported only by the
+# group command, so the other commands start without it
 _CHECKS = {
-    "derived-collapse": check_derived_collapse,
-    "power-filtration": check_power_filtration,
-    "metabelian-descent": check_metabelian_descent,
+    "derived-collapse": "check_derived_collapse",
+    "power-filtration": "check_power_filtration",
+    "metabelian-descent": "check_metabelian_descent",
 }
 
 
 def _run_checks(group, which: list[str]) -> int:
+    from . import group2
+
     status = EXIT_OK
     for name in which:
-        report = _CHECKS[name](group)
+        report = getattr(group2, _CHECKS[name])(group)
         if not report.applicable:
             print(f"{name}: not applicable ({report.reason})")
             status = max(status, EXIT_PRECONDITION)
@@ -445,7 +456,9 @@ def _run_checks(group, which: list[str]) -> int:
     return status
 
 
-def _describe_table(T: TableGroup) -> None:
+def _describe_table(T) -> None:
+    from .group2 import derived_subgroup, lower_central_series, maximal_subgroups
+
     gp = derived_subgroup(T)
     series = lower_central_series(T)
     print(f"order = {T.order}")
@@ -461,6 +474,15 @@ def _requested_checks(selected: list[str] | None) -> list[str] | None:
 
 
 def cmd_group(args: argparse.Namespace) -> int:
+    from .group2 import (
+        TableGroup,
+        abelian_invariants,
+        build_64_150,
+        check_derived_collapse,
+        collapse_library,
+        derived_subgroup,
+    )
+
     if args.group_cmd == "build-64150":
         T = build_64_150().table_group()
         gp = derived_subgroup(T)

@@ -214,6 +214,39 @@ def test_verdict_partition_lock():
     assert load_tables()["verdicts"] == expected
 
 
+def test_classify_rejects_a_non_discriminant_with_one_raise():
+    with pytest.raises(NotFundamentalError) as info:
+        classify(20)
+    assert isinstance(info.value, PreconditionError)
+    assert str(info.value) == "20 is not a fundamental discriminant"
+    # raised by the factoring itself, not re-raised while handling another
+    assert info.value.__context__ is None
+    assert PreconditionError is arith.PreconditionError
+    assert "PreconditionError" in classify_mod.__all__
+
+
+def test_memoised_tower_verdict_equals_a_fresh_computation():
+    rec = classify(19176)
+    for label in load_tables()["verdicts"]:
+        labelled = dataclasses.replace(rec, gplus_label=label)
+        assert tower_verdict(labelled) == classify_mod._verdict(label, None)
+        assert tower_verdict(labelled) is tower_verdict(labelled)
+
+
+def test_tower_verdict_with_octic_data_is_not_memoised():
+    rec = dataclasses.replace(classify(19176), gplus_label="64.150")
+    plain = tower_verdict(rec)
+    memo = classify_mod._label_verdict.cache_info()
+    by8 = tower_verdict(rec, (2, 4, 4))
+    unknown = tower_verdict(rec, [2, 4, 8])
+    assert (plain.verdict, by8.verdict, unknown.verdict) == (
+        Verdict.UNKNOWN_64_150, Verdict.EXACTLY_2_BY_8RANK, Verdict.UNKNOWN_64_150)
+    assert "(2, 4, 8) has 8-rank 1" in unknown.justification
+    assert tower_verdict(rec, (2, 4, 4)) is not by8
+    # the memo is neither read nor filled by calls with octic data
+    assert classify_mod._label_verdict.cache_info() == memo
+
+
 ROW_FIELDS = [19176, 59605, 13420, 5740, 8540, 24060]
 
 
@@ -511,10 +544,9 @@ def _reference_classify(d):
     per type and every symbol a Kronecker call of its own."""
     if d <= 0:
         raise PreconditionError(f"{d} is not positive")
-    try:
-        factors = factor_discriminant(d)
-    except NotFundamentalError as e:
-        raise PreconditionError(str(e)) from None
+    # a d that is no field discriminant raises NotFundamentalError, a
+    # PreconditionError, from the factoring
+    factors = factor_discriminant(d)
     if len(factors) != 4:
         raise PreconditionError(
             f"{d} has {len(factors)} prime discriminant factors, need 4"
@@ -682,10 +714,18 @@ def test_classify_factors_once_and_builds_one_matrix(d, monkeypatch):
     monkeypatch.setattr(arith, "factorize", counting("factorize", arith.factorize))
     for module in (arith, qform):
         monkeypatch.setattr(module, "kronecker", counting("kronecker", module.kronecker))
+    monkeypatch.setattr(classify_mod, "character_matrix",
+                        counting("character_matrix", character_matrix))
     _classify_outcome(classify, d)
     assert calls["factorize"] == 1
     # reciprocity: one symbol for each of the at most six odd pairs
     assert calls["kronecker"] <= 6
+    # the matrix is built for the search of a new signature only: d again
+    # hits the memo and is factored, but builds none
+    assert calls["character_matrix"] <= 1
+    calls.clear()
+    _classify_outcome(classify, d)
+    assert calls == {"factorize": 1}
 
 
 # -- audit: every symbol signature, classified by the uncached search ----------
@@ -764,12 +804,12 @@ _PRIMES_BELOW_10_6 = list(arith._primes_upto(10**6 - 1))
 
 
 @st.composite
-def _prime_discriminant_tuples(draw):
+def _prime_discriminant_tuples(draw, min_size=2, max_size=5):
     """2 to 5 prime discriminants of distinct primes below 10^6, in draw
     order; small primes are drawn often enough to meet 2 and each other."""
     prime = st.one_of(st.sampled_from(_PRIMES_BELOW_10_6[:12]),
                       st.sampled_from(_PRIMES_BELOW_10_6))
-    primes = draw(st.lists(prime, min_size=2, max_size=5, unique=True))
+    primes = draw(st.lists(prime, min_size=min_size, max_size=max_size, unique=True))
     return [draw(st.sampled_from((-4, 8, -8))) if p == 2 else p if p % 4 == 1 else -p
             for p in primes]
 
@@ -798,6 +838,40 @@ def test_character_matrix_by_reciprocity_on_the_audit_classes():
     assert len(classes) == 464
     for factors in classes:
         assert character_matrix(factors) == _direct_character_matrix(factors), factors
+
+
+@settings(max_examples=400, deadline=None)
+@given(_prime_discriminant_tuples(min_size=4, max_size=4))
+def test_signature_from_the_factors_on_primes_below_10_6(qs):
+    assert classify_mod._signature_of(qs) == \
+        classify_mod._signature(qs, character_matrix(qs)), qs
+
+
+def test_signature_from_the_factors_on_the_audit_classes():
+    # the classes repeat primes, whose symbol is 0 either way
+    for factors in {factors for factors, _ in _audit_cases()}:
+        assert classify_mod._signature_of(factors) == \
+            classify_mod._signature(factors, character_matrix(factors)), factors
+
+
+def _whole_matrix_signature(factors, mat):
+    """The memo key before the six-symbol one: the four classes, then the
+    sixteen entries of the character matrix by rows."""
+    classes = [-4 if q == -4 else q > 0 for q in factors]
+    return (*classes, *mat[0], *mat[1], *mat[2], *mat[3])
+
+
+def test_signature_splits_the_audit_as_the_whole_matrix_does():
+    old_to_new, new_to_old = {}, {}
+    for factors, mat in _audit_cases():
+        old = _whole_matrix_signature(factors, mat)
+        new = classify_mod._signature(factors, mat)
+        assert len(new) == 10
+        old_to_new.setdefault(old, set()).add(new)
+        new_to_old.setdefault(new, set()).add(old)
+    assert len(old_to_new) == len(new_to_old) == 1472
+    assert all(len(keys) == 1 for keys in old_to_new.values())
+    assert all(len(keys) == 1 for keys in new_to_old.values())
 
 
 @pytest.fixture(scope="module")

@@ -9,6 +9,7 @@ import subprocess
 import sys
 import time
 from collections import Counter
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -22,8 +23,10 @@ from quadtower.classify import (
     NoRowMatchError,
     RowComputationError,
     RowPatternsUnavailableError,
+    Verdict,
     family_member,
     iter_family,
+    load_tables,
     tower_verdict,
 )
 from quadtower.cli import ScanRecord, main
@@ -87,6 +90,12 @@ def test_classify_exit_codes(capsys):
     code, _, err = run(capsys, "classify", "1596")
     assert code == 2
     assert "1596 is not (2, 2): its narrow 4-rank is 1, need 0" in err
+
+
+def test_classify_not_a_discriminant_exits_2_with_one_line(capsys):
+    assert run(capsys, "classify", "20") == (
+        2, "", "error: 20 is not a fundamental discriminant\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -772,3 +781,54 @@ def test_scan_record_round_trip_with_timing():
     again = ScanRecord.from_json(rec.to_json())
     assert again == rec
     assert ScanRecord.from_json(rec.to_json()).to_json() == rec.to_json()
+
+
+def test_scan_record_json_template_matches_json_dumps():
+    # every case row, verdict and kind of verification a record can carry
+    tables = load_tables()
+    rows = [(case_type, row["gplus"], label)
+            for case_type, table in tables["types"].items()
+            for label, row in table["rows"].items()]
+    assert len(rows) == 37
+    checks = ("skipped", "matched", "unavailable", "mismatch:q1,h2_1")
+    for (case_type, gplus, label), verdict, verification in product(
+        rows, [v.value for v in Verdict], checks
+    ):
+        for d, factors in ((19176, (8, 17, -47, -3)),
+                           (999999980044, (41213, 13, -466619, -4))):
+            rec = ScanRecord(d=d, factors=factors, case_type=case_type,
+                             label=label, gplus=gplus, verdict=verdict,
+                             verification=verification)
+            payload = dict(vars(rec))
+            del payload["ms"]
+            line = rec.to_json()
+            assert line == json.dumps(payload, sort_keys=True, separators=(",", ":"))
+            assert ScanRecord.from_json(line) == rec
+
+
+def test_cli_import_leaves_group2_and_conic_unloaded():
+    code = ("import json, sys, quadtower.cli\n"
+            "print(json.dumps([m for m in sys.modules if m.startswith('quadtower.')]))")
+    src = str(Path(cli.__file__).resolve().parents[1])
+    done = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                          text=True, env={**os.environ, "PYTHONPATH": src},
+                          timeout=60, check=True)
+    loaded = set(json.loads(done.stdout))
+    assert "quadtower.cli" in loaded
+    assert not loaded & {"quadtower.group2", "quadtower.conic"}
+
+
+@pytest.mark.parametrize("argv, lines, sha", [
+    (["group", "build-64150", "--check", "all"], 5,
+     "221b1db4235aac9178f9fdf9d00a19ae701c4daa0ad47919dd13c0fbe0f916b6"),
+    (["group", "library"], 27,
+     "dd84c3ecc4da57e5f2cbe5621fa4a4ac580049096a2db4c9d103af9b8fc68f75"),
+    (["conic", "5", "-1"], 2,
+     "a8593d10cfb1899ea11bc3395486739f4ff291830f27588670b181bbd19d3175"),
+], ids=["build-64150", "library", "conic"])
+def test_group_and_conic_output_is_pinned(capsys, argv, lines, sha):
+    # sha256 of stdout, taken while cli still imported group2 and conic at
+    # module level
+    code, out, err = run(capsys, *argv)
+    assert (code, err, len(out.splitlines())) == (0, "", lines)
+    assert hashlib.sha256(out.encode()).hexdigest() == sha
