@@ -22,17 +22,21 @@ expanded on K's basis with multiplications only.  Every other product, one
 with a norm -1 unit or a root swapped in earlier, gets its square root found
 exactly, on integer coefficients over one common denominator, by descending
 through relative norms to Q, as in Wada's unit-group algorithm for
-multiquadratic fields.  Only products that pass a quadratic-character filter
-are decided at all, as in the number field sieve (Adleman 1991;
-Buhler-Lenstra-Pomerance 1993): at an odd prime p dividing no m_i modulo
-which every m_i is a square, the least roots of the m_i mod p define a ring
-map from the p-integral elements of K, units among them, onto F_p.  A square
-maps to a square, so a product whose image has Legendre symbol -1 is no
-square, and the radicals or the exact root search still decide every other
-product.  One table per prime gives the roots and the symbols.  A field and
-its subfields read one CharacterTable, the characters of the largest field
-restricted to each subfield, so the primes are walked once and each
-subfield unit's character vector is computed once.
+multiquadratic fields: each level takes a root n of the relative norm and
+one root s of 2(a + n), and the root is (eta + n)/s.  Only products that
+pass a quadratic-character filter are decided at all, as in the number
+field sieve (Adleman 1991; Buhler-Lenstra-Pomerance 1993): at an odd prime
+p dividing no m_i modulo which every m_i is a square, the least roots of
+the m_i mod p define a ring map from the p-integral elements of K, units
+among them, onto F_p.  A square maps to a square, so a product whose image
+has Legendre symbol -1 is no square, and the radicals or the exact root
+search still decide every other product.  One table per prime gives the
+roots and the symbols, and the images at all the primes come from one sum
+modulo their product (Chinese remainder theorem).  A field and its
+subfields read one CharacterTable, the unit basis and the characters of
+the largest field, so the primes are walked once, each subfield unit's
+character vector is computed once, and every saturation runs on the
+largest field's coordinates.
 """
 
 from __future__ import annotations
@@ -71,10 +75,12 @@ DEFAULT_CF_STEPS = 10**6
 # bench/data/row_fields.json, with each field's quartic subfields reading the
 # octic field's characters, 8, 10, 12, 16 and 24 characters leave 94, 20, 2,
 # 0 and 0 exact root tries failing (201 tries at 12), and verify the rows in
-# 0.96, 0.99, 1, 1.08 and 1.23 times the time at 12 (median ratio of 10
-# alternating passes).  The 235 radical tries that fail at every count are
-# quartic products that become squares in the octic field, where its
-# characters cannot tell them from squares.
+# 0.99, 0.99, 1, 1.07 and 1.15 times the time at 12 (median ratio of 20
+# alternating passes, with one CRT image per character vector).  The 235
+# radical tries that fail at every count are quartic products that become
+# squares in the octic field, where its characters cannot tell them from
+# squares.  The count stays 12: the tests pin the tries and the certified
+# bases at 12.
 CHARACTERS = 12
 
 
@@ -316,15 +322,28 @@ class _MultiQuadField:
         """a^2 - m b^2, the norm of a + b*sqrt(m) to the subfield."""
         return [x - m * y for x, y in zip(self._mul(a, a), self._mul(b, b))]
 
+    def _inverse(self, coeffs: list[int]) -> tuple[list[int], int]:
+        """(c, e) with coeffs * c = e for a nonzero integer e, so that the
+        inverse of the nonzero element coeffs is c/e: u (a - b sqrt(m)) is
+        the relative norm a^2 - m b^2, which is inverted in the subfield."""
+        if len(coeffs) == 1:
+            return [1], coeffs[0]
+        a, b, m = self._split(coeffs)
+        c, e = self._inverse(self._relative_norm(a, b, m))
+        return self._mul(a, c) + [-x for x in self._mul(b, c)], e
+
     def sqrt(self, eta):
         """A square root of eta in the field, or None if eta is no square.
 
-        If eta = (x + y sqrt(m))^2 with x, y in F, then n = x^2 - m y^2 is a
-        square root of the relative norm a^2 - m b^2, x^2 = (a + n)/2 and
-        m y^2 = (a - n)/2.  Recursing on the norm and on both signs of n
-        reaches every root; b = 2xy, compared exactly and cross-multiplied
-        by the denominators, picks the sign of y.  At Q a fraction in lowest
-        terms is a square when its numerator and denominator are.
+        Write eta = a + b sqrt(m) with a, b in F.  A root x + y sqrt(m) has
+        n = x^2 - m y^2 with n^2 = a^2 - m b^2, the relative norm, and
+        a + n = 2 x^2.  So the descent takes one root n of the norm in F
+        and, for each sign of n, one root s of 2(a + n) in F; then
+        (eta + n)^2 = eta (2a + 2n) = eta s^2, and the root is
+        (eta + n)/s, with 1/s from the recursive inverse.  When a + n = 0,
+        x is 0, so b is 0 and the root is y sqrt(m) with y^2 = a/m in F.
+        At Q a fraction in lowest terms is a square when its numerator and
+        denominator are.
         """
         coeffs, den = eta
         if len(coeffs) == 1:
@@ -340,29 +359,24 @@ class _MultiQuadField:
         if n is None:
             return None
         nc, nd = n
-        # a/den and nc/nd over the common denominator den * nd
-        den_n = den * nd
-        a = [c * nd for c in a]
-        n = [c * den for c in nc]
-        for n in (n, [-c for c in n]):
-            x = self.sqrt(_lowest_terms([c + d for c, d in zip(a, n)], 2 * den_n))
-            if x is None:
+        # eta + n = (t + b nd sqrt(m)) / (den nd) with t = a nd + nc den
+        a_nd = [c * nd for c in a]
+        n_den = [c * den for c in nc]
+        for t in ([x + y for x, y in zip(a_nd, n_den)],
+                  [x - y for x, y in zip(a_nd, n_den)]):
+            if not any(t):
+                y = self.sqrt(_lowest_terms(a, den * m))
+                if y is not None:
+                    return [0] * len(a) + y[0], y[1]
                 continue
-            y = self.sqrt(_lowest_terms([c - d for c, d in zip(a, n)], 2 * m * den_n))
-            if y is None:
+            s = self.sqrt(_lowest_terms([2 * c for c in t], den * nd))
+            if s is None:
                 continue
-            # (2xy)^2 = b^2 holds once x and y exist, so this comparison of
-            # 2xy with +-b/den (both sides times den and the denominators of
-            # x, y) chooses the sign of y; it does not test for a root
-            xy2 = [2 * den * c for c in self._mul(x[0], y[0])]
-            bxy = [c * x[1] * y[1] for c in b]
-            if xy2 == bxy or xy2 == [-c for c in bxy]:
-                # x +- y sqrt(m) over the lcm is in lowest terms: a prime of
-                # the lcm divides the denominator of x or of y as often, and
-                # not every coefficient of that element
-                lcm = math.lcm(x[1], y[1])
-                sy = lcm // y[1] if xy2 == bxy else -lcm // y[1]
-                return [c * (lcm // x[1]) for c in x[0]] + [c * sy for c in y[0]], lcm
+            # 1/s = sd c / e for s = sc/sd and sc c = e
+            c, e = self._inverse(s[0])
+            scale = s[1] if e > 0 else -s[1]
+            xi = self._mul(t, c) + self._mul([x * nd for x in b], c)
+            return _lowest_terms([x * scale for x in xi], den * nd * abs(e))
         return None
 
     def sign(self, u) -> int:
@@ -402,27 +416,27 @@ def _unit_basis(field: _MultiQuadField, unit: Callable[[int], QuadUnit]) -> list
 
 
 def _radical_root(field: _MultiQuadField,
-                  radicals: Sequence[SqrtUnitDecomposition]):
-    """A square root in K of the product eta of the norm +1 units whose
-    roots are (a sqrt(m1) + b sqrt(m2))/2, or None when eta is no square.
+                  radicals: Sequence[SqrtUnitDecomposition], kernels):
+    """A square root of the product eta of the norm +1 units whose roots
+    are (a sqrt(m1) + b sqrt(m2))/2, in the subfield L of the field K whose
+    kernels are kernels, or None when eta is no square in L.
 
     With m the radicand of a unit, m1 m2 = m e^2 for an integer e.  An
-    automorphism of K(sqrt(m1) : all radicals) over K fixes sqrt(m), so it
+    automorphism of L(sqrt(m1) : all radicals) over L fixes sqrt(m), so it
     negates the unit's root exactly when it negates sqrt(m1).  The root of
     eta, the product of the units' roots, is fixed by all of them, and so
-    lies in K, exactly when sqrt(prod m1) does: when the squarefree kernel
-    of prod m1 is one of K's kernels, 1 among them (Kubota 1956, Wada
-    1966).  The product
-    then expands into terms c sqrt(r) with r squarefree; every r is one of
-    K's kernels, and sqrt(kernel[S]) = sqrt(w[S])/g with g^2 = w[S]/kernel[S]
-    places the term on the product basis.  The large a and b are only
-    multiplied, never put under a square root.  The root is in lowest
-    terms, of either sign.
+    lies in L, exactly when sqrt(prod m1) does: when the squarefree kernel
+    of prod m1 is one of L's kernels, 1 among them (Kubota 1956, Wada
+    1966).  The product then expands into terms c sqrt(r) with r
+    squarefree; every r is one of L's kernels, and sqrt(kernel[S]) =
+    sqrt(w[S])/g with g^2 = w[S]/kernel[S] places the term on K's product
+    basis.  The large a and b are only multiplied, never put under a square
+    root.  The root is in lowest terms, of either sign.
     """
     k = 1
     for radical in radicals:
         k = k * radical.m1 // math.gcd(k, radical.m1) ** 2
-    if k not in field.kernel:
+    if k not in kernels:
         return None
     # terms[r] = c: the partial product is the sum of c sqrt(r)
     terms = {1: 1}
@@ -457,7 +471,26 @@ def _roots(p: int) -> tuple[int, ...]:
     return tuple(table)
 
 
-def _characters(gens: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
+class _Characters(tuple):
+    """A field's quadratic characters: the pairs (p, rho) of _characters,
+    with the rho combined over all the primes by the Chinese remainder
+    theorem.  lifts[S] is the integer modulo the product of the primes that
+    is rho[S] mod each p, so one sum of the coefficients times the lifts
+    gives an element's image at every prime at once.  roots[k] is the table
+    of the k-th prime."""
+
+    def __new__(cls, chars):
+        self = super().__new__(cls, chars)
+        self.modulus = math.prod(p for p, _ in self)
+        # crt[k] is 1 mod the k-th prime and 0 mod the others
+        crt = [self.modulus // p * pow(self.modulus // p, -1, p) for p, _ in self]
+        self.lifts = [sum(e * r for e, r in zip(crt, column)) % self.modulus
+                      for column in zip(*(rho for _, rho in self))]
+        self.roots = [_roots(p) for p, _ in self]
+        return self
+
+
+def _characters(gens: Sequence[int]) -> _Characters:
     """CHARACTERS quadratic characters of Q(sqrt(m_1), ..., sqrt(m_r)).
 
     Each is (p, rho) with rho[S] the image of sqrt(m_S) in F_p under the
@@ -485,119 +518,112 @@ def _characters(gens: Sequence[int]) -> list[tuple[int, tuple[int, ...]]]:
                 if len(chars) == CHARACTERS:
                     break
         lo *= 2
-    return chars
+    return _Characters(chars)
 
 
-def _character_vector(chars: Sequence[tuple[int, tuple[int, ...]]], u) -> int:
+def _character_vector(chars: _Characters, u) -> int:
     """Bit k is set when the Legendre symbol of u's image at the prime of
     chars[k] is -1.
 
     The image of u = (coeffs, den) is den^-1 sum(coeffs[S] rho[S]) mod p,
-    and its symbol is the product of the symbols of the sum and of den; the
+    and its symbol is that of den times the sum.  That product is formed
+    once, modulo the product of the primes, from the lifts of the rho; the
     sum runs over the nonzero coefficients only, two for an original unit.
     A denominator divisible by p or a zero image raises: neither occurs for
     a unit, since p is prime to 2 m_1 ... m_r and so the unit and its
     inverse both have p-integral coefficients.
     """
-    vector = 0
     coeffs, den = u
-    terms = [(s, c) for s, c in enumerate(coeffs) if c]
-    for k, (p, rho) in enumerate(chars):
-        roots = _roots(p)
-        den_p = den % p
-        if den_p == 0:
-            raise ArithmeticError(f"the denominator of {u} has no inverse mod {p}")
-        image = sum(c * rho[s] for s, c in terms) % p
-        if image == 0:
+    image = den * sum(c * r for c, r in zip(coeffs, chars.lifts) if c) % chars.modulus
+    vector = 0
+    for k, ((p, _), roots) in enumerate(zip(chars, chars.roots)):
+        x = image % p
+        if x == 0:
+            if den % p == 0:
+                raise ArithmeticError(f"the denominator of {u} has no inverse mod {p}")
             raise ArithmeticError(f"{u} vanishes at a prime above {p}")
-        if (roots[image] == 0) != (roots[den_p] == 0):
+        if roots[x] == 0:
             vector |= 1 << k
     return vector
 
 
 class CharacterTable:
-    """The CHARACTERS quadratic characters of a totally real multiquadratic
-    field K = Q(sqrt(m_1), ..., sqrt(m_r)), shared by the unit indices of K
-    and of its subfields.
+    """The unit basis and the CHARACTERS quadratic characters of a totally
+    real multiquadratic field K = Q(sqrt(m_1), ..., sqrt(m_r)), shared by
+    the unit indices of K and of its subfields.
 
-    A subfield L = Q(sqrt(n_1), ..., sqrt(n_s)) has each n_j among K's
-    kernels, n_j = kernel[S_j], and reads its characters at K's primes: the
-    root of n_j mod p is rho[S_j] / g_j with g_j^2 = w[S_j] / n_j, not a
-    fresh least root.  So every element of L has the image it has as an
-    element of K, at the same degree-one prime, and a unit's character
-    vector is the same in every field that contains it.  vectors[S] keeps
-    the vector of the fundamental unit of Q(sqrt(kernel[S])), computed by
-    the first unit index that reads it; the characters are walked on first
-    use.  One table serves one K, and its unit indices must take their
-    units from one unit function.  K's characters are +1 on every element
-    of L that is a square in K, so a subfield's filter lets through the
-    products that become squares only in K; the radicals or the exact root
-    search reject them.
+    basis holds the fundamental units of K's quadratic subfields, one per
+    nonzero mask of K, on K's product basis, and vectors their character
+    vectors; both are built by the first subfield call.  A subfield L =
+    Q(sqrt(n_1), ..., sqrt(n_s)) has each n_j among K's kernels, n_j =
+    kernel[S_j], and its quadratic subfields sit at the masks that the S_j
+    span.  So L's units are read off K's basis as they are, and every
+    element of L keeps its image at K's degree-one primes: a unit's
+    character vector is the same in every field that contains it.  One
+    table serves one K, and its unit indices must take their units from
+    one unit function.  K's characters are +1 on every element of L that
+    is a square in K, so a subfield's filter lets through the products that
+    become squares only in K; _saturate rejects their roots, which lie
+    outside L.
     """
 
     def __init__(self, gens: Sequence[int]):
         if any(m <= 1 for m in gens):
             raise ValueError(f"radicands {list(gens)} do not span a totally real field")
         self.field = _MultiQuadField(gens)
-        self.vectors: dict[int, int] = {}
+        self.basis: list = []
+        self.vectors: list[int] = []
 
     @functools.cached_property
-    def chars(self) -> list[tuple[int, tuple[int, ...]]]:
+    def chars(self) -> _Characters:
         return _characters(self.field.gens)
 
     def subfield(self, gens: Sequence[int], unit: Callable[[int], QuadUnit]):
-        """(L, basis, chars, vectors), _saturate's arguments, for the
-        subfield L of K on the radicands gens; unit(D) is the fundamental
-        unit of discriminant D.  On K's own radicands L is K and reads K's
-        characters as they are.  A radicand that is none of K's kernels
-        raises ValueError."""
+        """(K, at, basis, chars, vectors), _saturate's arguments, for the
+        subfield L of K on the radicands gens: at[T] is K's mask of L's mask
+        T, and basis and vectors hold K's entries at at[1:].  unit(D) is the
+        fundamental unit of discriminant D.  A radicand that is none of K's
+        kernels, or radicands that are not independent, raise ValueError."""
         k = self.field
         if not all(m in k.kernel[1:] for m in gens):
             raise ValueError(f"radicands {list(gens)} do not all lie in the field "
                              f"on the radicands {list(k.gens)}")
-        masks = [k.kernel.index(m) for m in gens]
-        if tuple(gens) == k.gens:  # masks 1, 2, 4 with every g = 1
-            field, chars = k, self.chars
-        else:
-            field = _MultiQuadField(gens)
-            scales = [math.isqrt(k.w[s] // m) for s, m in zip(masks, gens)]
-            chars = []
-            for p, rho in self.chars:
-                sub = [1]
-                for s, g in zip(masks, scales):
-                    r = rho[s] * pow(g, -1, p) % p
-                    sub += [x * r % p for x in sub]
-                chars.append((p, tuple(sub)))
-        basis = _unit_basis(field, unit)
-        # K's mask of each subfield mask, in the order of field.w
         at = [0]
-        for s in masks:
+        for m in gens:
+            s = k.kernel.index(m)
             at += [x ^ s for x in at]
-        for s, (u, _) in zip(at[1:], basis):
-            if s not in self.vectors:
-                self.vectors[s] = _character_vector(chars, u)
-        return field, basis, chars, [self.vectors[s] for s in at[1:]]
+        if len(set(at)) != len(at):
+            raise ValueError(f"radicands {list(gens)} are not independent")
+        if not self.basis:
+            self.basis = _unit_basis(k, unit)
+            self.vectors = [_character_vector(self.chars, u) for u, _ in self.basis]
+        return (k, at, [self.basis[s - 1] for s in at[1:]], self.chars,
+                [self.vectors[s - 1] for s in at[1:]])
 
 
-def _saturate(field: _MultiQuadField, basis: Sequence,
-              chars: Sequence[tuple[int, tuple[int, ...]]],
-              vectors: Sequence[int]) -> tuple[int, list]:
-    """(q, saturated basis): the 2-saturation of the lattice spanned by basis.
+def _saturate(field: _MultiQuadField, at: Sequence[int], basis: Sequence,
+              chars: _Characters, vectors: Sequence[int]) -> tuple[int, list]:
+    """(q, saturated basis): the 2-saturation of the lattice spanned by basis
+    in the subfield L of field whose product basis sits at the masks at.
 
-    basis holds (element, radical) pairs as _unit_basis builds them, and
-    vectors their character vectors under chars.  Masks are visited in
-    increasing order.  A mask whose characters do not all cancel names a
-    product with a character -1, which is no square, so only the other
-    masks are decided.  A mask whose units all carry a radical (original
-    norm +1 units) is decided, and its root built, from the radicals by
-    _radical_root; any other mask, one with a norm -1 unit or a swapped-in
-    root, gets its product built and an exact sqrt tried.  The first square
-    found replaces its highest basis element, basis[top], by the positive
-    root, which carries no radical, and the root's character vector is
-    computed afresh.  The next round starts at mask 1 << top: the masks
-    below it multiply elements that did not change, and this round found
-    none of them a square.
+    basis holds (element, radical) pairs as _unit_basis builds them, on
+    field's product basis, and vectors their character vectors under
+    chars.  Masks are visited in increasing order.  A mask whose characters
+    do not all cancel names a product with a character -1, which is no
+    square, so only the other masks are decided.  A mask whose units all
+    carry a radical (original norm +1 units) is decided, and its root
+    built, from the radicals by _radical_root, which takes L's kernels;
+    any other mask, one with a norm -1 unit or a swapped-in root, gets its
+    product built and an exact sqrt tried in field, and a root off L's
+    masks, a square root that lies only in field, is no root in L.  The
+    first square found replaces its highest basis element, basis[top], by
+    the positive root, which carries no radical, and the root's character
+    vector is computed afresh.  The next round starts at mask 1 << top: the
+    masks below it multiply elements that did not change, and this round
+    found none of them a square.
     """
+    kernels = {field.kernel[s] for s in at}
+    off = set(range(len(field.w))).difference(at)
     basis, vectors = list(basis), list(vectors)
     xors = [0]  # xors[mask] = XOR of vectors[i] for the bits i of mask
     q = 1
@@ -610,9 +636,11 @@ def _saturate(field: _MultiQuadField, basis: Sequence,
             factors = [basis[i] for i in range(top + 1) if mask >> i & 1]
             radicals = [radical for _, radical in factors]
             if all(radical is not None for radical in radicals):
-                xi = _radical_root(field, radicals)
+                xi = _radical_root(field, radicals, kernels)
             else:
                 xi = field.sqrt(functools.reduce(field.mul, (u for u, _ in factors)))
+                if xi is not None and any(xi[0][s] for s in off):
+                    xi = None
             if xi is not None:
                 break
         else:
@@ -655,14 +683,15 @@ def kubota_index(m1: int, m2: int, m3: int | None = None,
     certifies q without another root search.
 
     unit(D) gives the fundamental unit of the subfield of discriminant D;
-    it defaults to fundamental_unit.  table, a CharacterTable of a field K
-    that contains this one, gives the characters: a caller that indexes K
-    and its subfields passes one table and one unit memo to all of them,
-    so K's characters are walked once and each subfield unit's character
-    vector is computed once.  The radicands must then be among K's
-    kernels, which makes them squarefree.  Without a table the radicands
-    are reduced to their squarefree kernels and the call builds the table
-    of its own field.
+    it defaults to fundamental_unit.  table, a CharacterTable of a field
+    that contains K, gives the unit basis and the characters: a caller that
+    indexes a field and its subfields passes one table and one unit memo to
+    all of them, so the largest field's units and characters are built
+    once, and each saturation runs on that field's product basis, where a
+    square root that lies outside K is no root.  The radicands must then be
+    among the table field's kernels, which makes them squarefree.  Without
+    a table the radicands are reduced to their squarefree kernels and the
+    call builds the table of K itself.
     """
     gens = [m for m in (m1, m2, m3) if m is not None]
     if table is None:

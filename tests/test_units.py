@@ -10,7 +10,7 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from quadtower import units
@@ -25,12 +25,13 @@ from quadtower.arith import (
     radicand,
     squarefree_kernel,
 )
-from quadtower.classify import classify
+from quadtower.classify import classify, verify_invariant_row
 from quadtower.qform import genus_positivity, two_class_number
 from quadtower.units import (
     CHARACTERS,
     CharacterTable,
     NormMinusOneError,
+    _Characters,
     _character_vector,
     _characters,
     _MultiQuadField,
@@ -459,9 +460,77 @@ def test_exact_sqrt_and_sign(case):
         assert field.sign(u) == (1 if value > 0 else -1)
 
 
+def _reference_sqrt(field, eta):
+    """A square root of eta in field, or None, by the earlier descent: with
+    n a root of the relative norm a^2 - m b^2, x^2 = (a + n)/2 and
+    m y^2 = (a - n)/2 are two more roots in the subfield, for each sign of
+    n, and b = 2xy picks the sign of y."""
+    coeffs, den = eta
+    if len(coeffs) == 1:
+        c = coeffs[0]
+        if c < 0:
+            return None
+        num, root = math.isqrt(c), math.isqrt(den)
+        if num * num != c or root * root != den:
+            return None
+        return [num], root
+    a, b, m = field._split(coeffs)
+    n = _reference_sqrt(field, units._lowest_terms(field._relative_norm(a, b, m), den * den))
+    if n is None:
+        return None
+    nc, nd = n
+    den_n = den * nd
+    a = [c * nd for c in a]
+    n = [c * den for c in nc]
+    for n in (n, [-c for c in n]):
+        x = _reference_sqrt(field, units._lowest_terms([c + d for c, d in zip(a, n)], 2 * den_n))
+        if x is None:
+            continue
+        y = _reference_sqrt(field, units._lowest_terms([c - d for c, d in zip(a, n)],
+                                                       2 * m * den_n))
+        if y is None:
+            continue
+        xy2 = [2 * den * c for c in field._mul(x[0], y[0])]
+        bxy = [c * x[1] * y[1] for c in b]
+        if xy2 == bxy or xy2 == [-c for c in bxy]:
+            lcm = math.lcm(x[1], y[1])
+            sy = lcm // y[1] if xy2 == bxy else -lcm // y[1]
+            return [c * (lcm // x[1]) for c in x[0]] + [c * sy for c in y[0]], lcm
+    return None
+
+
+# sqrt(2) +- sqrt(3) and the pure radicals sqrt(2), sqrt(6): the root of
+# 2(a + n) in Q(sqrt 2) is 2 sqrt(2) for (sqrt(2) + sqrt(3))^2, so a descent
+# level meets a + n = 0, and the square of a pure radical meets it at the top
+PURE_RADICAL_CASES = [([2, 3], _MultiQuadField([2, 3]), (coeffs, 1))
+                      for coeffs in ([0, 1, 1, 0], [0, 1, 0, 0], [0, 0, 0, 1], [0, 1, -1, 0])]
+
+
+@settings(deadline=None)
+@given(field_elements())
+@example(PURE_RADICAL_CASES[0])
+@example(PURE_RADICAL_CASES[1])
+@example(PURE_RADICAL_CASES[2])
+@example(PURE_RADICAL_CASES[3])
+def test_sqrt_matches_the_two_root_descent(case):
+    # on squares and on elements that are mostly no squares, the one-root
+    # descent and the earlier two-root one find a root for the same
+    # elements, the same one up to sign
+    _, field, u = case
+    square = field.mul(u, u)
+    assert field.sqrt(square) in (u, _neg(u))
+    for eta in (square, u, field.mul(u, ([2] + [0] * (len(field.w) - 1), 1))):
+        root, reference = field.sqrt(eta), _reference_sqrt(field, eta)
+        assert (root is None) == (reference is None)
+        if root is not None:
+            _assert_lowest_terms(root)
+            assert root in (reference, _neg(reference))
+            assert field.mul(root, root) == eta
+
+
 def test_sqrt_takes_the_sign_of_y_from_b():
-    # At Q both half-roots x and y come out positive, so a root whose
-    # sqrt(m) coefficient is negative is reached only through 2xy = -b.
+    # At Q the root s of 2(a + n) comes out positive, so the sqrt(m)
+    # coefficient of (eta + n)/s has the sign of b.
     field = _MultiQuadField([2])
     assert field.sqrt(([3, -2], 1)) == ([1, -1], 1)  # (1 - sqrt 2)^2
     assert field.sqrt(([3, -2], 4)) == ([1, -1], 2)
@@ -535,12 +604,12 @@ def test_character_vector_is_multiplicative(case):
 
     def nonzero(char, x):
         try:
-            _character_vector([char], x)
+            _character_vector(_Characters([char]), x)
         except ArithmeticError:
             return False
         return True
 
-    chars = [c for c in _characters(gens) if nonzero(c, u) and nonzero(c, v)]
+    chars = _Characters([c for c in _characters(gens) if nonzero(c, u) and nonzero(c, v)])
     assert _character_vector(chars, field.mul(u, v)) == \
         _character_vector(chars, u) ^ _character_vector(chars, v)
 
@@ -559,8 +628,8 @@ def test_character_vector_raises_on_zero_denominator_or_image():
     # sqrt(2) - r vanishes exactly at the primes above q that send sqrt(2)
     # to r, which exist where r^2 = 2 mod q
     u = ([-rho[1], 1, 0, 0], 1)
-    raises_naming(u, chars[:1])
-    _character_vector([(q, r) for q, r in chars if (rho[1] ** 2 - 2) % q], u)
+    raises_naming(u, _Characters(chars[:1]))
+    _character_vector(_Characters([(q, r) for q, r in chars if (rho[1] ** 2 - 2) % q]), u)
 
 
 def _reference_saturate(field, basis):
@@ -574,7 +643,7 @@ def _reference_saturate(field, basis):
             rest = mask ^ (1 << top)
             eta = field.mul(prods[rest], basis[top]) if rest else basis[top]
             prods.append(eta)
-            xi = field.sqrt(eta)
+            xi = _reference_sqrt(field, eta)
             if xi is not None:
                 break
         else:
@@ -587,7 +656,8 @@ def _saturate_alone(field, basis):
     """_saturate with the field's own characters, which a kubota_index call
     without a table reads."""
     chars = _characters(field.gens)
-    return _saturate(field, basis, chars, [_character_vector(chars, u) for u, _ in basis])
+    return _saturate(field, range(len(field.w)), basis, chars,
+                     [_character_vector(chars, u) for u, _ in basis])
 
 
 class _NoSqrtField(_MultiQuadField):
@@ -730,8 +800,8 @@ def test_radical_roots_match_exact_roots_on_the_row_corpus():
                      if radical is not None]
             for mask in range(1, 2 ** len(units)):
                 factors = [units[i] for i in range(len(units)) if mask >> i & 1]
-                root = _radical_root(field, [radical for _, radical in factors])
-                exact = field.sqrt(functools.reduce(field.mul, (u for u, _ in factors)))
+                root = _radical_root(field, [radical for _, radical in factors], field.kernel)
+                exact = _reference_sqrt(field, functools.reduce(field.mul, (u for u, _ in factors)))
                 assert (root is None) == (exact is None)
                 if root is not None:
                     _assert_lowest_terms(root)
@@ -767,6 +837,22 @@ def test_saturation_of_the_row_corpus_matches_pinned_digest():
     assert _saturation_digest(calls) == ROW_CORPUS_SATURATION_SHA256
 
 
+def _rebase(src, dst, u):
+    """The element u of src's product basis on dst's, its masks matched by
+    their kernels: sqrt(w[S]) = g sqrt(kernel[S]) with g^2 = w[S]/kernel[S]
+    in either field, so a coefficient is multiplied by g_src/g_dst.  A mask
+    of u whose kernel is none of dst's raises ValueError."""
+    coeffs, den = u
+    out = [Fraction(0)] * len(dst.w)
+    for s, c in enumerate(coeffs):
+        if c:
+            t = dst.kernel.index(src.kernel[s])
+            g_src = math.isqrt(src.w[s] // src.kernel[s])
+            g_dst = math.isqrt(dst.w[t] // dst.kernel[t])
+            out[t] = Fraction(c * g_src, den * g_dst)
+    return _element(out)
+
+
 def test_saturation_through_the_shared_table_matches_pinned_digest(monkeypatch):
     tries = Counter()
     exact_sqrt, radical_root = _MultiQuadField.sqrt, units._radical_root
@@ -782,21 +868,26 @@ def test_saturation_through_the_shared_table_matches_pinned_digest(monkeypatch):
         tries["exact", root is None] += top
         return root
 
-    def counting_radical_root(field, radicals):
-        root = radical_root(field, radicals)
+    def counting_radical_root(*args):
+        root = radical_root(*args)
         tries["radical", root is None] += 1
         return root
 
     monkeypatch.setattr(_MultiQuadField, "sqrt", counting_sqrt)
     monkeypatch.setattr(units, "_radical_root", counting_radical_root)
-    # each row field's four calls read the characters of the octic field,
-    # restricted to the quartic ones, and share the units' vectors
+    # each row field's four calls read the octic field's unit basis and
+    # characters, and saturate on its product basis; a quartic final basis
+    # is moved back to the quartic field's own product basis for the digest
     calls = []
     for d in _row_corpus():
         octic = _row_calls(d)[3]
         table, unit = CharacterTable(octic), functools.cache(fundamental_unit)
-        calls += [(gens, _saturate(*table.subfield(gens, unit))) for gens in _row_calls(d)]
-        assert sorted(table.vectors) == list(range(1, 8))
+        for gens in _row_calls(d):
+            q, final = _saturate(*table.subfield(gens, unit))
+            own = _MultiQuadField(gens)
+            calls.append((gens, (q, [(_rebase(table.field, own, u), radical)
+                                     for u, radical in final])))
+        assert len(table.basis) == len(table.vectors) == 7
     assert _saturation_digest(calls) == ROW_CORPUS_SATURATION_SHA256
     # a round after a swap into basis[top] starts at mask 1 << top; from
     # mask 1 the tries would be 206 exact (7 failed) and 1323 radical (358)
@@ -804,30 +895,102 @@ def test_saturation_through_the_shared_table_matches_pinned_digest(monkeypatch):
                      ("radical", False): 965, ("radical", True): 235}
 
 
+def test_saturation_keeps_only_roots_in_the_subfield():
+    # 3 is a square in K = Q(sqrt 2, sqrt 3), and K's characters are +1 on
+    # it, but it is no square in the subfield Q(sqrt 2): its root sqrt(3)
+    # lies off that subfield's masks 0 and 1, so it is no root there
+    table = CharacterTable([2, 3])
+    k, chars = table.field, table.chars
+    three = ([3, 0, 0, 0], 1)
+    assert k.sqrt(three) == ([0, 0, 1, 0], 1)
+    basis, vectors = [(three, None)], [_character_vector(chars, three)]
+    assert vectors == [0]
+    assert _saturate(k, [0, 1], basis, chars, vectors) == (1, basis)
+    assert _saturate(k, [0, 2], basis, chars, vectors) == (2, [(([0, 0, 1, 0], 1), None)])
+
+
+def test_quartic_indices_through_the_octic_table_match_standalone_calls():
+    # a quartic index saturated on the octic field's basis, under its
+    # characters, equals the index of the quartic field saturated alone on
+    # its own basis, under its own characters
+    checked = 0
+    for d in _row_corpus():
+        calls = _row_calls(d)
+        table, unit = CharacterTable(calls[3]), functools.cache(fundamental_unit)
+        for gens in calls[:3]:
+            assert kubota_index(*gens, unit=unit, table=table) == kubota_index(*gens), gens
+            checked += 1
+    assert checked == 453
+
+
+def test_row_pass_leaves_only_the_prime_tables_in_units():
+    # every unit basis, character set and CRT lift lives on the table of one
+    # verify_invariant_row call; the module keeps only the _roots tables
+    def state():
+        return {name: (value, len(value) if isinstance(value, (dict, list, set)) else None)
+                for name, value in vars(units).items()}
+
+    _roots.cache_clear()
+    before = state()
+    for d in _row_corpus():
+        verify_invariant_row(d)
+    assert state() == before
+    cached = [name for name, value in vars(units).items()
+              if getattr(value, "__module__", None) == units.__name__
+              and hasattr(value, "cache_info") and value.cache_info().currsize]
+    assert cached == ["_roots"]
+    # the characters walk every odd prime up to their last one, 1019
+    odd_primes = [p for p in range(3, 1020, 2) if is_prime(p)]
+    assert _roots.cache_info().currsize == len(odd_primes) == 170
+
+
+def _restricted_characters(table, gens):
+    """The table field's characters restricted to its subfield L on gens,
+    at the same primes: with n_j = kernel[S_j], the root of n_j mod p is
+    rho[S_j]/g_j with g_j^2 = w[S_j]/n_j, so every element of L has the
+    image it has as an element of the table field."""
+    k = table.field
+    masks = [k.kernel.index(m) for m in gens]
+    scales = [math.isqrt(k.w[s] // m) for s, m in zip(masks, gens)]
+    chars = []
+    for p, rho in table.chars:
+        sub = [1]
+        for s, g in zip(masks, scales):
+            r = rho[s] * pow(g, -1, p) % p
+            sub += [x * r % p for x in sub]
+        chars.append((p, tuple(sub)))
+    return _Characters(chars)
+
+
 @settings(deadline=None, max_examples=25)
 @given(st.lists(st.sampled_from(RADICANDS), min_size=3, max_size=3, unique=True),
        st.lists(st.integers(1, 7), min_size=1, max_size=3), st.data())
 def test_restricted_characters_are_characters_of_the_subfield(gens, masks, data):
+    # the subfield's own characters, restricted from K's, give every element
+    # of the subfield the vector that K's characters give it on K's basis,
+    # which _saturate reads
     try:
         table = CharacterTable(gens)
         radicands = [table.field.kernel[s] for s in masks]
-        field, basis, chars, vectors = table.subfield(radicands, fundamental_unit)
+        k, at, basis, chars, vectors = table.subfield(radicands, fundamental_unit)
     except ValueError:
         assume(False)
-    assert [p for p, _ in chars] == [p for p, _ in table.chars]
-    for p, rho in chars:
+    field = _MultiQuadField(radicands)
+    restricted = _restricted_characters(table, radicands)
+    assert (k, chars) == (table.field, table.chars)
+    assert [p for p, _ in restricted] == [p for p, _ in table.chars]
+    for p, rho in restricted:
         roots = [rho[1 << i] for i in range(len(radicands))]
         assert all((r * r - m) % p == 0 for r, m in zip(roots, radicands))
         assert all(rho[s] == math.prod(r for i, r in enumerate(roots) if s >> i & 1) % p
                    for s in range(len(rho)))
-    # a subfield unit has the vector it has in K, where K's own characters
-    # read it
-    k_vectors = [_character_vector(table.chars, u)
-                 for u, _ in _unit_basis(table.field, fundamental_unit)]
+    # the subfield's units, on its own basis and on K's, and their vectors
+    own = _unit_basis(field, fundamental_unit)
+    assert [_rebase(k, field, u) for u, _ in basis] == [u for u, _ in own]
+    assert [k.kernel[s] for s in at] == field.kernel
+    assert vectors == [_character_vector(restricted, u) for u, _ in own]
     assert vectors == [_character_vector(chars, u) for u, _ in basis]
-    k_mask = table.field.kernel.index
-    assert vectors == [k_vectors[k_mask(m) - 1] for m in field.kernel[1:]]
-    # the vector of a product is the XOR of the factors' vectors
+
     def element():
         coeffs = data.draw(st.lists(st.integers(-6, 6), min_size=len(field.w),
                                     max_size=len(field.w)))
@@ -839,12 +1002,18 @@ def test_restricted_characters_are_characters_of_the_subfield(gens, masks, data)
 
     def nonzero(char, x):
         try:
-            _character_vector([char], x)
+            _character_vector(_Characters([char]), x)
         except ArithmeticError:
             return False
         return True
 
-    kept = [c for c in chars if nonzero(c, u) and nonzero(c, v)]
+    kept = [c for c in restricted if nonzero(c, u) and nonzero(c, v)]
+    # the same vector in L and in K, and the vector of a product is the XOR
+    # of the factors' vectors
+    in_k = _Characters([c for c in table.chars if c[0] in {p for p, _ in kept}])
+    kept = _Characters(kept)
+    for x in (u, v):
+        assert _character_vector(kept, x) == _character_vector(in_k, _rebase(field, k, x))
     assert _character_vector(kept, field.mul(u, v)) == \
         _character_vector(kept, u) ^ _character_vector(kept, v)
 
