@@ -519,14 +519,14 @@ def verify_invariant_row(d: int | CaseRecord) -> InvariantRowReport:
             check(patterns[column], delta_invariant(unit(disc)))
         # the quartic field Q(sqrt d, sqrt x) has the quadratic subfields of
         # discriminants x, d and d/x; the three lie in their compositum, the
-        # octic field below, and all four unit indices read its characters
-        # from one table
+        # octic field below, and all four unit indices read its units and
+        # characters from one table, built on this call's unit memo
         column = "q1"
         octic = (radicand(d1), radicand(d2), radicand(d3 * d4))
-        table = CharacterTable(octic)
+        table = CharacterTable(octic, unit)
         for i, x in enumerate((d1, d2, d1 * d2), start=1):
             column = f"q{i}"
-            q_i = kubota_index(radicand(x), radicand(d // x), unit=unit, table=table)
+            q_i = kubota_index(radicand(x), radicand(d // x), table=table)
             check(patterns["q"][i - 1], q_i)
             column = f"h2_{i}"
             check(
@@ -536,7 +536,7 @@ def verify_invariant_row(d: int | CaseRecord) -> InvariantRowReport:
         # their compositum Q(sqrt d1, sqrt d2, sqrt d3d4) has seven quadratic
         # subfields
         column = "order"
-        q = kubota_index(*octic, unit=unit, table=table)
+        q = kubota_index(*octic, table=table)
         discs = (d1, d2, d3 * d4, d1 * d2, d // d2, d // d1, d)
         check(patterns["order"], 4 * multiquadratic_h2([h2(x) for x in discs], q, 8))
     except Exception as e:  # surfaced with the field and blocked column attached

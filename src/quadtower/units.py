@@ -1,42 +1,27 @@
-"""Fundamental units, the delta invariant, square-root decompositions.
+"""Fundamental units, the delta invariant, square-root decompositions and
+the unit indices of real multiquadratic fields.
 
-The fundamental unit of a real quadratic order is read off the continued
-fraction of the standard generator (p0 + sqrt(m))/q0.  Its period ends where
-the complete quotient's denominator returns to q0, so the expansion keeps
-O(1) integers, and the parity of the period is the sign of N(eps).  It is
-the package's only continued fraction.  For norm +1 units, Hilbert 90 gives
-sqrt(eps) = (1 + eps)/sqrt(N(1 + eps)), so eps has a square root of the
-shape (a sqrt(m1) + b sqrt(m2))/2 with m1 the squarefree kernel delta of
-N(1+eps); the associated sign (a^2 m1 - b^2 m2)/4 = +-1 reproduces the
-classical Legendre-symbol identities.  sqrt_unit_decomposition builds
-this radical form once per unit object and keeps it on the unit;
-delta_invariant reads delta off it, and the unit indices read the same
-radicals.  Unit
-indices q(K/Q) of real multiquadratic fields are exact: K is saturated at 2
-by testing which products of subfield fundamental units are squares in K.  A
-product of original norm +1 units is decided from those radical forms, as in
-Kubota (1956) and Wada (1966): its root lies in K exactly when the
-squarefree kernel of the product of the deltas is 1 or the radicand of a
-quadratic subfield of K, and is then the product of the radical forms,
-expanded on K's basis with multiplications only.  Every other product, one
-with a norm -1 unit or a root swapped in earlier, gets its square root found
-exactly, on integer coefficients over one common denominator, by descending
-through relative norms to Q, as in Wada's unit-group algorithm for
-multiquadratic fields: each level takes a root n of the relative norm and
-one root s of 2(a + n), and the root is (eta + n)/s.  Only products that
-pass a quadratic-character filter are decided at all, as in the number
-field sieve (Adleman 1991; Buhler-Lenstra-Pomerance 1993): at an odd prime
-p dividing no m_i modulo which every m_i is a square, the least roots of
-the m_i mod p define a ring map from the p-integral elements of K, units
-among them, onto F_p.  A square maps to a square, so a product whose image
-has Legendre symbol -1 is no square, and the radicals or the exact root
-search still decide every other product.  One table per prime gives the
-roots and the symbols, and the images at all the primes come from one sum
-modulo their product (Chinese remainder theorem).  A field and its
-subfields read one CharacterTable, the unit basis and the characters of
-the largest field, so the primes are walked once, each subfield unit's
-character vector is computed once, and every saturation runs on the
-largest field's coordinates.
+fundamental_unit reads the fundamental unit eps of a real quadratic field
+off the package's only continued fraction.  When N(eps) = +1, Hilbert 90
+gives sqrt(eps) = (1 + eps)/sqrt(N(1 + eps)) = (a sqrt(m1) + b sqrt(m2))/2
+with m1 = delta, the squarefree kernel of N(1 + eps); the associated sign
+(a^2 m1 - b^2 m2)/4 = +-1 reproduces the classical Legendre-symbol
+identities.  sqrt_unit_decomposition builds this radical form once per unit
+object, delta_invariant reads delta off it, and the unit indices read the
+same radicals.
+
+kubota_index gives the exact unit index q(K/Q) of a real multiquadratic
+field K by 2-saturating the lattice of its subfield units (Kubota 1956,
+Wada 1966) in _saturate.  Each mechanism is explained where it lives:
+- _characters and _character_vector: quadratic characters at degree-one
+  primes decide that most unit products are no squares, as in the number
+  field sieve (Adleman 1991; Buhler-Lenstra-Pomerance 1993);
+- _radical_root: a product of original norm +1 units gets its root from
+  their radical forms, with multiplications only;
+- _MultiQuadField.sqrt: every other product gets its root exactly, by
+  descent through relative norms to Q;
+- CharacterTable: one field's unit basis and characters, which the unit
+  indices of the field and of all its subfields share.
 """
 
 from __future__ import annotations
@@ -76,11 +61,12 @@ DEFAULT_CF_STEPS = 10**6
 # octic field's characters, 8, 10, 12, 16 and 24 characters leave 94, 20, 2,
 # 0 and 0 exact root tries failing (201 tries at 12), and verify the rows in
 # 0.99, 0.99, 1, 1.07 and 1.15 times the time at 12 (median ratio of 20
-# alternating passes, with one CRT image per character vector).  The 235
-# radical tries that fail at every count are quartic products that become
-# squares in the octic field, where its characters cannot tell them from
-# squares.  The count stays 12: the tests pin the tries and the certified
-# bases at 12.
+# alternating passes, with one CRT image per character vector).  At every
+# count, 235 quartic products of norm +1 units pass that become squares only
+# in the octic field, where its characters cannot tell them from squares:
+# each gets a radical root, which lies off the quartic field's masks and so
+# is rejected.  The count stays 12: the tests pin the tries and the
+# certified bases at 12.
 CHARACTERS = 12
 
 
@@ -212,20 +198,16 @@ def fundamental_unit(d: int, max_steps: int = DEFAULT_CF_STEPS) -> QuadUnit:
 
 
 def delta_invariant(u: QuadUnit) -> int:
-    """delta(eps) = squarefree kernel of N(1 + eps); needs norm +1.
-
-    It is the m1 of sqrt_unit_decomposition(u).
-    """
-    if u.norm != 1:
-        raise NormMinusOneError(
-            f"delta is undefined for the norm -1 unit of {u.d}"
-        )
+    """delta(eps) = squarefree kernel of N(1 + eps), the m1 of
+    sqrt_unit_decomposition(u), which raises NormMinusOneError for a unit
+    of norm -1."""
     return sqrt_unit_decomposition(u).m1
 
 
 @dataclass(frozen=True)
 class SqrtUnitDecomposition:
-    """sqrt(eps) = (a*sqrt(m1) + b*sqrt(m2))/2 with m1 = delta(eps)."""
+    """sqrt(eps) = (a*sqrt(m1) + b*sqrt(m2))/2 with m1 = delta(eps) and
+    a, b > 0."""
 
     a: int
     b: int
@@ -416,27 +398,29 @@ def _unit_basis(field: _MultiQuadField, unit: Callable[[int], QuadUnit]) -> list
 
 
 def _radical_root(field: _MultiQuadField,
-                  radicals: Sequence[SqrtUnitDecomposition], kernels):
-    """A square root of the product eta of the norm +1 units whose roots
-    are (a sqrt(m1) + b sqrt(m2))/2, in the subfield L of the field K whose
-    kernels are kernels, or None when eta is no square in L.
+                  radicals: Sequence[SqrtUnitDecomposition]):
+    """The positive square root of the product eta of the norm +1 units
+    whose roots are (a sqrt(m1) + b sqrt(m2))/2, in the field K, or None
+    when eta is no square in K.
 
     With m the radicand of a unit, m1 m2 = m e^2 for an integer e.  An
-    automorphism of L(sqrt(m1) : all radicals) over L fixes sqrt(m), so it
+    automorphism of K(sqrt(m1) : all radicals) over K fixes sqrt(m), so it
     negates the unit's root exactly when it negates sqrt(m1).  The root of
     eta, the product of the units' roots, is fixed by all of them, and so
-    lies in L, exactly when sqrt(prod m1) does: when the squarefree kernel
-    of prod m1 is one of L's kernels, 1 among them (Kubota 1956, Wada
+    lies in K, exactly when sqrt(prod m1) does: when the squarefree kernel
+    of prod m1 is one of K's kernels, 1 among them (Kubota 1956, Wada
     1966).  The product then expands into terms c sqrt(r) with r
-    squarefree; every r is one of L's kernels, and sqrt(kernel[S]) =
-    sqrt(w[S])/g with g^2 = w[S]/kernel[S] places the term on K's product
-    basis.  The large a and b are only multiplied, never put under a square
-    root.  The root is in lowest terms, of either sign.
+    squarefree and c > 0, as every a and b is positive, so the root is
+    positive in the embedding where every sqrt(m_i) is.  The sqrt(r) are
+    independent over Q, so every r is one of K's kernels, and
+    sqrt(kernel[S]) = sqrt(w[S])/g with g^2 = w[S]/kernel[S] places the
+    term on K's product basis.  The large a and b are only multiplied,
+    never put under a square root.  The root is in lowest terms.
     """
     k = 1
     for radical in radicals:
         k = k * radical.m1 // math.gcd(k, radical.m1) ** 2
-    if k not in kernels:
+    if k not in field.kernel:
         return None
     # terms[r] = c: the partial product is the sum of c sqrt(r)
     terms = {1: 1}
@@ -550,40 +534,34 @@ def _character_vector(chars: _Characters, u) -> int:
 class CharacterTable:
     """The unit basis and the CHARACTERS quadratic characters of a totally
     real multiquadratic field K = Q(sqrt(m_1), ..., sqrt(m_r)), shared by
-    the unit indices of K and of its subfields.
+    the unit indices of K and of its subfields, all built on construction.
 
-    basis holds the fundamental units of K's quadratic subfields, one per
-    nonzero mask of K, on K's product basis, and vectors their character
-    vectors; both are built by the first subfield call.  A subfield L =
+    field is K; chars its characters; basis the fundamental units of K's
+    quadratic subfields, one per nonzero mask of K, on K's product basis,
+    with unit(D), the fundamental unit of discriminant D, called once per
+    mask; and vectors their character vectors.  A subfield L =
     Q(sqrt(n_1), ..., sqrt(n_s)) has each n_j among K's kernels, n_j =
     kernel[S_j], and its quadratic subfields sit at the masks that the S_j
     span.  So L's units are read off K's basis as they are, and every
     element of L keeps its image at K's degree-one primes: a unit's
-    character vector is the same in every field that contains it.  One
-    table serves one K, and its unit indices must take their units from
-    one unit function.  K's characters are +1 on every element of L that
-    is a square in K, so a subfield's filter lets through the products that
-    become squares only in K; _saturate rejects their roots, which lie
-    outside L.
+    character vector is the same in every field that contains it.
     """
 
-    def __init__(self, gens: Sequence[int]):
+    def __init__(self, gens: Sequence[int],
+                 unit: Callable[[int], QuadUnit] = fundamental_unit):
         if any(m <= 1 for m in gens):
             raise ValueError(f"radicands {list(gens)} do not span a totally real field")
         self.field = _MultiQuadField(gens)
-        self.basis: list = []
-        self.vectors: list[int] = []
+        self.basis = _unit_basis(self.field, unit)
+        self.chars = _characters(self.field.gens)
+        self.vectors = [_character_vector(self.chars, u) for u, _ in self.basis]
 
-    @functools.cached_property
-    def chars(self) -> _Characters:
-        return _characters(self.field.gens)
-
-    def subfield(self, gens: Sequence[int], unit: Callable[[int], QuadUnit]):
+    def subfield(self, gens: Sequence[int]):
         """(K, at, basis, chars, vectors), _saturate's arguments, for the
         subfield L of K on the radicands gens: at[T] is K's mask of L's mask
-        T, and basis and vectors hold K's entries at at[1:].  unit(D) is the
-        fundamental unit of discriminant D.  A radicand that is none of K's
-        kernels, or radicands that are not independent, raise ValueError."""
+        T, and basis and vectors hold K's entries at at[1:].  A radicand that
+        is none of K's kernels, or radicands that are not independent, raise
+        ValueError."""
         k = self.field
         if not all(m in k.kernel[1:] for m in gens):
             raise ValueError(f"radicands {list(gens)} do not all lie in the field "
@@ -594,9 +572,6 @@ class CharacterTable:
             at += [x ^ s for x in at]
         if len(set(at)) != len(at):
             raise ValueError(f"radicands {list(gens)} are not independent")
-        if not self.basis:
-            self.basis = _unit_basis(k, unit)
-            self.vectors = [_character_vector(self.chars, u) for u, _ in self.basis]
         return (k, at, [self.basis[s - 1] for s in at[1:]], self.chars,
                 [self.vectors[s - 1] for s in at[1:]])
 
@@ -608,21 +583,28 @@ def _saturate(field: _MultiQuadField, at: Sequence[int], basis: Sequence,
 
     basis holds (element, radical) pairs as _unit_basis builds them, on
     field's product basis, and vectors their character vectors under
-    chars.  Masks are visited in increasing order.  A mask whose characters
-    do not all cancel names a product with a character -1, which is no
-    square, so only the other masks are decided.  A mask whose units all
-    carry a radical (original norm +1 units) is decided, and its root
-    built, from the radicals by _radical_root, which takes L's kernels;
-    any other mask, one with a norm -1 unit or a swapped-in root, gets its
-    product built and an exact sqrt tried in field, and a root off L's
-    masks, a square root that lies only in field, is no root in L.  The
-    first square found replaces its highest basis element, basis[top], by
-    the positive root, which carries no radical, and the root's character
-    vector is computed afresh.  The next round starts at mask 1 << top: the
-    masks below it multiply elements that did not change, and this round
-    found none of them a square.
+    chars.  Masks are visited in increasing order, each naming the product
+    eta of its basis elements.  A square has every quadratic character +1,
+    so a mask whose vectors do not XOR to 0 is no square and is skipped.
+    Every other mask is decided exactly, so the unfiltered search's first
+    square is found; once the vectors are independent over F_2 no mask
+    passes, which certifies q without another root search.
+
+    A mask whose elements all carry a radical (original norm +1 units) gets
+    its positive root, or None, from _radical_root; any other mask, one
+    with a norm -1 unit or a swapped-in root, gets its product built and an
+    exact sqrt tried in field, and a root found there is taken positive.
+    One rule then decides whether the root lies in L: a root with a nonzero
+    coefficient off L's masks lies only in field, and is no root in L.
+    chars, built for field, are +1 on every element of L that is a square
+    in field, so such roots do occur.  The first root in L replaces
+    basis[top], the highest element of its mask, carries no radical, and
+    gets its character vector computed afresh.  Every basis element is
+    positive in the embedding where every sqrt(m_i) is positive, so -eta,
+    negative there, never needs testing.  The next round starts at mask
+    1 << top: the masks below it multiply elements that did not change, and
+    this round found none of them a square.
     """
-    kernels = {field.kernel[s] for s in at}
     off = set(range(len(field.w))).difference(at)
     basis, vectors = list(basis), list(vectors)
     xors = [0]  # xors[mask] = XOR of vectors[i] for the bits i of mask
@@ -636,19 +618,17 @@ def _saturate(field: _MultiQuadField, at: Sequence[int], basis: Sequence,
             factors = [basis[i] for i in range(top + 1) if mask >> i & 1]
             radicals = [radical for _, radical in factors]
             if all(radical is not None for radical in radicals):
-                xi = _radical_root(field, radicals, kernels)
+                xi = _radical_root(field, radicals)
             else:
                 xi = field.sqrt(functools.reduce(field.mul, (u for u, _ in factors)))
-                if xi is not None and any(xi[0][s] for s in off):
-                    xi = None
-            if xi is not None:
+                if xi is not None and field.sign(xi) < 0:
+                    xi = [-c for c in xi[0]], xi[1]
+            if xi is not None and not any(xi[0][s] for s in off):
                 break
         else:
             return q, basis
         # eta is no square of a lattice element (exponents are 0/1), so
         # swapping the root in genuinely doubles the lattice
-        if field.sign(xi) < 0:
-            xi = [-c for c in xi[0]], xi[1]
         basis[top] = (xi, None)
         vectors[top] = _character_vector(chars, xi)
         del xors[1 << top:]
@@ -656,48 +636,31 @@ def _saturate(field: _MultiQuadField, at: Sequence[int], basis: Sequence,
 
 
 def kubota_index(m1: int, m2: int, m3: int | None = None,
-                 unit: Callable[[int], QuadUnit] = fundamental_unit,
                  table: CharacterTable | None = None) -> int:
     """Unit index q(K/Q) = (E_K : <subfield fundamental units, -1>).
 
-    K = Q(sqrt(m1), sqrt(m2)[, sqrt(m3)]) must be totally real.  Saturates
-    the lattice spanned by the subfield fundamental units at 2: whenever a
-    product eta of basis elements has a square root in K, the root replaces
-    a basis element and doubles the index.  When every factor of eta is an
-    original unit of norm +1, the radical forms sqrt(eps) = (a sqrt(delta)
-    + b sqrt(m2))/2 of sqrt_unit_decomposition decide the root and build it
-    (_radical_root); otherwise _MultiQuadField.sqrt finds it exactly.  A
-    DecompositionError from a norm +1 unit propagates.  Every basis element
-    is kept positive in one embedding, so -eta, negative there, never needs
-    testing.  Iterating until no product is a square catches units that are
-    fourth roots of unit products, which occur from degree 8 on.  E_K
-    modulo the lattice is a 2-group, so the lattice that no square root
-    extends is E_K itself and q is exact.
+    K = Q(sqrt(m1), sqrt(m2)[, sqrt(m3)]) must be totally real.  _saturate
+    saturates the lattice spanned by the subfield fundamental units at 2:
+    whenever a product of basis elements has a square root in K, the root
+    replaces a basis element and doubles the index.  Iterating until no
+    product is a square catches units that are fourth roots of unit
+    products, which occur from degree 8 on.  E_K modulo the lattice is a
+    2-group, so the lattice that no square root extends is E_K itself and
+    q is exact.  A DecompositionError from a norm +1 unit propagates.
 
-    A product is decided only when the XOR of its factors' character
-    vectors is 0: a square has every quadratic character +1, so a skipped
-    product is certainly no square.  Masks keep the unfiltered search's
-    order, and both ways of deciding a product are exact, so the same first
-    square is found, the same roots are swapped in and q is the same.  Once
-    the basis vectors are independent over F_2 no product passes, which
-    certifies q without another root search.
-
-    unit(D) gives the fundamental unit of the subfield of discriminant D;
-    it defaults to fundamental_unit.  table, a CharacterTable of a field
-    that contains K, gives the unit basis and the characters: a caller that
-    indexes a field and its subfields passes one table and one unit memo to
-    all of them, so the largest field's units and characters are built
-    once, and each saturation runs on that field's product basis, where a
-    square root that lies outside K is no root.  The radicands must then be
-    among the table field's kernels, which makes them squarefree.  Without
-    a table the radicands are reduced to their squarefree kernels and the
-    call builds the table of K itself.
+    table, a CharacterTable of a field that contains K, gives the unit
+    basis and the characters: a caller that indexes a field and its
+    subfields builds one table on the largest, so that field's units and
+    characters are built once, and each saturation runs on its product
+    basis.  The radicands must then be among the table field's kernels,
+    which makes them squarefree.  Without a table the radicands are reduced
+    to their squarefree kernels and the call builds the table of K itself.
     """
     gens = [m for m in (m1, m2, m3) if m is not None]
     if table is None:
         gens = [squarefree_kernel(m) for m in gens]
         table = CharacterTable(gens)
-    return _saturate(*table.subfield(gens, unit))[0]
+    return _saturate(*table.subfield(gens))[0]
 
 
 def multiquadratic_h2(subfield_h2: Sequence[int], q: int, degree: int) -> int:

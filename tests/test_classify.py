@@ -306,7 +306,8 @@ def test_invariant_row_runs_each_continued_fraction_once(monkeypatch):
         calls[disc] += 1
         return original(disc, *args, **kwargs)
 
-    # the columns and kubota_index look fundamental_unit up in two modules
+    # the columns and the octic table read one memo of classify's
+    # fundamental_unit; the patch in units counts any call around the memo
     monkeypatch.setattr(classify_mod, "fundamental_unit", counting)
     monkeypatch.setattr(units, "fundamental_unit", counting)
     by_d = verify_invariant_row(19176)

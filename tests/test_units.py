@@ -353,6 +353,30 @@ def test_kubota_index_quartic():
             kubota_index(*radicands, table=table)
 
 
+def test_character_table_calls_unit_only_while_it_is_built(monkeypatch):
+    calls = Counter()
+
+    def unit(disc):
+        calls[disc] += 1
+        return units.fundamental_unit(disc)
+
+    table = CharacterTable([2, 5, 3], unit)
+    # once for each of the 7 quadratic subfields, one per nonzero mask
+    assert calls == Counter({discriminant_of(m): 1 for m in table.field.kernel[1:]})
+    radicands = ((2, 5), (10, 3), (2, 5, 3))
+    expected = [kubota_index(*gens) for gens in radicands]
+
+    def spy(disc, *args, **kwargs):
+        raise AssertionError(f"fundamental_unit({disc}) called after the table was built")
+
+    # the table's unit reaches fundamental_unit through this module too
+    monkeypatch.setattr(units, "fundamental_unit", spy)
+    assert [kubota_index(*gens, table=table) for gens in radicands] == expected
+    assert sum(calls.values()) == 7
+    with pytest.raises(TypeError):
+        kubota_index(2, 5, unit=fundamental_unit)
+
+
 def test_kubota_index_feeds_quartic_class_numbers():
     # h2 of Q(sqrt(2), sqrt(4794)) from its three quadratic subfields
     q = kubota_index(8, 19176)
@@ -757,12 +781,11 @@ def test_full_rank_characters_certify_the_genus_field_27993():
 
 
 class _CountingField(_MultiQuadField):
-    """Counts the top-level exact sqrt tries, and records the count each
-    time _saturate asks the sign of the root it swaps in."""
+    """Counts the top-level exact sqrt tries."""
 
     def __init__(self, gens):
         super().__init__(gens)
-        self.tries, self.depth, self.tries_at_swap = 0, 0, []
+        self.tries, self.depth = 0, 0
 
     def sqrt(self, eta):
         self.tries += self.depth == 0
@@ -772,26 +795,34 @@ class _CountingField(_MultiQuadField):
         finally:
             self.depth -= 1
 
-    def sign(self, u):
-        self.tries_at_swap.append(self.tries)
-        return super().sign(u)
 
-
-def test_radicals_decide_the_first_round_of_the_genus_field_27993():
+def test_radicals_decide_the_first_round_of_the_genus_field_27993(monkeypatch):
     # all 7 subfield units have norm +1, so the first square comes from
     # radicals; later rounds hold swapped-in roots and take the exact sqrt
     field = _CountingField((217, 93, 1333))
     basis = _unit_basis(field, fundamental_unit)
     assert all(radical is not None for _, radical in basis)
-    q, _ = _saturate_alone(field, basis)
-    assert (q, len(field.tries_at_swap)) == (2**7, 7)
-    assert field.tries_at_swap[0] == 0 < field.tries
+    chars = _characters(field.gens)
+    vectors = [_character_vector(chars, u) for u, _ in basis]
+    # within _saturate, a character vector is computed only for the root
+    # swapped in; record the exact tries made before each swap
+    tries_at_swap = []
+
+    def at_swap(chars, u):
+        tries_at_swap.append(field.tries)
+        return _character_vector(chars, u)
+
+    monkeypatch.setattr(units, "_character_vector", at_swap)
+    q, _ = _saturate(field, range(len(field.w)), basis, chars, vectors)
+    assert (q, len(tries_at_swap)) == (2**7, 7)
+    assert tries_at_swap[0] == 0 < field.tries
 
 
 def test_radical_roots_match_exact_roots_on_the_row_corpus():
     # every product of original norm +1 units in every kubota_index field of
     # the row corpus, whether or not its characters pass: the radicals decide
-    # squareness as the exact sqrt does and give its root up to sign
+    # squareness as the exact sqrt does and give its positive root, so
+    # _saturate tests no radical root's sign
     masks = squares = 0
     for d in _row_corpus():
         for gens in _row_calls(d):
@@ -800,12 +831,13 @@ def test_radical_roots_match_exact_roots_on_the_row_corpus():
                      if radical is not None]
             for mask in range(1, 2 ** len(units)):
                 factors = [units[i] for i in range(len(units)) if mask >> i & 1]
-                root = _radical_root(field, [radical for _, radical in factors], field.kernel)
+                root = _radical_root(field, [radical for _, radical in factors])
                 exact = _reference_sqrt(field, functools.reduce(field.mul, (u for u, _ in factors)))
                 assert (root is None) == (exact is None)
                 if root is not None:
                     _assert_lowest_terms(root)
-                    assert root in (exact, _neg(exact))
+                    assert field.sign(root) == 1
+                    assert root == (exact if field.sign(exact) == 1 else _neg(exact))
                     squares += 1
                 masks += 1
     assert (masks, squares) == (5244, 2136)
@@ -868,9 +900,12 @@ def test_saturation_through_the_shared_table_matches_pinned_digest(monkeypatch):
         tries["exact", root is None] += top
         return root
 
-    def counting_radical_root(*args):
-        root = radical_root(*args)
+    def counting_radical_root(field, radicals):
+        # a radical root off the subfield's masks lies only in the octic field
+        root = radical_root(field, radicals)
         tries["radical", root is None] += 1
+        tries["radical off the subfield"] += root is not None and any(
+            c for s, c in enumerate(root[0]) if s not in subfield_masks)
         return root
 
     monkeypatch.setattr(_MultiQuadField, "sqrt", counting_sqrt)
@@ -881,18 +916,22 @@ def test_saturation_through_the_shared_table_matches_pinned_digest(monkeypatch):
     calls = []
     for d in _row_corpus():
         octic = _row_calls(d)[3]
-        table, unit = CharacterTable(octic), functools.cache(fundamental_unit)
+        table = CharacterTable(octic)
+        assert len(table.basis) == len(table.vectors) == 7
         for gens in _row_calls(d):
-            q, final = _saturate(*table.subfield(gens, unit))
+            args = table.subfield(gens)
+            subfield_masks = set(args[1])
+            q, final = _saturate(*args)
             own = _MultiQuadField(gens)
             calls.append((gens, (q, [(_rebase(table.field, own, u), radical)
                                      for u, radical in final])))
-        assert len(table.basis) == len(table.vectors) == 7
     assert _saturation_digest(calls) == ROW_CORPUS_SATURATION_SHA256
     # a round after a swap into basis[top] starts at mask 1 << top; from
-    # mask 1 the tries would be 206 exact (7 failed) and 1323 radical (358)
+    # mask 1 the tries would be 206 exact (7 failed) and 1323 radical.  The
+    # radical products that pass the octic characters are all squares in the
+    # octic field, and 235 of their roots lie outside the quartic subfield
     assert tries == {"depth": 0, ("exact", False): 199, ("exact", True): 2,
-                     ("radical", False): 965, ("radical", True): 235}
+                     ("radical", False): 1200, "radical off the subfield": 235}
 
 
 def test_saturation_keeps_only_roots_in_the_subfield():
@@ -909,6 +948,17 @@ def test_saturation_keeps_only_roots_in_the_subfield():
     assert _saturate(k, [0, 2], basis, chars, vectors) == (2, [(([0, 0, 1, 0], 1), None)])
 
 
+def test_saturation_swaps_in_the_positive_exact_root():
+    # the descent's root of 3 - 2 sqrt(2) = (sqrt(2) - 1)^2 is 1 - sqrt(2);
+    # the row corpus meets no such root, whose sign _saturate must flip
+    k = _MultiQuadField([2])
+    eta = ([3, -2], 1)
+    assert k.sqrt(eta) == ([1, -1], 1)
+    chars = _characters(k.gens)
+    basis, vectors = [(eta, None)], [_character_vector(chars, eta)]
+    assert _saturate(k, [0, 1], basis, chars, vectors) == (2, [(([-1, 1], 1), None)])
+
+
 def test_quartic_indices_through_the_octic_table_match_standalone_calls():
     # a quartic index saturated on the octic field's basis, under its
     # characters, equals the index of the quartic field saturated alone on
@@ -916,9 +966,9 @@ def test_quartic_indices_through_the_octic_table_match_standalone_calls():
     checked = 0
     for d in _row_corpus():
         calls = _row_calls(d)
-        table, unit = CharacterTable(calls[3]), functools.cache(fundamental_unit)
+        table = CharacterTable(calls[3], functools.cache(fundamental_unit))
         for gens in calls[:3]:
-            assert kubota_index(*gens, unit=unit, table=table) == kubota_index(*gens), gens
+            assert kubota_index(*gens, table=table) == kubota_index(*gens), gens
             checked += 1
     assert checked == 453
 
@@ -972,7 +1022,7 @@ def test_restricted_characters_are_characters_of_the_subfield(gens, masks, data)
     try:
         table = CharacterTable(gens)
         radicands = [table.field.kernel[s] for s in masks]
-        k, at, basis, chars, vectors = table.subfield(radicands, fundamental_unit)
+        k, at, basis, chars, vectors = table.subfield(radicands)
     except ValueError:
         assume(False)
     field = _MultiQuadField(radicands)
