@@ -432,14 +432,15 @@ def check_derived_collapse(G: TableGroup) -> CollapseReport:
     G' != 1 would be a counterexample; the expectation is zero over any
     library of groups.
     """
-    _, basis, _ = _frattini_quotient(G)
-    if len(basis) != 3:
-        return CollapseReport(
-            False, f"needs rank-3 Frattini quotient, got rank {len(basis)}",
-            len(derived_subgroup(G)), None, False,
-        )
-    gprime = derived_subgroup(G)
     maximals = maximal_subgroups(G)
+    gprime = derived_subgroup(G)
+    # a rank-r Frattini quotient has 2^r - 1 maximal subgroups
+    rank = len(maximals).bit_length()
+    if rank != 3:
+        return CollapseReport(
+            False, f"needs rank-3 Frattini quotient, got rank {rank}",
+            len(gprime), None, False,
+        )
     derived = [derived_subgroup(G, H) for H in maximals]
     qualifying = None
     for i, j in combinations(range(len(maximals)), 2):
@@ -469,9 +470,10 @@ def check_derived_collapse(G: TableGroup) -> CollapseReport:
     )
 
 
-def _find_presentation_triple(G: TableGroup) -> tuple[int, int, int] | None:
-    """A generating triple with a1^2 = c12, a2^2 = c23, a3^2 = c13 mod G3."""
-    series = lower_central_series(G)
+def _find_presentation_triple(G: TableGroup,
+                              series: list[Subgroup]) -> tuple[int, int, int] | None:
+    """A generating triple with a1^2 = c12, a2^2 = c23, a3^2 = c13 mod G3,
+    G3 read off series, the lower central series of G."""
     G3 = series[2] if len(series) > 2 else frozenset({0})
     if G.order // len(G3) != 64:
         return None
@@ -521,13 +523,13 @@ def check_power_filtration(G: TableGroup) -> FiltrationReport:
     Applicable when some generating triple satisfies the square-commutator
     presentation modulo G3 and |G/G3| = 64; the triple is found by search.
     """
-    triple = _find_presentation_triple(G)
+    series = lower_central_series(G)
+    triple = _find_presentation_triple(G, series)
     if triple is None:
         return FiltrationReport(
             False, "no generating triple matches the presentation mod G3",
             None, (), (),
         )
-    series = lower_central_series(G)
     gen_ok: list[bool] = []
     pow_ok: list[bool] = []
     g2 = series[1]
@@ -557,7 +559,7 @@ class DescentReport:
 
 def check_metabelian_descent(G: TableGroup) -> DescentReport:
     """When G'/G'' has 8-rank 0 (all factors <= 4), G'' must vanish."""
-    if _find_presentation_triple(G) is None:
+    if _find_presentation_triple(G, lower_central_series(G)) is None:
         return DescentReport(
             False, "no generating triple matches the presentation mod G3",
             (), 0, False, None,

@@ -258,9 +258,9 @@ def _check_bound(d: int, bound: int) -> None:
 def class_group(d: int, narrow: bool = True,
                 bound: int = DEFAULT_CLASS_BOUND) -> FormClassGroup:
     """Class group of the fundamental discriminant d by form enumeration."""
-    _check_bound(d, bound)
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
+    _check_bound(d, bound)
     forms = [BQForm(a, b, (b * b - d) // (4 * a)) for a, b in _reduced_forms(d)]
     if d < 0:
         reps = sorted(forms)

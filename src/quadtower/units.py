@@ -35,7 +35,6 @@ from .arith import (
     BoundExceededError,
     _primes_upto,
     discriminant_of,
-    factorize,
     is_fundamental_discriminant,
     radicand,
     squarefree_kernel,
@@ -116,31 +115,20 @@ class QuadUnit:
         m = self.m
         x, ym = self.coords_over_radicand()
         # n = N(1 + eps) = 1 + Tr(eps) + N(eps) = x + 2 = delta * s^2.
-        # (x+2)(x-2) = d y^2 and gcd(x+2, x-2) | 4 force every odd prime that
-        # appears in x+2 to odd multiplicity to divide the field radicand, so
-        # delta is found on the primes of 2m, without factoring the
-        # (potentially huge) n itself
-        n, delta, s = x + 2, 1, 1
-        for p in factorize(2 * m):
-            v = 0
-            while n % p == 0:
-                n //= p
-                v += 1
-            if v % 2:
-                delta *= p
-            s *= p ** (v // 2)
-        root = math.isqrt(n)
-        if root * root != n:
+        # (x+2)(x-2) = d y^2 and gcd(x+2, x-2) | 4: an odd prime divides n to
+        # odd multiplicity exactly when it divides both n and m, so the odd
+        # part of delta is gcd(n, odd part of m), and 2 divides delta exactly
+        # when v2(n) is odd.  Nothing is factored.
+        n = x + 2
+        delta = math.gcd(n, m if m % 2 else m // 2)
+        if (n & -n).bit_length() % 2 == 0:  # v2(n) is odd
+            delta *= 2
+        s = math.isqrt(n // delta)
+        if s * s * delta != n:
             raise DecompositionError(
-                f"norm of 1+eps is not delta times a square (stray factor {n})"
+                f"norm of 1+eps is not {delta} times a square (discriminant {self.d})"
             )
-        s *= root
         g = math.gcd(m, delta)
-        if (delta // g) not in (1, 2):
-            # every odd prime of delta must divide the field radicand
-            raise DecompositionError(
-                f"delta {delta} does not split the discriminant {self.d}"
-            )
         m2 = (m // g) * (delta // g)
         num = ym * g
         den = s * delta
@@ -238,7 +226,7 @@ def sqrt_unit_decomposition(u: QuadUnit) -> SqrtUnitDecomposition:
     radical splits over delta and the complementary kernel of the field
     radicand.  All identities are verified exactly before returning.  The
     decomposition is built once per QuadUnit object and kept on it, so
-    every later call on the same unit returns it without factoring again.
+    every later call on the same unit returns it without rebuilding it.
     """
     return u._sqrt
 

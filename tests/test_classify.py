@@ -344,25 +344,25 @@ def test_invariant_row_walks_one_character_table(monkeypatch):
 
 
 def test_invariant_row_builds_each_square_root_once(monkeypatch):
-    # only the square-root decomposition calls units.factorize, once for
-    # each norm +1 unit it builds, on 2m for the unit's radicand m
+    # _sqrt looks SqrtUnitDecomposition up at call time, so every root built
+    # is counted, under the unit's radicand m: m1 m2 is m times a square
     path = Path(__file__).resolve().parent.parent / "bench" / "data" / "row_fields.json"
     fields = [f["d"] for f in json.loads(path.read_text())["fields"]][::30]
-    original = units.factorize
+    original = units.SqrtUnitDecomposition
     calls = Counter()
 
-    def counting(n, *args, **kwargs):
-        calls[n] += 1
-        return original(n, *args, **kwargs)
+    def counting(a, b, basis):
+        calls[arith.squarefree_kernel(basis[0] * basis[1])] += 1
+        return original(a, b, basis)
 
-    monkeypatch.setattr(units, "factorize", counting)
+    monkeypatch.setattr(units, "SqrtUnitDecomposition", counting)
     for d in fields:
         calls.clear()
         d1, d2, d3, d4 = verify_invariant_row(d).assignment
         # the delta columns and the four unit indices read the units of the
         # octic field's seven quadratic subfields
         discs = {d1, d2, d3 * d4, d1 * d2, d1 * d3 * d4, d2 * d3 * d4, d}
-        plus = {2 * arith.radicand(D) for D in discs if units.fundamental_unit(D).norm == 1}
+        plus = {arith.radicand(D) for D in discs if units.fundamental_unit(D).norm == 1}
         assert plus and calls == Counter(dict.fromkeys(plus, 1))
         # the roots live for one call only
         verify_invariant_row(d)

@@ -674,6 +674,17 @@ def test_classgroup_output(capsys):
     assert "two_sylow = [2, 2]" in out
 
 
+def test_classgroup_checks_d_before_the_bound(capsys):
+    # 10^8 = 0 mod 16 is no discriminant, above the bound as below it
+    code, out, err = run(capsys, "classgroup", "100000000")
+    assert (code, out) == (2, "")
+    assert err.strip() == "error: 100000000 is not a fundamental discriminant"
+    # 10^8 + 1 = 17 * 5882353 is fundamental, so only the bound stops it
+    code, out, err = run(capsys, "classgroup", "100000001")
+    assert (code, out) == (5, "")
+    assert err.strip() == "error: |100000001| exceeds class group bound 10000000"
+
+
 def test_classgroup_label_follows_the_group_computed(capsys):
     # an imaginary field has no narrow group, so --narrow gives the ordinary one
     code, out, _ = run(capsys, "classgroup", "--narrow", "--", "-23")

@@ -472,3 +472,18 @@ def test_two_class_number_errors_keep_their_order_and_messages():
         with pytest.raises(BoundExceededError) as err:
             two_class_number(d, narrow)
         assert str(err.value) == f"|{d}| exceeds class group bound 10000000"
+
+
+def test_class_group_checks_d_before_the_bound():
+    # as in two_class_number, a d that is no discriminant is named as such
+    # above the bound too; only a fundamental d meets the bound
+    for d in (10**8, -10**8, 10**7 + 2, 9 * 1111113):
+        with pytest.raises(ValueError) as err:
+            class_group(d)
+        assert str(err.value) == f"{d} is not a fundamental discriminant"
+    d = 10**8 + 1  # 17 * 5882353
+    assert factor_discriminant(d) == (17, 5882353)
+    for narrow in (False, True):
+        with pytest.raises(BoundExceededError) as err:
+            class_group(d, narrow)
+        assert str(err.value) == f"|{d}| exceeds class group bound 10000000"

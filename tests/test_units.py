@@ -17,7 +17,6 @@ from quadtower import units
 from quadtower.arith import (
     BoundExceededError,
     discriminant_of,
-    factorize,
     is_fundamental_discriminant,
     is_prime,
     is_square,
@@ -221,7 +220,7 @@ def test_sqrt_decomposition_of_every_norm_plus_one_unit_below_2e4():
     # _unit_basis decomposes every norm +1 subfield unit for the unit index,
     # where a DecompositionError would stop verify_invariant_row; squaring
     # (a sqrt(m1) + b sqrt(m2))/2 must give (x + y' sqrt(m))/2 back
-    decomposed = 0
+    parities = Counter()
     for d in range(5, 20000):
         if not is_fundamental_discriminant(d):
             continue
@@ -231,36 +230,42 @@ def test_sqrt_decomposition_of_every_norm_plus_one_unit_below_2e4():
             x, ym = u.coords_over_radicand()
             assert dec.a * dec.a * dec.m1 + dec.b * dec.b * dec.m2 == 2 * x
             assert (dec.a * dec.b) ** 2 * dec.m1 * dec.m2 == ym * ym * u.m
-            # delta by its definition, the squarefree kernel of N(1 + eps)
-            # = x + 2, without the walk over the primes of 2m
+            # delta against its definition, the squarefree kernel of
+            # N(1 + eps) = x + 2, checked by factoring and isqrt, not by a gcd
             delta = delta_invariant(u)
             assert delta == dec.m1 == squarefree_kernel(delta)
             assert (u.x + 2) % delta == 0 and is_square((u.x + 2) // delta)
-            decomposed += 1
-    assert decomposed == 4216
+            parities[u.m % 2 == 0, delta % 2 == 0] += 1
+    assert sum(parities.values()) == 4216
+    # the factor 2 of delta follows v2(x + 2), not the parity of m: every
+    # (m even?, delta even?) case occurs, d = 12 (m odd, delta even) and
+    # d = 24 (m even, delta odd) first among the mixed ones
+    assert parities == {(False, False): 2623, (False, True): 770,
+                        (True, False): 420, (True, True): 403}
 
 
 def test_sqrt_decomposition_is_built_once_per_unit(monkeypatch):
-    import quadtower.units as units
-
+    # _sqrt looks SqrtUnitDecomposition up at call time, so every build is
+    # counted, under the unit's radicand m: m1 m2 is m times a square
+    original = units.SqrtUnitDecomposition
     calls = []
 
-    def counting(n):
-        calls.append(n)
-        return factorize(n)
+    def counting(a, b, basis):
+        calls.append(squarefree_kernel(basis[0] * basis[1]))
+        return original(a, b, basis)
 
-    monkeypatch.setattr(units, "factorize", counting)
+    monkeypatch.setattr(units, "SqrtUnitDecomposition", counting)
     u = fundamental_unit(19176)
     dec = sqrt_unit_decomposition(u)
     assert sqrt_unit_decomposition(u) is dec
     assert delta_invariant(u) == dec.m1
-    assert calls == [2 * u.m]
+    assert calls == [u.m]
     # kept on this object only: an equal unit builds its own, and the
     # cached root changes neither equality, hash nor repr
     twin = fundamental_unit(19176)
     assert (twin, hash(twin), repr(twin)) == (u, hash(u), repr(u))
     assert sqrt_unit_decomposition(twin) == dec
-    assert calls == [2 * u.m] * 2
+    assert calls == [u.m] * 2
     with pytest.raises(NormMinusOneError):
         sqrt_unit_decomposition(fundamental_unit(8))
 
