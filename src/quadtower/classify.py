@@ -30,7 +30,6 @@ from .arith import (
     prime_of,
     radicand,
     sieve_factors,
-    squarefree_kernel,
 )
 from .qform import character_matrix, narrow_four_rank, two_class_number
 # neither is called here; bench/spans.py hooks both names on this module
@@ -412,14 +411,19 @@ def _atoms_value(atoms: str, assignment: Sequence[int]) -> int:
 def _pattern_value(pattern: str, assignment: Sequence[int], h2) -> int:
     """Evaluate a class-number pattern like '4', '2h2(d1d2)' or 'h2(p1p2)'.
 
-    h2 maps a discriminant to its 2-class number.
+    h2 maps a discriminant to its 2-class number.  The atoms under h2 are
+    distinct primes or prime discriminants of d, so their product n is
+    squarefree but for its power of 2, and its squarefree kernel keeps that
+    power's 2 only when v2(n) is odd: nothing is factored.
     """
     m = _PATTERN_RE.fullmatch(pattern)
     if m is None:
         raise ValueError(f"bad pattern {pattern!r}")
     value = int(m.group(1)) if m.group(1) else 1
     if m.group(2):
-        rad = squarefree_kernel(_atoms_value(m.group(2), assignment))
+        n = _atoms_value(m.group(2), assignment)
+        two = n & -n
+        rad = n // two * (2 if two.bit_length() % 2 == 0 else 1)  # 2 when v2(n) is odd
         value *= h2(discriminant_of(rad))
     return value
 

@@ -12,10 +12,11 @@ lower central series, and metabelian descent under an 8-rank hypothesis.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from itertools import combinations
 from pathlib import Path
-from typing import Iterable
+from typing import Iterable, Sequence
 
 from .qform import abelian_structure
 
@@ -142,6 +143,21 @@ class TableGroup:
             x = self.mul(x, a)
             k += 1
         return k
+
+    # built by the first call that needs them and kept in the instance
+    # __dict__, which lies outside __eq__, __hash__ and __repr__, so the
+    # checks run on one group object build each once
+    @functools.cached_property
+    def _derived(self) -> Subgroup:
+        return derived_subgroup(self, range(self.order))
+
+    @functools.cached_property
+    def _lower_central(self) -> tuple[Subgroup, ...]:
+        return tuple(lower_central_series(self))
+
+    @functools.cached_property
+    def _presentation_triple(self) -> tuple[int, int, int] | None:
+        return _find_presentation_triple(self, self._lower_central)
 
     def center(self) -> Subgroup:
         n = self.order
@@ -312,8 +328,11 @@ def closure(G: TableGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def derived_subgroup(G: TableGroup, members: Iterable[int] | None = None) -> Subgroup:
-    """Derived subgroup of G, or of the subgroup on the given members."""
-    members = list(members) if members is not None else list(range(G.order))
+    """Derived subgroup of G, or of the subgroup on the given members; G's
+    own is built once per TableGroup object and kept on it."""
+    if members is None:
+        return G._derived
+    members = list(members)
     comms = {G.commutator(a, b) for a in members for b in members}
     return closure(G, comms)
 
@@ -471,7 +490,7 @@ def check_derived_collapse(G: TableGroup) -> CollapseReport:
 
 
 def _find_presentation_triple(G: TableGroup,
-                              series: list[Subgroup]) -> tuple[int, int, int] | None:
+                              series: Sequence[Subgroup]) -> tuple[int, int, int] | None:
     """A generating triple with a1^2 = c12, a2^2 = c23, a3^2 = c13 mod G3,
     G3 read off series, the lower central series of G."""
     G3 = series[2] if len(series) > 2 else frozenset({0})
@@ -523,8 +542,8 @@ def check_power_filtration(G: TableGroup) -> FiltrationReport:
     Applicable when some generating triple satisfies the square-commutator
     presentation modulo G3 and |G/G3| = 64; the triple is found by search.
     """
-    series = lower_central_series(G)
-    triple = _find_presentation_triple(G, series)
+    series = G._lower_central
+    triple = G._presentation_triple
     if triple is None:
         return FiltrationReport(
             False, "no generating triple matches the presentation mod G3",
@@ -559,7 +578,7 @@ class DescentReport:
 
 def check_metabelian_descent(G: TableGroup) -> DescentReport:
     """When G'/G'' has 8-rank 0 (all factors <= 4), G'' must vanish."""
-    if _find_presentation_triple(G, lower_central_series(G)) is None:
+    if G._presentation_triple is None:
         return DescentReport(
             False, "no generating triple matches the presentation mod G3",
             (), 0, False, None,

@@ -14,12 +14,14 @@ kubota_index gives the exact unit index q(K/Q) of a real multiquadratic
 field K by 2-saturating the lattice of its subfield units (Kubota 1956,
 Wada 1966) in _saturate.  Each mechanism is explained where it lives:
 - _characters and _character_vector: quadratic characters at degree-one
-  primes decide that most unit products are no squares, as in the number
-  field sieve (Adleman 1991; Buhler-Lenstra-Pomerance 1993);
+  primes, found in one pass over the prime table, decide that most unit
+  products are no squares, as in the number field sieve (Adleman 1991;
+  Buhler-Lenstra-Pomerance 1993);
 - _radical_root: a product of original norm +1 units gets its root from
   their radical forms, with multiplications only;
 - _MultiQuadField.sqrt: every other product gets its root exactly, by
-  descent through relative norms to Q;
+  descent through relative norms down to a closed form on quadratic
+  fields, with a shortcut for elements of the subfield one level down;
 - CharacterTable: one field's unit basis and characters, which the unit
   indices of the field and of all its subfields share.
 """
@@ -29,6 +31,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from itertools import islice
 from typing import Callable, Sequence
 
 from .arith import (
@@ -234,6 +237,17 @@ def sqrt_unit_decomposition(u: QuadUnit) -> SqrtUnitDecomposition:
 # ---------------------------------------------------------------------------
 # multiquadratic fields: exact arithmetic on Q(sqrt(m1), ..., sqrt(mr))
 
+def _rational_sqrt(num: int, den: int) -> tuple[int, int] | None:
+    """(r, s) with (r/s)^2 = num/den, for num/den in lowest terms and
+    den > 0, or None when num/den is no rational square."""
+    if num < 0:
+        return None
+    r, s = math.isqrt(num), math.isqrt(den)
+    if r * r != num or s * s != den:
+        return None
+    return r, s
+
+
 def _lowest_terms(coeffs: list[int], den: int) -> tuple[list[int], int]:
     """The element coeffs/den, for den > 0, with gcd(den, *coeffs) = 1."""
     g = math.gcd(den, *coeffs)
@@ -306,25 +320,42 @@ class _MultiQuadField:
         """A square root of eta in the field, or None if eta is no square.
 
         Write eta = a + b sqrt(m) with a, b in F.  A root x + y sqrt(m) has
-        n = x^2 - m y^2 with n^2 = a^2 - m b^2, the relative norm, and
-        a + n = 2 x^2.  So the descent takes one root n of the norm in F
-        and, for each sign of n, one root s of 2(a + n) in F; then
-        (eta + n)^2 = eta (2a + 2n) = eta s^2, and the root is
-        (eta + n)/s, with 1/s from the recursive inverse.  When a + n = 0,
-        x is 0, so b is 0 and the root is y sqrt(m) with y^2 = a/m in F.
-        At Q a fraction in lowest terms is a square when its numerator and
-        denominator are.
+        2xy = b, so when b is 0 the root is x in F or y sqrt(m) with
+        y^2 = a/m in F.  Otherwise x and y are both nonzero, and
+        n = x^2 - m y^2 has n^2 = a^2 - m b^2, the relative norm, and
+        a + n = 2 x^2.  On a quadratic field, F = Q, so n is the integer
+        root of the norm, x the rational root of (a + n)/2 for one sign of
+        n, and y = b/(2x).  Above it the descent takes one root n of the
+        norm in F and, for each sign of n, one root s of 2(a + n) in F;
+        then (eta + n)^2 = eta (2a + 2n) = eta s^2, and the root is
+        (eta + n)/s, with 1/s from the recursive inverse.  At Q a fraction
+        in lowest terms is a square when its numerator and denominator are.
         """
         coeffs, den = eta
         if len(coeffs) == 1:
-            c = coeffs[0]
-            if c < 0:
-                return None
-            num, root = math.isqrt(c), math.isqrt(den)
-            if num * num != c or root * root != den:
-                return None
-            return [num], root
+            root = _rational_sqrt(coeffs[0], den)
+            return None if root is None else ([root[0]], root[1])
         a, b, m = self._split(coeffs)
+        if not any(b):
+            x = self.sqrt((a, den))
+            if x is not None:
+                return x[0] + [0] * len(a), x[1]
+            y = self.sqrt(_lowest_terms(a, den * m))
+            return None if y is None else ([0] * len(a) + y[0], y[1])
+        if len(coeffs) == 2:
+            (c0,), (c1,) = a, b
+            norm = c0 * c0 - m * c1 * c1
+            n = math.isqrt(max(norm, 0))
+            if n * n != norm:
+                return None
+            for t in (c0 + n, c0 - n):
+                # x = p/q with x^2 = t/(2 den), and y = c1 q/(2 den p)
+                g = math.gcd(t, 2 * den)
+                x = _rational_sqrt(t // g, 2 * den // g)
+                if x is not None:
+                    p, q = x
+                    return _lowest_terms([2 * den * p * p, c1 * q * q], 2 * den * p * q)
+            return None
         n = self.sqrt(_lowest_terms(self._relative_norm(a, b, m), den * den))
         if n is None:
             return None
@@ -334,11 +365,6 @@ class _MultiQuadField:
         n_den = [c * den for c in nc]
         for t in ([x + y for x, y in zip(a_nd, n_den)],
                   [x - y for x, y in zip(a_nd, n_den)]):
-            if not any(t):
-                y = self.sqrt(_lowest_terms(a, den * m))
-                if y is not None:
-                    return [0] * len(a) + y[0], y[1]
-                continue
             s = self.sqrt(_lowest_terms([2 * c for c in t], den * nd))
             if s is None:
                 continue
@@ -469,28 +495,30 @@ def _characters(gens: Sequence[int]) -> _Characters:
     least roots of the m_i mod p, for the first CHARACTERS odd primes p
     that divide no m_i and modulo which every m_i is a square.  The roots
     fix one degree-one prime of K above p, and the character is the
-    Legendre symbol of an element's image there.
+    Legendre symbol of an element's image there.  One pass walks the shared
+    prime table in order and tests every m_i's symbol before building rho;
+    a walk that reaches the limit doubles it and goes on after the last
+    prime tested.  The row fields' characters stop at p = 1019, below the
+    first limit.
     """
     chars = []
-    lo = 2
-    while len(chars) < CHARACTERS:
-        # the primes in (lo, 2 lo], from the shared table
-        for p in _primes_upto(2 * lo):
-            if p <= lo:
-                continue
+    walked, limit = 1, 1024  # primes walked, 2 among them: it is no character prime
+    while True:
+        for p in islice(_primes_upto(limit), walked, None):
+            walked += 1
             roots = _roots(p)
-            rho = [1]
             for m in gens:
-                r = roots[m % p]
-                if not r:
+                if not roots[m % p]:
                     break
-                rho += [x * r % p for x in rho]
             else:
+                rho = [1]
+                for m in gens:
+                    r = roots[m % p]
+                    rho += [x * r % p for x in rho]
                 chars.append((p, tuple(rho)))
                 if len(chars) == CHARACTERS:
-                    break
-        lo *= 2
-    return _Characters(chars)
+                    return _Characters(chars)
+        limit *= 2
 
 
 def _character_vector(chars: _Characters, u) -> int:

@@ -57,3 +57,21 @@ def test_traced_scan_accounts_for_every_candidate(tmp_path, lo, hi, checkpoint):
     assert tracer.records == len((tmp_path / "out.jsonl").read_text().splitlines())
     counts = Counter(name for _, _, name, _, _ in tracer.spans)
     assert counts["arith.factor_discriminant"] == counts["classify.classify"] == candidates
+
+
+def test_traced_row_verification_sees_every_layer_call():
+    # the verify-rows per-layer figures read these spans: one row field
+    # computes the 2-class number and the fundamental unit of each of its
+    # seven quadratic subfields once, and three quartic and one octic unit
+    # index, all through the names the hooks replace
+    spans = _load_spans()
+    tracer = spans.Tracer()
+    tracer.install({"cli": cli, "classify": classify})
+    try:
+        assert classify.verify_invariant_row(19176).matched
+    finally:
+        tracer.remove()
+    counts = Counter(name for _, _, name, _, _ in tracer.spans)
+    layers = ("qform.two_class_number", "units.fundamental_unit",
+              "units.kubota_index.quartic", "units.kubota_index.octic")
+    assert [counts[name] for name in layers] == [7, 7, 3, 1]

@@ -388,6 +388,38 @@ def test_invariant_row_pattern_failure_names_column(monkeypatch):
         verify_invariant_row(19176)
 
 
+def test_pattern_value_reads_the_kernel_off_the_power_of_two():
+    # every q, h2 and order pattern of every label, on every ordered 4-tuple
+    # of prime discriminants of distinct primes from a pool with all three
+    # even ones, and on every assignment of the row corpus: the kernel read
+    # off v2 of the atom product is squarefree_kernel's
+    patterns = set()
+    for row in load_tables()["invariant_rows"].values():
+        if not isinstance(row, dict):
+            continue
+        for column in ("q", "h2", "order"):
+            for spec in row[column] if isinstance(row[column], list) else [row[column]]:
+                patterns.update([v for k, v in spec.items() if k != "by"]
+                                if isinstance(spec, dict) else [spec])
+    pool = [-4, 8, -8, -3, 5, -7, -11, 13]
+    assignments = [a for a in permutations(pool, 4)
+                   if len({prime_of(q) for q in a}) == 4]
+    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "row_fields.json"
+    assignments += [classify(f["d"]).assignment for f in json.loads(path.read_text())["fields"]]
+    atoms, valuations = set(), set()
+    for a in assignments:
+        for pattern in patterns:
+            m = classify_mod._PATTERN_RE.fullmatch(pattern)
+            want = int(m.group(1) or 1)
+            if m.group(2):
+                n = classify_mod._atoms_value(m.group(2), a)
+                want *= arith.discriminant_of(arith.squarefree_kernel(n))
+                atoms.add(m.group(2))
+                valuations.add((n & -n).bit_length() - 1)
+            assert classify_mod._pattern_value(pattern, a, lambda disc: disc) == want
+    assert atoms == {"d1d2", "p1p2"} and valuations == {0, 1, 2, 3}
+
+
 # sha256 of the compact JSON list of every InvariantRowReport of
 # bench/data/row_fields.json, each as dataclasses.astuple (d, label,
 # assignment, nu34, eps_sign and every column's expected and computed value),

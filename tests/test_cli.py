@@ -16,7 +16,7 @@ import pytest
 
 from quadtower import arith
 from quadtower import classify as classify_mod
-from quadtower import cli, qform
+from quadtower import cli, group2, qform
 from quadtower.arith import BoundExceededError, NotFundamentalError, factor_discriminant
 from quadtower.classify import (
     InternalConsistencyError,
@@ -702,6 +702,30 @@ def test_group_build_and_checks(capsys):
     assert "derived-collapse: pass" in out
     assert "power-filtration: pass" in out
     assert "metabelian-descent: pass" in out
+
+
+def test_group_build_and_checks_build_each_structure_once(capsys, monkeypatch):
+    # the command prints G' and runs all three checks on one group object,
+    # which builds its lower central series, its presentation triple and G'
+    # once; a build of G' itself passes all of G as a range
+    calls = Counter()
+
+    def counting(name, fn, counts=lambda *args: True):
+        def wrapper(*args):
+            calls[name] += counts(*args)
+            return fn(*args)
+        return wrapper
+
+    monkeypatch.setattr(group2, "lower_central_series",
+                        counting("series", group2.lower_central_series))
+    monkeypatch.setattr(group2, "_find_presentation_triple",
+                        counting("triple", group2._find_presentation_triple))
+    monkeypatch.setattr(group2, "derived_subgroup",
+                        counting("derived", group2.derived_subgroup,
+                                 lambda G, members=None: isinstance(members, range)))
+    code, out, _ = run(capsys, "group", "build-64150", "--check", "all")
+    assert (code, out.count(": pass")) == (0, 3)
+    assert calls == {"series": 1, "triple": 1, "derived": 1}
 
 
 def test_group_table_file_round_trip(tmp_path, capsys):

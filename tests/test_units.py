@@ -13,7 +13,7 @@ import pytest
 from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
-from quadtower import units
+from quadtower import arith, units
 from quadtower.arith import (
     BoundExceededError,
     discriminant_of,
@@ -558,8 +558,10 @@ def test_sqrt_matches_the_two_root_descent(case):
 
 
 def test_sqrt_takes_the_sign_of_y_from_b():
-    # At Q the root s of 2(a + n) comes out positive, so the sqrt(m)
-    # coefficient of (eta + n)/s has the sign of b.
+    # On Q(sqrt 2) the root is x + y sqrt(2) with x > 0 and y = b/(2x), so
+    # y has the sign of b.  On Q(sqrt 2, sqrt 3) the root s of 2(a + n)
+    # comes out positive, so the sqrt(3) half of (eta + n)/s has the sign
+    # of b.
     field = _MultiQuadField([2])
     assert field.sqrt(([3, -2], 1)) == ([1, -1], 1)  # (1 - sqrt 2)^2
     assert field.sqrt(([3, -2], 4)) == ([1, -1], 2)
@@ -567,6 +569,57 @@ def test_sqrt_takes_the_sign_of_y_from_b():
     field = _MultiQuadField([2, 3])
     assert field.sqrt(([5, 0, 0, -2], 1)) == ([0, 1, -1, 0], 1)  # (sqrt 2 - sqrt 3)^2
     assert field.sqrt(([5, 0, 0, 2], 1)) == ([0, 1, 1, 0], 1)
+
+
+def _assert_root_matches_the_two_root_descent(field, eta):
+    # the two-root descent takes no closed form and no subfield shortcut
+    root, reference = field.sqrt(eta), _reference_sqrt(field, eta)
+    assert (root is None) == (reference is None)
+    if root is not None:
+        _assert_lowest_terms(root)
+        assert root in (reference, _neg(reference))
+        assert field.mul(root, root) == eta
+
+
+@settings(deadline=None, max_examples=300)
+@given(st.sampled_from(RADICANDS), st.integers(-60, 60),
+       st.one_of(st.just(0), st.integers(-30, 30)), st.integers(1, 36), st.booleans())
+@example(2, 3, -2, 1, False)  # (1 - sqrt 2)^2
+@example(2, 0, 1, 1, True)  # 2, whose root sqrt(2) is off Q
+@example(3, -4, 0, 6, True)  # 4/9
+def test_quadratic_sqrt_matches_the_two_root_descent(m, c0, c1, den, square):
+    # the closed form on Q(sqrt m) against the descent through Q: elements
+    # (c0 + c1 sqrt(m))/den drawn with a denominator that may share factors
+    # with the coefficients and put in lowest terms, c0 negative or not, c1
+    # zero or not, and about half of them squared
+    assume(c0 or c1)
+    field = _MultiQuadField([m])
+    eta = units._lowest_terms([c0, c1], den)
+    if square:
+        eta = field.mul(eta, eta)
+        assert field.sqrt(eta) is not None
+    _assert_root_matches_the_two_root_descent(field, eta)
+
+
+@settings(deadline=None)
+@given(field_elements())
+def test_subfield_sqrt_matches_the_two_root_descent(case):
+    # eta with a zero sqrt(m_r) half lies in F: its root is taken in F, or
+    # as y sqrt(m_r) with y^2 = eta/m_r in F, and equals the two-root
+    # descent's up to sign on squares of both kinds and on elements that
+    # mostly are no squares
+    gens, field, u = case
+    half = len(field.w) // 2
+    coeffs, den = u
+    assume(any(coeffs[:half]))
+    x = units._lowest_terms(coeffs[:half] + [0] * half, den)
+    m = ([gens[-1]] + [0] * (len(field.w) - 1), 1)
+    square = field.mul(x, x)
+    for eta in (x, _neg(x), square, _neg(square), field.mul(m, square), field.mul(m, x)):
+        _assert_root_matches_the_two_root_descent(field, eta)
+    assert field.sqrt(square) in (x, _neg(x))
+    y = [0] * half + x[0][:half], x[1]
+    assert field.sqrt(field.mul(m, square)) in (y, _neg(y))
 
 
 # ---------------------------------------------------------------------------
@@ -624,6 +677,57 @@ def test_characters_are_legendre_symbols_of_images(case):
     assert vector >> len(chars) == 0
     assert [vector >> k & 1 for k in range(len(chars))] == \
         [int(image not in sq) for image, sq in zip(images, squares)]
+
+
+def _doubling_characters(gens):
+    """The (p, rho) pairs of _characters by the earlier search: the primes
+    in (lo, 2 lo] are read off the table for lo = 2, 4, 8, ..., and rho is
+    built generator by generator until a symbol fails."""
+    chars = []
+    lo = 2
+    while len(chars) < CHARACTERS:
+        for p in arith._primes_upto(2 * lo):
+            if p <= lo:
+                continue
+            roots = _roots(p)
+            rho = [1]
+            for m in gens:
+                r = roots[m % p]
+                if not r:
+                    break
+                rho += [x * r % p for x in rho]
+            else:
+                chars.append((p, tuple(rho)))
+                if len(chars) == CHARACTERS:
+                    break
+        lo *= 2
+    return chars
+
+
+def test_one_pass_characters_match_the_doubling_search_on_the_row_corpus():
+    last = set()
+    for d in _row_corpus():
+        gens = _row_calls(d)[3]
+        chars = _characters(gens)
+        assert list(chars) == _doubling_characters(gens)
+        last.add(chars[-1][0])
+    # the characters of the row fields stop at p = 1019, as _roots says
+    assert max(last) == 1019
+    # the 12th prime of this field lies past the walk's first limit, 1024,
+    # so the walk goes on past it after doubling the limit
+    chars = _characters((34, 65, 89))
+    assert chars[-1][0] == 1481 and list(chars) == _doubling_characters((34, 65, 89))
+
+
+@settings(deadline=None, max_examples=60)
+@given(st.lists(st.sampled_from(RADICANDS + [89, 131, 179, 197, 1019]),
+                min_size=1, max_size=3, unique=True))
+def test_one_pass_characters_match_the_doubling_search(gens):
+    try:
+        _MultiQuadField(gens)
+    except ValueError:
+        assume(False)
+    assert list(_characters(gens)) == _doubling_characters(gens)
 
 
 @settings(deadline=None)
