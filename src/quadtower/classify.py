@@ -31,7 +31,8 @@ from .arith import (
     radicand,
     sieve_factors,
 )
-from .qform import character_matrix, narrow_four_rank, two_class_number
+from .qform import (character_matrix, narrow_four_rank, prime_symbol,
+                    two_class_number)
 # neither is called here; bench/spans.py hooks both names on this module
 from .arith import is_sum_of_two_squares  # noqa: F401
 from .qform import class_group  # noqa: F401
@@ -185,11 +186,10 @@ def _signature(factors: Sequence[int], mat) -> tuple:
     i < j the symbol (q_i / p_j) of the character matrix, or (q_j / 2) when
     q_i = -4: all that the Redei test and the row search read.
 
-    The rest of the matrix follows.  (q_j / p_i) is (q_i / p_j), negated
-    when both factors are negative, as reciprocity gives it for odd factors
-    and the supplementary laws for 8 and -8; the row of -4 is
-    (-1 / p_j) = -1 exactly when q_j < 0; the diagonal is the product of
-    its column.
+    The rest of the matrix follows from the rules of `qform.prime_symbol`:
+    (q_j / p_i) is (q_i / p_j), negated when both factors are negative, but
+    for -4, whose row (-4 / p_j) is +1 exactly when q_j > 0; the diagonal is
+    the product of its column.
     """
     classes = [-4 if q == -4 else q > 0 for q in factors]
     symbols = [mat[j][i] if factors[i] == -4 else mat[i][j] for i, j in _PAIRS]
@@ -198,23 +198,12 @@ def _signature(factors: Sequence[int], mat) -> tuple:
 
 def _signature_of(factors: Sequence[int]) -> tuple:
     """_signature(factors, character_matrix(factors)) of four prime
-    discriminants, computed from the factors alone: one Euler power
-    q_i^((p_j - 1) / 2) mod p_j per odd pair, and q mod 8 against the even
-    factor, since (q / 2) = +1 exactly when q = 1 mod 8."""
+    discriminants, computed from the factors alone, one `prime_symbol` per
+    pair."""
     key = [-4 if q == -4 else q > 0 for q in factors]
     for i, j in _PAIRS:
         q, r = factors[i], factors[j]
-        if q & r & 1:
-            p = -r if r < 0 else r
-            s = pow(q, p >> 1, p)
-            key.append(-1 if s > 1 else s)
-        elif q == -4:
-            key.append(1 if r % 8 == 1 else -1)
-        elif r & 1:  # (q / p) for q = 8 or -8 is (r / 2), negated if both < 0
-            s = 1 if r % 8 == 1 else -1
-            key.append(-s if q < 0 and r < 0 else s)
-        else:
-            key.append(1 if q % 8 == 1 else -1)
+        key.append(prime_symbol(r, q) if q == -4 else prime_symbol(q, r))
     return tuple(key)
 
 
@@ -275,8 +264,8 @@ def classify(d: int, sieved: Sieved | None = None) -> CaseRecord:
     the factor checks, the Redei 4-rank test and the row search depend only
     on the signature: each factor's class (-4, positive or negative) and
     the six pair symbols (q_i / p_j) for i < j, or (q_j / 2) when q_i = -4.
-    `_signature_of` computes it straight from the factors, with one Euler
-    power per odd pair.  Each signature's outcome is memoised in
+    `_signature_of` computes it straight from the factors, one
+    `qform.prime_symbol` per pair.  Each signature's outcome is memoised in
     `_BY_SIGNATURE`, which only the permutation search `_search` fills, on
     its first sight; only then is the `character_matrix` built, for the
     search.  Later candidates with that signature cost one dict lookup.

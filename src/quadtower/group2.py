@@ -137,13 +137,6 @@ class TableGroup:
             e >>= 1
         return result
 
-    def element_order(self, a: int) -> int:
-        k, x = 1, a
-        while x != 0:
-            x = self.mul(x, a)
-            k += 1
-        return k
-
     # built by the first call that needs them and kept in the instance
     # __dict__, which lies outside __eq__, __hash__ and __repr__, so the
     # checks run on one group object build each once
@@ -270,15 +263,6 @@ class Class2Extension:
 
     def mul(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
         return (a[0] ^ b[0], a[1] ^ b[1] ^ self._cocycle(a[0], b[0]))
-
-    def generator(self, i: int) -> tuple[int, int]:
-        return (1 << i, 0)
-
-    def commutator(self, a: tuple[int, int], b: tuple[int, int]) -> tuple[int, int]:
-        return (0, self._cocycle(a[0], b[0]) ^ self._cocycle(b[0], a[0]))
-
-    def square(self, a: tuple[int, int]) -> tuple[int, int]:
-        return self.mul(a, a)
 
     def table_group(self) -> TableGroup:
         """The table on indices x | (y << rank)."""

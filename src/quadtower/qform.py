@@ -13,10 +13,11 @@ the class number.
 2-class numbers come from genus theory where it decides them: for t prime
 discriminant factors the narrow 2-rank is t - 1, and when the Redei 4-rank is
 0 the narrow 2-class number is 2^(t-1), halved for the ordinary group of
-d > 0 exactly when some prime discriminant factor is negative.  Forms are
-enumerated only for a positive 4-rank, and there the class number is counted,
-one class per reduced form (d < 0) or per rho-cycle (d > 0), with no form
-composed.
+d > 0 exactly when some prime discriminant factor is negative.  The symbols
+(q / p) of prime discriminants that genus theory reads have one owner,
+`prime_symbol`.  Forms are enumerated only for a positive 4-rank, and there
+the class number is counted, one class per reduced form (d < 0) or per
+rho-cycle (d > 0), with no form composed.
 """
 
 from __future__ import annotations
@@ -30,7 +31,6 @@ from .arith import (
     factor_discriminant,
     factorize,
     is_fundamental_discriminant,
-    kronecker,
     prime_of,
 )
 
@@ -43,6 +43,7 @@ __all__ = [
     "class_group",
     "two_class_number",
     "two_sylow",
+    "prime_symbol",
     "character_matrix",
     "narrow_four_rank",
     "genus_positivity",
@@ -430,32 +431,43 @@ def two_class_number(d: int, narrow: bool = False) -> int:
     return h2 // 2
 
 
-def character_matrix(qs: Sequence[int]) -> list[list[int]]:
-    """Symbols (q_i / p_j) of the prime discriminants qs, by position.
+def prime_symbol(q: int, r: int) -> int:
+    """The symbol (q / p) of prime discriminants q and r, where p is the
+    prime of r; q and r are not both even.
 
-    Reciprocity leaves one symbol per pair of odd factors:
-    (q_j / p_i) = (q_i / p_j), negated when both are negative.  That one is
-    a single power by Euler's criterion, q_i^((p_j - 1) / 2) mod p_j, which
-    is 1, p_j - 1 or, for a repeated prime, 0.  Against the even factor q_e
-    none is needed: (q / 2) = +1 exactly when q = 1 mod 8, and (q_e / p) is
-    (q / 2) when 8 | q_e and 1 when q_e = -4, again negated when q_e and q
-    are both negative.  The diagonal (q_i / p_i) = prod_{l != i} (q_l / p_i)
-    is the product of its column.
+    For odd p it is one power by Euler's criterion, q^((p - 1) / 2) mod p,
+    which is 1, p - 1 or, for a repeated prime, 0; for the even q none is
+    needed: (-4 / p) = (-1 / p) = +1 exactly when r > 0, and (8 / p) =
+    (2 / p) = (r / 2), negated for -8 when r < 0.  For p = 2, (q / 2) = +1
+    exactly when q = 1 mod 8.
+    """
+    if r % 2 == 0:
+        return 1 if q % 8 == 1 else -1
+    if q % 2:
+        p = -r if r < 0 else r
+        s = pow(q, p >> 1, p)
+        return -1 if s > 1 else s
+    s = 1 if q == -4 or r % 8 == 1 else -1
+    return -s if q < 0 and r < 0 else s
+
+
+def character_matrix(qs: Sequence[int]) -> list[list[int]]:
+    """Symbols (q_i / p_j) = `prime_symbol`(q_i, q_j) of the prime
+    discriminants qs, by position.
+
+    Reciprocity leaves one Euler power per pair of odd factors:
+    (q_j / p_i) = (q_i / p_j), negated when both are negative.  The diagonal
+    (q_i / p_i) = prod_{l != i} (q_l / p_i) is the product of its column.
     """
     n = len(qs)
     mat = [[1] * n for _ in range(n)]
     for i in range(n):
         for j in range(i + 1, n):
-            sign = -1 if qs[i] < 0 and qs[j] < 0 else 1
+            mat[i][j] = prime_symbol(qs[i], qs[j])
             if qs[i] % 2 and qs[j] % 2:
-                p = abs(qs[j])
-                r = pow(qs[i], (p - 1) // 2, p)
-                mat[i][j] = -1 if r > 1 else r
-                mat[j][i] = sign * mat[i][j]
+                mat[j][i] = -mat[i][j] if qs[i] < 0 and qs[j] < 0 else mat[i][j]
             else:
-                e, o = (i, j) if qs[j] % 2 else (j, i)
-                mat[o][e] = 1 if qs[o] % 8 == 1 else -1
-                mat[e][o] = sign * (mat[o][e] if qs[e] % 8 == 0 else 1)
+                mat[j][i] = prime_symbol(qs[j], qs[i])
     for i in range(n):
         for l in range(n):
             if l != i:
@@ -524,22 +536,18 @@ def c4_splittings(d: int) -> list[C4Splitting]:
 
     delta1 is the part containing the prime discriminant of least absolute
     value.  Nonempty output forces 4 | h2+(d) (a cyclic quartic unramified
-    extension exists).
+    extension exists).  The symbol of a part at p_j is the product of its
+    factors' `character_matrix` entries in column j.
     """
     qs = factor_discriminant(d)
+    mat = character_matrix(qs)
     n = len(qs)
     out = []
     for mask in range(1, 2 ** (n - 1)):
         # factor qs[0] always goes to delta1: each unordered split once
-        part1 = [qs[0]]
-        part2 = []
-        for i in range(1, n):
-            (part1 if (mask >> (i - 1)) & 1 == 0 else part2).append(qs[i])
-        d1 = math.prod(part1)
-        d2 = math.prod(part2)
-        ok = all(kronecker(d1, prime_of(q)) == 1 for q in part2) and all(
-            kronecker(d2, prime_of(q)) == 1 for q in part1
-        )
-        if ok:
-            out.append(C4Splitting(d1, d2))
+        side = [(mask << 1) >> i & 1 for i in range(n)]
+        if all(math.prod(mat[i][j] for i in range(n) if side[i] != side[j]) == 1
+               for j in range(n)):
+            d1 = math.prod(q for q, s in zip(qs, side) if not s)
+            out.append(C4Splitting(d1, d // d1))
     return out

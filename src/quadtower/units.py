@@ -104,9 +104,6 @@ class QuadUnit:
         w = 1 if self.d % 4 == 1 else 2
         return self.x, self.y * w
 
-    def trace(self) -> int:
-        return self.x
-
     @functools.cached_property
     def _sqrt(self) -> SqrtUnitDecomposition:
         # built by the first sqrt_unit_decomposition(self) and kept in the

@@ -735,7 +735,7 @@ def test_candidate_assignments_match_reference(type_name):
 
 
 @pytest.mark.parametrize("d", [d for d, _ in PINS] + [1596, 5 * 13 * 17 * 29])
-def test_classify_factors_once_and_builds_one_matrix(d, monkeypatch):
+def test_classify_factors_once_and_builds_one_matrix(d, monkeypatch, empty_memo):
     calls = Counter()
 
     def counting(name, fn):
@@ -744,21 +744,27 @@ def test_classify_factors_once_and_builds_one_matrix(d, monkeypatch):
             return fn(*args, **kwargs)
         return wrapper
 
+    factors = factor_discriminant(d)
+    # a sum of two squares, all factors positive, is rejected before its key
+    keyed = min(factors) < 0
+    # the matrix takes one symbol per pair and a second one for each of the
+    # three pairs with the even factor, which reciprocity does not give
+    matrix_symbols = 6 + 3 * any(q % 2 == 0 for q in factors)
     monkeypatch.setattr(arith, "factorize", counting("factorize", arith.factorize))
-    for module in (arith, qform):
-        monkeypatch.setattr(module, "kronecker", counting("kronecker", module.kronecker))
+    for module in (classify_mod, qform):
+        monkeypatch.setattr(module, "prime_symbol",
+                            counting("prime_symbol", qform.prime_symbol))
     monkeypatch.setattr(classify_mod, "character_matrix",
                         counting("character_matrix", character_matrix))
     _classify_outcome(classify, d)
-    assert calls["factorize"] == 1
-    # reciprocity: one symbol for each of the at most six odd pairs
-    assert calls["kronecker"] <= 6
-    # the matrix is built for the search of a new signature only: d again
-    # hits the memo and is factored, but builds none
-    assert calls["character_matrix"] <= 1
+    # six symbols for the key; the matrix is built for the search of a new
+    # signature only
+    assert calls == Counter(factorize=1, character_matrix=keyed,
+                            prime_symbol=keyed * (6 + matrix_symbols))
     calls.clear()
+    # d again hits the memo: it is factored and keyed, and builds no matrix
     _classify_outcome(classify, d)
-    assert calls == {"factorize": 1}
+    assert calls == Counter(factorize=1, prime_symbol=6 * keyed)
 
 
 # -- audit: every symbol signature, classified by the uncached search ----------
@@ -834,15 +840,18 @@ def test_character_matrix_by_reciprocity_on_four_factor_discriminants():
 
 
 _PRIMES_BELOW_10_6 = list(arith._primes_upto(10**6 - 1))
+# built once: Hypothesis works out a strategy's label over all its 78 498
+# choices, once per strategy object
+_PRIME_BELOW_10_6 = st.one_of(st.sampled_from(_PRIMES_BELOW_10_6[:12]),
+                              st.sampled_from(_PRIMES_BELOW_10_6))
 
 
 @st.composite
 def _prime_discriminant_tuples(draw, min_size=2, max_size=5):
     """2 to 5 prime discriminants of distinct primes below 10^6, in draw
     order; small primes are drawn often enough to meet 2 and each other."""
-    prime = st.one_of(st.sampled_from(_PRIMES_BELOW_10_6[:12]),
-                      st.sampled_from(_PRIMES_BELOW_10_6))
-    primes = draw(st.lists(prime, min_size=min_size, max_size=max_size, unique=True))
+    primes = draw(st.lists(_PRIME_BELOW_10_6, min_size=min_size, max_size=max_size,
+                           unique=True))
     return [draw(st.sampled_from((-4, 8, -8))) if p == 2 else p if p % 4 == 1 else -p
             for p in primes]
 

@@ -1,8 +1,10 @@
 """CLI tests: subcommands, exit codes, scan persistence, determinism."""
 
 import hashlib
+import importlib
 import json
 import os
+import pkgutil
 import re
 import signal
 import subprocess
@@ -14,9 +16,10 @@ from pathlib import Path
 
 import pytest
 
+import quadtower
 from quadtower import arith
 from quadtower import classify as classify_mod
-from quadtower import cli, group2, qform
+from quadtower import cli, conic, group2
 from quadtower.arith import BoundExceededError, NotFundamentalError, factor_discriminant
 from quadtower.classify import (
     InternalConsistencyError,
@@ -466,15 +469,22 @@ def test_scan_trial_divides_only_blocks_too_narrow_to_sieve(capsys, monkeypatch)
 
 def test_scan_evaluates_no_kronecker_symbol(capsys, monkeypatch):
     calls = Counter()
-    original = qform.kronecker
+    original = arith.kronecker
 
     def counting(a, n):
         calls["n"] += 1
         return original(a, n)
 
-    monkeypatch.setattr(qform, "kronecker", counting)
-    # the counter is live: a genus check still reads its symbols this way
-    assert qform.c4_splittings(1596) and calls["n"] > 0
+    # qform.prime_symbol owns the symbols of prime discriminants; only arith
+    # and the conic solver bind the general symbol, and both are counted
+    modules = [importlib.import_module(f"quadtower.{m.name}")
+               for m in pkgutil.iter_modules(quadtower.__path__)]
+    bound = [m for m in modules if hasattr(m, "kronecker")]
+    assert [m.__name__ for m in bound] == ["quadtower.arith", "quadtower.conic"]
+    for module in bound:
+        monkeypatch.setattr(module, "kronecker", counting)
+    # the counter is live: a conic's local check still reads its symbols this way
+    assert conic.solve_conic(5, 41) and calls["n"] > 0
     calls.clear()
     code, out, _ = run(capsys, "scan", "2000000", "2001999")
     assert code == 0 and out

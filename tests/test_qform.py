@@ -16,6 +16,7 @@ from quadtower.arith import (
     is_fundamental_discriminant,
     is_sum_of_two_squares,
     kronecker,
+    prime_of,
 )
 from quadtower.qform import (
     BQForm,
@@ -31,6 +32,7 @@ from quadtower.qform import (
     genus_positivity,
     is_reduced,
     narrow_four_rank,
+    prime_symbol,
     principal_form,
     reduce_form,
     two_class_number,
@@ -311,6 +313,53 @@ def test_c4_splittings_examples():
     assert c4_splittings(-23) == []
     # (8/3) = -1 kills {8, 141}; the other two splits fail likewise
     assert c4_splittings(1128) == []
+
+
+# -4, 8, -8 and the 429 odd primes below 3000 as prime discriminants
+_PRIME_DISCRIMINANTS = [-4, 8, -8] + [
+    p if p % 4 == 1 else -p for p in range(3, 3000, 2)
+    if all(p % k for k in range(3, math.isqrt(p) + 1, 2))
+]
+
+
+def test_prime_symbol_is_the_kronecker_symbol_at_the_prime():
+    assert len(_PRIME_DISCRIMINANTS) == 432
+    for q in _PRIME_DISCRIMINANTS:
+        for r in _PRIME_DISCRIMINANTS:
+            if q % 2 or r % 2:  # two even factors never share a field
+                assert prime_symbol(q, r) == kronecker(q, prime_of(r)), (q, r)
+        if q % 2:
+            assert prime_symbol(q, q) == 0, q
+
+
+def _kronecker_c4_splittings(d):
+    """c4_splittings with no character matrix: one Kronecker symbol of each
+    part's product per prime of the other part."""
+    qs = factor_discriminant(d)
+    n = len(qs)
+    out = []
+    for mask in range(1, 2 ** (n - 1)):
+        part1 = [qs[0]]
+        part2 = []
+        for i in range(1, n):
+            (part1 if (mask >> (i - 1)) & 1 == 0 else part2).append(qs[i])
+        d1 = math.prod(part1)
+        d2 = math.prod(part2)
+        ok = all(kronecker(d1, prime_of(q)) == 1 for q in part2) and all(
+            kronecker(d2, prime_of(q)) == 1 for q in part1
+        )
+        if ok:
+            out.append(C4Splitting(d1, d2))
+    return out
+
+
+def test_c4_splittings_match_the_kronecker_products_below_10_5():
+    seen = split = 0
+    for d in fundamental_range(-10**5 + 1, 10**5):
+        got = c4_splittings(d)
+        assert got == _kronecker_c4_splittings(d), d
+        seen, split = seen + 1, split + len(got)
+    assert (seen, split) == (60786, 18759)
 
 
 def test_c4_splitting_implies_4_divides_narrow_h2():
