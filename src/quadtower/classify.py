@@ -129,10 +129,10 @@ class CaseRecord:
         return tuple(prime_of(q) for q in self.assignment)
 
 
-def _symbol(mat, at: Sequence[int], top: str, under: str) -> int:
-    """(d_i / p_j) for top 'di' and under 'pj', where d_k is the factor at
-    position at[k - 1] and mat is the factors' character matrix."""
-    return mat[at[int(top[1]) - 1]][at[int(under[1]) - 1]]
+def _symbol(mat, at: Sequence[int], i: int, j: int) -> int:
+    """(d_i / p_j), where d_k is the factor at position at[k - 1] and mat is
+    the factors' character matrix."""
+    return mat[at[i - 1]][at[j - 1]]
 
 
 def _candidate_assignments(
@@ -153,10 +153,12 @@ def _candidate_assignments(
 
 
 def _matches(table: dict, mat, at: Sequence[int]) -> str | None:
+    # the table names the symbol (d_i / p_j) by the pair ('di', 'pj')
     for top, under, want in table.get("fixed", ()):
-        if _symbol(mat, at, top, under) != want:
+        if _symbol(mat, at, int(top[1]), int(under[1])) != want:
             return None
-    symbols = [_symbol(mat, at, top, under) for top, under in table["columns"]]
+    symbols = [_symbol(mat, at, int(top[1]), int(under[1]))
+               for top, under in table["columns"]]
     for label, row in table["rows"].items():
         if row["symbols"] == symbols:
             return label
@@ -234,10 +236,7 @@ def _search(factors: Sequence[int], mat) -> _Row | int | tuple[str, ...] | None:
     if len(labels) > 1:
         return tuple(labels)
     type_name, label, at = min(hits, key=lambda h: h[2])
-    nu = tuple(
-        0 if _symbol(mat, at, f"d{i}", f"p{j}") == 1 else 1
-        for i, j in _NU_PAIRS
-    )
+    nu = tuple(0 if _symbol(mat, at, i, j) == 1 else 1 for i, j in _NU_PAIRS)
     row = _TABLES["types"][type_name]["rows"][label]
     patterns = _TABLES["invariant_rows"].get(label)
     return _Row(
@@ -375,46 +374,43 @@ def _verdict(label: str, structure: tuple[int, ...] | None) -> TowerVerdict:
 
 # -- invariant-row verification ----------------------------------------------
 
-_PATTERN_RE = re.compile(r"(\d*)(?:h2\(([A-Za-z0-9]+)\))?")
+# A pattern is an optional integer k times h2(atoms), the 2-class number of
+# the atoms' product, or times the product of the atoms itself; atom pi is
+# the prime of the factor d_i and di is d_i.  '2p3' is 2 * p3, '4' is 4.
+_PATTERN_RE = re.compile(r"(\d*)(?:h2\(((?:[pd][1-4])+)\)|((?:[pd][1-4])*))")
 
 
-def _atoms_value(atoms: str, assignment: Sequence[int]) -> int:
-    """Evaluate a product pattern like 'p1p2p4', 'd1d2', '2p3' or '2'."""
-    value = 1
-    i = 0
-    while i < len(atoms):
-        ch = atoms[i]
-        if ch in "pd":
-            idx = int(atoms[i + 1])
-            q = assignment[idx - 1]
-            value *= prime_of(q) if ch == "p" else q
-            i += 2
-        elif ch == "2":
-            value *= 2
-            i += 1
-        else:
-            raise ValueError(f"bad atom {ch!r} in pattern {atoms!r}")
-    return value
+@functools.cache
+def _parse(pattern: str) -> tuple[int, bool, tuple[tuple[bool, int], ...]]:
+    """k, whether the atoms sit under h2, and each atom as (is a prime,
+    factor position); cached, as each row field evaluates about ten."""
+    m = _PATTERN_RE.fullmatch(pattern)
+    if m is None:
+        raise ValueError(f"bad pattern {pattern!r}")
+    k, under_h2, product = m.groups()
+    atoms = product if under_h2 is None else under_h2
+    return (int(k or 1), under_h2 is not None,
+            tuple((atoms[i] == "p", int(atoms[i + 1]) - 1)
+                  for i in range(0, len(atoms), 2)))
 
 
 def _pattern_value(pattern: str, assignment: Sequence[int], h2) -> int:
-    """Evaluate a class-number pattern like '4', '2h2(d1d2)' or 'h2(p1p2)'.
+    """Evaluate a row pattern like 'p1p2p4', '2p3', '4' or '2h2(d1d2)'.
 
     h2 maps a discriminant to its 2-class number.  The atoms under h2 are
     distinct primes or prime discriminants of d, so their product n is
     squarefree but for its power of 2, and its squarefree kernel keeps that
     power's 2 only when v2(n) is odd: nothing is factored.
     """
-    m = _PATTERN_RE.fullmatch(pattern)
-    if m is None:
-        raise ValueError(f"bad pattern {pattern!r}")
-    value = int(m.group(1)) if m.group(1) else 1
-    if m.group(2):
-        n = _atoms_value(m.group(2), assignment)
+    k, under_h2, atoms = _parse(pattern)
+    n = 1
+    for is_prime, i in atoms:
+        n *= prime_of(assignment[i]) if is_prime else assignment[i]
+    if under_h2:
         two = n & -n
         rad = n // two * (2 if two.bit_length() % 2 == 0 else 1)  # 2 when v2(n) is odd
-        value *= h2(discriminant_of(rad))
-    return value
+        return k * h2(discriminant_of(rad))
+    return k * n
 
 
 def _display(pattern) -> str:
@@ -426,7 +422,7 @@ def _display(pattern) -> str:
 
 def _resolve(pattern, nu34: int, eps_sign: int):
     if isinstance(pattern, dict):
-        key = str(nu34) if pattern["by"] == "nu34" else ("-1" if eps_sign < 0 else "+1")
+        key = str(nu34) if pattern["by"] == "nu34" else f"{eps_sign:+d}"
         return pattern[key]
     return pattern
 
@@ -494,10 +490,7 @@ def verify_invariant_row(d: int | CaseRecord) -> InvariantRowReport:
 
     def check(spec, value: int) -> None:
         pattern = _resolve(spec, nu34, eps_sign)
-        if column.startswith("delta"):
-            want = _atoms_value(pattern, a)
-        else:
-            want = _pattern_value(pattern, a, h2)
+        want = _pattern_value(pattern, a, h2)
         entries.append(RowEntry(column, pattern, str(value), value == want))
 
     column = "n_eps12"
@@ -524,14 +517,14 @@ def verify_invariant_row(d: int | CaseRecord) -> InvariantRowReport:
             column = f"h2_{i}"
             check(
                 patterns["h2"][i - 1],
-                multiquadratic_h2([h2(x), h2(d), h2(d // x)], q_i, 4),
+                multiquadratic_h2([h2(x), h2(d), h2(d // x)], q_i),
             )
         # their compositum Q(sqrt d1, sqrt d2, sqrt d3d4) has seven quadratic
         # subfields
         column = "order"
         q = kubota_index(*octic, table=table)
         discs = (d1, d2, d3 * d4, d1 * d2, d // d2, d // d1, d)
-        check(patterns["order"], 4 * multiquadratic_h2([h2(x) for x in discs], q, 8))
+        check(patterns["order"], 4 * multiquadratic_h2([h2(x) for x in discs], q))
     except Exception as e:  # surfaced with the field and blocked column attached
         raise RowComputationError(d, column, e) from e
 

@@ -254,6 +254,13 @@ def _load_checkpoint(path: Path, signature: dict) -> dict | None:
             f"checkpoint {path} belongs to a different scan "
             f"(saved {state['signature']}, requested {signature})"
         )
+    last, offset = state["last"], state["offset"]
+    if not signature["min"] <= last <= signature["max"] or offset < 0:
+        raise PreconditionError(
+            f"checkpoint {path} does not fit the scan: it needs {signature['min']} "
+            f"<= last <= {signature['max']} and offset >= 0, and has last {last} "
+            f"and offset {offset}"
+        )
     return state
 
 

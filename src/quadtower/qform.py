@@ -251,17 +251,19 @@ def _negated_principal_form(d: int) -> BQForm:
     return BQForm(-one.a, one.b, -one.c)
 
 
-def _check_bound(d: int, bound: int) -> None:
-    if abs(d) > bound:
-        raise BoundExceededError(f"|{d}| exceeds class group bound {bound}")
+def _check_bound(d: int) -> None:
+    if abs(d) > DEFAULT_CLASS_BOUND:
+        raise BoundExceededError(
+            f"|{d}| exceeds class group bound {DEFAULT_CLASS_BOUND}"
+        )
 
 
-def class_group(d: int, narrow: bool = True,
-                bound: int = DEFAULT_CLASS_BOUND) -> FormClassGroup:
-    """Class group of the fundamental discriminant d by form enumeration."""
+def class_group(d: int, narrow: bool = True) -> FormClassGroup:
+    """Class group of the fundamental discriminant d by form enumeration;
+    |d| > DEFAULT_CLASS_BOUND raises BoundExceededError."""
     if not is_fundamental_discriminant(d):
         raise ValueError(f"{d} is not a fundamental discriminant")
-    _check_bound(d, bound)
+    _check_bound(d)
     forms = [BQForm(a, b, (b * b - d) // (4 * a)) for a, b in _reduced_forms(d)]
     if d < 0:
         reps = sorted(forms)
@@ -423,7 +425,7 @@ def two_class_number(d: int, narrow: bool = False) -> int:
     """
     qs = factor_discriminant(d)  # raises unless d is fundamental
     if narrow_four_rank(character_matrix(qs)):
-        _check_bound(d, DEFAULT_CLASS_BOUND)
+        _check_bound(d)
         return _two_part(_class_numbers(d)[0 if narrow else 1])
     h2 = 2 ** (len(qs) - 1)
     if d < 0 or narrow or min(qs) > 0:

@@ -676,23 +676,18 @@ def kubota_index(m1: int, m2: int, m3: int | None = None,
     return _saturate(*table.subfield(gens))[0]
 
 
-def multiquadratic_h2(subfield_h2: Sequence[int], q: int, degree: int) -> int:
+def multiquadratic_h2(subfield_h2: Sequence[int], q: int) -> int:
     """2-class number of a real multiquadratic field of degree 4 or 8.
 
     This is Kuroda's class number formula over Q, with q the unit index
-    and the h2 of the quadratic subfields:
+    and the h2 of the quadratic subfields, 3 for degree 4 and 7 for degree 8:
     Degree 4: h2 = q * prod(three subfield h2) / 4.
     Degree 8: h2 = q * prod(seven subfield h2) / 2^9.
     """
-    if degree == 4:
-        expected, shift = 3, 2
-    elif degree == 8:
-        expected, shift = 7, 9
-    else:
-        raise ValueError(f"degree must be 4 or 8, got {degree}")
-    if len(subfield_h2) != expected:
+    shift = {3: 2, 7: 9}.get(len(subfield_h2))
+    if shift is None:
         raise ValueError(
-            f"degree {degree} needs {expected} subfield class numbers"
+            f"need 3 or 7 subfield class numbers, got {len(subfield_h2)}"
         )
     num = q * math.prod(subfield_h2)
     if num % 2**shift:

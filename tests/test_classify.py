@@ -4,6 +4,7 @@ import dataclasses
 import hashlib
 import json
 import math
+import re
 import time
 from collections import Counter
 from itertools import combinations, permutations, product
@@ -37,7 +38,7 @@ from quadtower.classify import (
     tower_verdict,
     verify_invariant_row,
 )
-from quadtower.cli import _target
+from quadtower.cli import _target, main
 from quadtower.conic import h8_symbols
 from quadtower.qform import character_matrix, narrow_four_rank
 
@@ -382,10 +383,102 @@ def test_invariant_row_pattern_failure_names_column(monkeypatch):
     def exhausted(pattern, assignment, h2):
         raise BoundExceededError(f"pattern {pattern} exceeded its bound")
 
-    # q1 is the first column whose expected value is a class-number pattern
+    # delta is the first column whose expected value is a pattern
     monkeypatch.setattr(classify_mod, "_pattern_value", exhausted)
-    with pytest.raises(RowComputationError, match=r"^d = 19176, column q1: "):
+    with pytest.raises(RowComputationError, match=r"^d = 19176, column delta: "):
         verify_invariant_row(19176)
+
+
+# -- oracle: the two evaluators that read the row patterns before they had one
+# grammar, a character loop for the delta columns and a regex for the others
+
+_OLD_PATTERN_RE = re.compile(r"(\d*)(?:h2\(([A-Za-z0-9]+)\))?")
+
+
+def _old_atoms_value(atoms, assignment):
+    """Evaluate a product pattern like 'p1p2p4', 'd1d2', '2p3' or '2'."""
+    value = 1
+    i = 0
+    while i < len(atoms):
+        ch = atoms[i]
+        if ch in "pd":
+            q = assignment[int(atoms[i + 1]) - 1]
+            value *= prime_of(q) if ch == "p" else q
+            i += 2
+        elif ch == "2":
+            value *= 2
+            i += 1
+        else:
+            raise ValueError(f"bad atom {ch!r} in pattern {atoms!r}")
+    return value
+
+
+def _old_pattern_value(column, pattern, assignment, h2):
+    """The value the delta evaluator or the class-number evaluator gave."""
+    if column.startswith("delta"):
+        return _old_atoms_value(pattern, assignment)
+    m = _OLD_PATTERN_RE.fullmatch(pattern)
+    if m is None:
+        raise ValueError(f"bad pattern {pattern!r}")
+    value = int(m.group(1)) if m.group(1) else 1
+    if m.group(2):
+        n = _old_atoms_value(m.group(2), assignment)
+        two = n & -n
+        rad = n // two * (2 if two.bit_length() % 2 == 0 else 1)
+        value *= h2(arith.discriminant_of(rad))
+    return value
+
+
+def _row_patterns():
+    """(column, pattern) for every pattern of every label, each branch of a
+    'by' pattern on its own."""
+    found = set()
+    for row in load_tables()["invariant_rows"].values():
+        if not isinstance(row, dict):
+            continue
+        for column in ("delta", "delta1", "delta2", "q", "h2", "order"):
+            for spec in row[column] if isinstance(row[column], list) else [row[column]]:
+                if isinstance(spec, dict):
+                    found.update((column, v) for k, v in spec.items() if k != "by")
+                else:
+                    found.add((column, spec))
+    return found
+
+
+def _pattern_assignments():
+    """Every ordered 4-tuple of prime discriminants of distinct primes from
+    a pool with all three even ones, and every assignment of the row
+    corpus."""
+    pool = [-4, 8, -8, -3, 5, -7, -11, 13]
+    assignments = [a for a in permutations(pool, 4)
+                   if len({prime_of(q) for q in a}) == 4]
+    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "row_fields.json"
+    return assignments + [classify(f["d"]).assignment
+                          for f in json.loads(path.read_text())["fields"]]
+
+
+def test_pattern_value_equals_the_two_old_evaluators():
+    patterns = _row_patterns()
+    assert {c for c, _ in patterns} == {"delta", "delta1", "delta2", "q", "h2", "order"}
+    assert {"2", "2p3", "p1p2p4", "2h2(d1d2)", "4h2(p1p2)"} <= {p for _, p in patterns}
+    for a in _pattern_assignments():
+        for column, pattern in patterns:
+            want = _old_pattern_value(column, pattern, a, lambda disc: disc)
+            assert classify_mod._pattern_value(pattern, a, lambda disc: disc) == want
+
+
+@pytest.mark.parametrize("pattern", ["x", "h2()", "p1p", "2p", "p5", "h2(p1)p2"])
+def test_malformed_pattern_is_a_row_computation_error(pattern, monkeypatch, capsys):
+    with pytest.raises(ValueError, match="bad pattern"):
+        classify_mod._pattern_value(pattern, (8, 17, -47, -3), lambda disc: disc)
+    # on the first pattern column of 19176, a case a1 field
+    monkeypatch.setitem(classify_mod._TABLES["invariant_rows"]["a1"], "delta", pattern)
+    with pytest.raises(RowComputationError, match=r"^d = 19176, column delta: bad"):
+        verify_invariant_row(19176)
+    assert main(["verify-row", "19176"]) == 4
+    assert capsys.readouterr().err == (
+        f"error: d = 19176, column delta: bad pattern {pattern!r}\n"
+    )
 
 
 def test_pattern_value_reads_the_kernel_off_the_power_of_two():
@@ -393,26 +486,14 @@ def test_pattern_value_reads_the_kernel_off_the_power_of_two():
     # of prime discriminants of distinct primes from a pool with all three
     # even ones, and on every assignment of the row corpus: the kernel read
     # off v2 of the atom product is squarefree_kernel's
-    patterns = set()
-    for row in load_tables()["invariant_rows"].values():
-        if not isinstance(row, dict):
-            continue
-        for column in ("q", "h2", "order"):
-            for spec in row[column] if isinstance(row[column], list) else [row[column]]:
-                patterns.update([v for k, v in spec.items() if k != "by"]
-                                if isinstance(spec, dict) else [spec])
-    pool = [-4, 8, -8, -3, 5, -7, -11, 13]
-    assignments = [a for a in permutations(pool, 4)
-                   if len({prime_of(q) for q in a}) == 4]
-    path = Path(__file__).resolve().parent.parent / "bench" / "data" / "row_fields.json"
-    assignments += [classify(f["d"]).assignment for f in json.loads(path.read_text())["fields"]]
+    patterns = {p for c, p in _row_patterns() if c in ("q", "h2", "order")}
     atoms, valuations = set(), set()
-    for a in assignments:
+    for a in _pattern_assignments():
         for pattern in patterns:
             m = classify_mod._PATTERN_RE.fullmatch(pattern)
             want = int(m.group(1) or 1)
             if m.group(2):
-                n = classify_mod._atoms_value(m.group(2), a)
+                n = _old_atoms_value(m.group(2), a)
                 want *= arith.discriminant_of(arith.squarefree_kernel(n))
                 atoms.add(m.group(2))
                 valuations.add((n & -n).bit_length() - 1)

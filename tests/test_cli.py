@@ -6,6 +6,7 @@ import json
 import os
 import pkgutil
 import re
+import shlex
 import signal
 import subprocess
 import sys
@@ -335,6 +336,10 @@ NOT_A_CHECKPOINT = (
     "error: checkpoint {ckpt} is not a JSON object with "
     "'signature', 'last' and 'offset'\n"
 )
+NOT_FITTING = (
+    "error: checkpoint {{ckpt}} does not fit the scan: it needs 5 <= last <= 3000 "
+    "and offset >= 0, and has last {last} and offset {offset}\n"
+)
 
 
 @pytest.mark.parametrize(
@@ -355,9 +360,22 @@ NOT_A_CHECKPOINT = (
             {"signature": SIGNATURE, "last": 1000, "offset": 0}, None, 1,
             "error: {out}: No such file or directory\n",
         ),
+        (
+            {"signature": SIGNATURE, "last": 4, "offset": 0}, "x\n", 2,
+            NOT_FITTING.format(last=4, offset=0),
+        ),
+        (
+            {"signature": SIGNATURE, "last": 3001, "offset": 0}, "x\n", 2,
+            NOT_FITTING.format(last=3001, offset=0),
+        ),
+        (
+            {"signature": SIGNATURE, "last": 1000, "offset": -1}, "x\n", 2,
+            NOT_FITTING.format(last=1000, offset=-1),
+        ),
     ],
     ids=["torn", "not-an-object", "no-last", "no-offset", "offset-not-int",
-         "short-output", "missing-output"],
+         "short-output", "missing-output", "last-below-min", "last-above-max",
+         "negative-offset"],
 )
 def test_scan_checkpoint_malformed(tmp_path, capsys, content, output, code, error):
     ckpt = tmp_path / "scan.ckpt"
@@ -877,3 +895,15 @@ def test_group_and_conic_output_is_pinned(capsys, argv, lines, sha):
     code, out, err = run(capsys, *argv)
     assert (code, err, len(out.splitlines())) == (0, "", lines)
     assert hashlib.sha256(out.encode()).hexdigest() == sha
+
+
+def test_readme_command_examples_parse():
+    # every example of the README's Command line block parses, so renaming
+    # or dropping a flag fails here
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text(encoding="utf-8").split("\n## Command line\n", 1)[1]
+    block = section.split("```sh\n", 1)[1].split("```", 1)[0]
+    lines = [line for line in block.splitlines() if line.startswith("quadtower ")]
+    assert len(lines) == 13
+    for line in lines:
+        cli.build_parser().parse_args(shlex.split(line, comments=True)[1:])

@@ -391,8 +391,8 @@ def _cl2_candidates(lo, hi):
             yield d, factors
 
 
-def _cl2_is_22(d, bound=10**7):
-    return two_sylow(class_group(d, narrow=False, bound=bound)) == [2, 2]
+def _cl2_is_22(d):
+    return two_sylow(class_group(d, narrow=False)) == [2, 2]
 
 
 def test_narrow_four_rank_pins():
@@ -404,12 +404,14 @@ def test_narrow_four_rank_pins():
     "lo, hi, bound, count, rejects",
     [(5, 5 * 10**4, 10**7, 1388, 243), (10**7 + 1, 10**7 + 301, 2 * 10**7, 19, 5)],
 )
-def test_narrow_four_rank_matches_class_group(lo, hi, bound, count, rejects):
+def test_narrow_four_rank_matches_class_group(lo, hi, bound, count, rejects,
+                                             monkeypatch):
     # for these d the narrow 2-rank is 3 and N(eps) = +1, so Cl2 = (2, 2)
     # exactly when the narrow 4-rank is 0
+    monkeypatch.setattr(qform_mod, "DEFAULT_CLASS_BOUND", bound)
     seen = []
     for d, factors in _cl2_candidates(lo, hi):
-        is_22 = _cl2_is_22(d, bound)
+        is_22 = _cl2_is_22(d)
         assert (narrow_four_rank(character_matrix(factors)) == 0) == is_22, d
         # genus theory alone gives h2 = 4 there, also above the class group bound
         assert not is_22 or two_class_number(d) == 4, d

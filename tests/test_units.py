@@ -385,7 +385,7 @@ def test_kubota_index_feeds_quartic_class_numbers():
     # h2 of Q(sqrt(2), sqrt(4794)) from its three quadratic subfields
     q = kubota_index(8, 19176)
     h2s = [two_class_number(discriminant_of(m)) for m in (2, 4794, 2397)]
-    assert multiquadratic_h2(h2s, q, 4) == 4
+    assert multiquadratic_h2(h2s, q) == 4
 
 
 def test_kubota_index_octic_genus_field_27993():
@@ -400,7 +400,7 @@ def test_kubota_index_octic_genus_field_27993():
     rads = (21, 93, 129, 217, 301, 1333, 27993)
     h2s = [two_class_number(discriminant_of(m)) for m in rads]
     assert h2s[-1] == 4
-    assert multiquadratic_h2(h2s, q, 8) == 1
+    assert multiquadratic_h2(h2s, q) == 1
 
 
 RADICANDS = [m for m in range(2, 60) if squarefree_kernel(m) == m]
@@ -1178,12 +1178,12 @@ def test_restricted_characters_are_characters_of_the_subfield(gens, masks, data)
 
 def test_multiquadratic_h2_validation():
     # Kuroda's formula for a real biquadratic field: h2 = q h2_1 h2_2 h2_3 / 4
-    assert multiquadratic_h2([1, 2, 1], 2, 4) == 1
-    assert multiquadratic_h2([1, 4, 2], 2, 4) == 4
-    assert multiquadratic_h2([4, 1, 1, 1, 1, 1, 1], 128, 8) == 1
-    with pytest.raises(ValueError):
-        multiquadratic_h2([1, 1], 2, 4)
-    with pytest.raises(ValueError):
-        multiquadratic_h2([1, 1, 1], 2, 6)
+    assert multiquadratic_h2([1, 2, 1], 2) == 1
+    assert multiquadratic_h2([1, 4, 2], 2) == 4
+    assert multiquadratic_h2([4, 1, 1, 1, 1, 1, 1], 128) == 1
+    # the count of subfield class numbers is the degree's: 3 or 7
+    for count in (2, 4, 6):
+        with pytest.raises(ValueError, match="need 3 or 7"):
+            multiquadratic_h2([1] * count, 2)
     with pytest.raises(ValueError, match="inconsistent inputs"):
-        multiquadratic_h2([1, 1, 1], 1, 4)
+        multiquadratic_h2([1, 1, 1], 1)
